@@ -1,7 +1,7 @@
 """Rendering helpers and offline capture forensics."""
 
 from repro.analysis.forensics import CaptureSummary, Finding, OfflineArpAnalyzer
-from repro.analysis.pcap import PcapWriter, iter_pcap, read_pcap, write_pcap
+from repro.analysis.pcap import PcapWriter, iter_pcap, iter_pcap_frames
 from repro.analysis.stats import Summary, replicate, summarize
 from repro.analysis.tables import render_series, render_table, to_csv
 
@@ -14,8 +14,7 @@ __all__ = [
     "Finding",
     "PcapWriter",
     "iter_pcap",
-    "read_pcap",
-    "write_pcap",
+    "iter_pcap_frames",
     "Summary",
     "replicate",
     "summarize",

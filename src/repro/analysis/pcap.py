@@ -5,29 +5,27 @@ timestamps, LINKTYPE_ETHERNET), so a simulated capture opens directly in
 Wireshark/tcpdump — and real captures of Ethernet traffic can be pulled
 back in and fed to the offline analyzer or the replay engine.
 
-The primitives are streaming: :func:`iter_pcap` is a generator over a
-fixed-size read buffer (a multi-GB capture is never materialized), and
+Both directions stream: :func:`iter_pcap_frames` parses the capture in
+fixed-size blocks (a multi-GB capture is never materialized),
+:func:`iter_pcap` views its output as :class:`TraceRecord` objects, and
 :class:`PcapWriter` is a context manager with incremental ``append()``.
-The eager :func:`read_pcap`/:func:`write_pcap` remain as warn-once
-deprecation shims over them.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, List, Union
+from typing import BinaryIO, Iterator, Tuple, Union
 
 from repro.errors import PcapError
 from repro.sim.trace import Direction, TraceRecord
 
 __all__ = [
+    "MAX_CAPLEN",
     "PCAP_MAGIC",
     "PcapWriter",
     "iter_pcap",
-    "read_pcap",
-    "write_pcap",
+    "iter_pcap_frames",
 ]
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -35,9 +33,14 @@ _LINKTYPE_ETHERNET = 1
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 
-#: Fixed read-buffer size for :func:`iter_pcap` (bytes).  The reader never
+#: Block size :func:`iter_pcap_frames` reads (bytes).  The reader never
 #: holds more than roughly this much file data plus one frame in memory.
 READ_BUFFER = 1 << 16
+
+#: Largest record ``caplen`` accepted: libpcap's maximum snaplen.  A
+#: larger value is a corrupt header, rejected before anything is
+#: buffered for it.
+MAX_CAPLEN = 262_144
 
 
 class PcapWriter:
@@ -49,9 +52,8 @@ class PcapWriter:
     beyond the OS file buffer, so arbitrarily long captures stream out
     in O(1) memory.
 
-    Unlike the legacy :func:`write_pcap`, records are written in call
-    order; callers feeding live taps already append in timestamp order,
-    and the shim sorts before delegating.
+    Records are written in call order; pcap readers expect monotonic
+    captures, so callers append in timestamp order.
     """
 
     def __init__(
@@ -107,27 +109,38 @@ class PcapWriter:
         self.close()
 
 
-def _open_reader(source: Union[str, Path, BinaryIO], buffer_size: int) -> tuple:
-    """Return ``(fh, owns)`` for a path or already-open binary stream."""
+def _open_reader(source: Union[str, Path, BinaryIO]) -> tuple:
+    """Return ``(fh, owns)`` for a path or already-open binary stream.
+
+    Paths open unbuffered: the parser reads whole blocks itself, so a
+    second buffer would only add a copy.
+    """
     if hasattr(source, "read"):
         return source, False
-    return Path(source).open("rb", buffering=buffer_size), True
+    return Path(source).open("rb", buffering=0), True
 
 
-def iter_pcap(
+def iter_pcap_frames(
     source: Union[str, Path, BinaryIO],
     buffer_size: int = READ_BUFFER,
-) -> Iterator[TraceRecord]:
-    """Stream an Ethernet pcap as :class:`TraceRecord` objects.
+) -> Iterator[Tuple[float, bytes]]:
+    """Stream an Ethernet pcap as ``(timestamp, frame)`` pairs.
 
-    Generator over a fixed-size read buffer — the file is never
-    materialized, so multi-GB captures replay in O(``buffer_size``)
-    memory.  Handles both byte orders; rejects nanosecond-format and
-    non-Ethernet captures; a capture that ends mid-record raises
-    :class:`~repro.errors.PcapError` naming the byte offset of the
-    short record instead of silently truncating.
+    The one record parser: it reads ``buffer_size``-byte blocks and
+    walks the records in each block with ``Struct.unpack_from``, so the
+    file is never materialized and multi-GB captures replay in
+    O(``buffer_size`` + one record) memory.  A record that straddles a
+    block boundary is completed from the next read.
+
+    Handles both byte orders; rejects nanosecond-format and non-Ethernet
+    captures.  A capture that ends mid-record, or a record header whose
+    ``caplen`` exceeds :data:`MAX_CAPLEN`, raises
+    :class:`~repro.errors.PcapError` naming the byte offset and record
+    index instead of silently truncating.
     """
-    reader, owns = _open_reader(source, buffer_size)
+    if buffer_size < 1:
+        raise ValueError(f"buffer_size must be positive, got {buffer_size!r}")
+    reader, owns = _open_reader(source)
     try:
         head = reader.read(_GLOBAL_HEADER.size)
         if len(head) < _GLOBAL_HEADER.size:
@@ -139,84 +152,74 @@ def iter_pcap(
             endian = ">"
         else:
             raise PcapError(f"pcap: unrecognized magic 0x{magic_le:08x}")
-        header = struct.Struct(endian + "IHHiIII")
-        record_header = struct.Struct(endian + "IIII")
-        (_, _, _, _, _, _, linktype) = header.unpack(head)
+        linktype = struct.unpack(endian + "IHHiIII", head)[6]
         if linktype != _LINKTYPE_ETHERNET:
             raise PcapError(f"pcap: linktype {linktype} is not Ethernet")
-        offset = header.size
+        unpack_from = struct.Struct(endian + "IIII").unpack_from
+        hsize = _RECORD_HEADER.size
+        read = reader.read
+        buf = b""
+        base = _GLOBAL_HEADER.size  # file offset of buf[0]
+        pos = 0  # start of the next record within buf
         index = 0
+        want = buffer_size
         while True:
-            raw_header = reader.read(record_header.size)
-            if not raw_header:
-                return
-            if len(raw_header) < record_header.size:
-                raise PcapError(
-                    f"pcap: truncated record header at byte offset {offset} "
-                    f"(record {index}: got {len(raw_header)} of "
-                    f"{record_header.size} header bytes)"
-                )
-            seconds, micros, caplen, _origlen = record_header.unpack(raw_header)
-            offset += record_header.size
-            frame = reader.read(caplen)
-            if len(frame) < caplen:
-                raise PcapError(
-                    f"pcap: truncated record body at byte offset {offset} "
-                    f"(record {index}: got {len(frame)} of {caplen} bytes)"
-                )
-            offset += caplen
-            yield TraceRecord(
-                time=seconds + micros / 1_000_000,
-                location=f"pcap[{index}]",
-                direction=Direction.RX,
-                frame=frame,
+            end = len(buf)
+            while pos + hsize <= end:
+                seconds, micros, caplen, _origlen = unpack_from(buf, pos)
+                if caplen > MAX_CAPLEN:
+                    raise PcapError(
+                        f"pcap: record length {caplen} exceeds the "
+                        f"{MAX_CAPLEN}-byte maximum at byte offset "
+                        f"{base + pos} (record {index})"
+                    )
+                stop = pos + hsize + caplen
+                if stop > end:
+                    # Read at least the rest of this record next time.
+                    want = max(buffer_size, stop - end)
+                    break
+                yield seconds + micros / 1_000_000, buf[pos + hsize : stop]
+                pos = stop
+                index += 1
+            block = read(want)
+            want = buffer_size
+            if not block:
+                break
+            buf = buf[pos:] + block
+            base += pos
+            pos = 0
+        left = len(buf) - pos
+        if left >= hsize:
+            caplen = unpack_from(buf, pos)[2]
+            raise PcapError(
+                f"pcap: truncated record body at byte offset "
+                f"{base + pos + hsize} (record {index}: got "
+                f"{left - hsize} of {caplen} bytes)"
             )
-            index += 1
+        if left:
+            raise PcapError(
+                f"pcap: truncated record header at byte offset {base + pos} "
+                f"(record {index}: got {left} of {hsize} header bytes)"
+            )
     finally:
         if owns:
             reader.close()
 
 
-# ======================================================================
-# Legacy eager API — thin deprecation shims over the streaming primitives
-# ======================================================================
-#: Legacy function names that already warned this process (warn once each).
-_LEGACY_WARNED: set = set()
+def iter_pcap(
+    source: Union[str, Path, BinaryIO],
+    buffer_size: int = READ_BUFFER,
+) -> Iterator[TraceRecord]:
+    """Stream an Ethernet pcap as :class:`TraceRecord` objects.
 
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    if name in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(name)
-    warnings.warn(
-        f"repro.analysis.pcap.{name}() is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def write_pcap(
-    records: Iterable[TraceRecord],
-    destination: Union[str, Path],
-    snaplen: int = 65535,
-) -> int:
-    """Deprecated: use :class:`PcapWriter`.
-
-    Sorts ``records`` by timestamp (pcap readers expect monotonic
-    captures) then streams them through an incremental writer.
+    A view over :func:`iter_pcap_frames` (same checks, same errors) for
+    offline analysis: each record is received (``RX``) at location
+    ``pcap[i]``, ``i`` being its index in the capture.
     """
-    _warn_legacy("write_pcap", "PcapWriter")
-    with PcapWriter(destination, snaplen=snaplen) as writer:
-        for record in sorted(records, key=lambda r: r.time):
-            writer.append(record)
-        return writer.count
-
-
-def read_pcap(source: Union[str, Path]) -> List[TraceRecord]:
-    """Deprecated: use :func:`iter_pcap`.
-
-    Eagerly materializes the whole capture as a list — fine for test
-    fixtures, wrong for multi-GB traces.
-    """
-    _warn_legacy("read_pcap", "iter_pcap")
-    return list(iter_pcap(source))
+    for index, (timestamp, frame) in enumerate(iter_pcap_frames(source, buffer_size)):
+        yield TraceRecord(
+            time=timestamp,
+            location=f"pcap[{index}]",
+            direction=Direction.RX,
+            frame=frame,
+        )

@@ -25,7 +25,7 @@ from repro.core.metrics import (
 )
 from repro.errors import ExperimentError, FaultError
 from repro.faults import apply_faults, parse_fault_spec
-from repro.l2.topology import Lan
+from repro.l2.topology import DEFAULT_SWITCH_PORTS, Lan
 from repro.net.addresses import Ipv4Address
 from repro.schemes.base import Scheme
 from repro.schemes.registry import make_defense
@@ -176,7 +176,15 @@ class Scenario:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.sim = Simulator(seed=config.seed)
-        self.lan = Lan(self.sim, network=config.network)
+        # Users, gateway, attacker and monitor, plus one port for a
+        # scheme's own server (S-ARP's AKD).  Only a LAN too big for the
+        # default switch gets a bigger one.
+        stations = config.n_hosts + 3 + int(config.with_monitor)
+        self.lan = Lan(
+            self.sim,
+            network=config.network,
+            switch_ports=max(DEFAULT_SWITCH_PORTS, stations),
+        )
         if config.with_monitor:
             self.lan.add_monitor()
         if config.with_dhcp:

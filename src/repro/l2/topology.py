@@ -23,9 +23,12 @@ from repro.stack.host import Host
 from repro.stack.os_profiles import LINUX, OsProfile
 from repro.stack.router import Router
 
-__all__ = ["Campus", "Lan", "PortAllocator"]
+__all__ = ["Campus", "DEFAULT_SWITCH_PORTS", "Lan", "PortAllocator"]
 
 _REALISTIC_OUIS = sorted(KNOWN_OUIS)
+
+#: Ports on a :class:`Lan`'s primary switch unless the caller asks for more.
+DEFAULT_SWITCH_PORTS = 64
 
 #: Locally-administered, unicast base for deterministic campus MACs
 #: (02:xx:xx:xx:xx:xx) — derived from the global host index instead of a
@@ -89,7 +92,7 @@ class Lan:
         self,
         sim: Simulator,
         network: str | Ipv4Network = "192.168.88.0/24",
-        switch_ports: int = 64,
+        switch_ports: int = DEFAULT_SWITCH_PORTS,
         cam_capacity: int = 1024,
         cam_aging: float = 300.0,
         link_latency: float = DEFAULT_LATENCY,

@@ -10,7 +10,7 @@ O(window) memory.
 Three implementations:
 
 * :class:`PcapSource` — streams a classic libpcap capture through
-  :func:`repro.analysis.pcap.iter_pcap` (fixed read buffer, never
+  :func:`repro.analysis.pcap.iter_pcap_frames` (block reads, never
   materializes the file);
 * :class:`SyntheticSource` — a seeded, re-iterable generator of ARP
   churn plus a benign TCP/UDP mix at a configurable rate, following the
@@ -82,9 +82,10 @@ class FrameSource:
     """Protocol base: an iterator of ``(timestamp, raw_bytes)`` pairs.
 
     Subclasses implement :meth:`__iter__` (re-iterable: each call starts
-    the stream over, deterministically) and keep :attr:`frames_read` /
-    :attr:`bytes_read` current as frames are pulled.  ``close()``
-    releases any underlying handle; sources are also context managers.
+    the stream over, deterministically) and set :attr:`frames_read` /
+    :attr:`bytes_read` to what the stream yielded, at the latest when it
+    ends or is closed.  ``close()`` releases any underlying handle;
+    sources are also context managers.
     """
 
     #: Spec-grammar kind tag (``pcap`` / ``synthetic`` / ``memory``).
@@ -135,10 +136,11 @@ class FrameSource:
 class PcapSource(FrameSource):
     """Stream a classic libpcap capture, one frame at a time.
 
-    Wraps :func:`repro.analysis.pcap.iter_pcap`, so the file is read
-    through a fixed-size buffer and a capture that ends mid-record
-    raises :class:`~repro.errors.PcapError` naming the byte offset.
-    Timestamps carry pcap's microsecond resolution.
+    Wraps :func:`repro.analysis.pcap.iter_pcap_frames`, so the file is
+    read in fixed-size blocks and a capture that ends mid-record raises
+    :class:`~repro.errors.PcapError` naming the byte offset.  Timestamps
+    carry pcap's microsecond resolution.  ``frames_read``/``bytes_read``
+    are published when the stream ends or is closed.
     """
 
     kind = "pcap"
@@ -150,14 +152,20 @@ class PcapSource(FrameSource):
             raise ReplayError(f"pcap source: no such file {str(self.path)!r}")
 
     def __iter__(self) -> Iterator[Tuple[float, bytes]]:
-        from repro.analysis.pcap import iter_pcap
+        from repro.analysis.pcap import iter_pcap_frames
 
         self.frames_read = 0
         self.bytes_read = 0
-        for record in iter_pcap(self.path):
-            self.frames_read += 1
-            self.bytes_read += len(record.frame)
-            yield record.time, record.frame
+        frames_read = 0
+        bytes_read = 0
+        try:
+            for pair in iter_pcap_frames(self.path):
+                frames_read += 1
+                bytes_read += len(pair[1])
+                yield pair
+        finally:
+            self.frames_read = frames_read
+            self.bytes_read = bytes_read
 
     @property
     def spec_string(self) -> str:

@@ -56,7 +56,9 @@ class ObservedStation:
     mac: MacAddress
     first_seen: float
     last_seen: float
-    previous_macs: List[MacAddress] = field(default_factory=list)
+    #: Distinct MACs this IP was bound to before, oldest first; a dict
+    #: (values unused) so membership is O(1) and each MAC is kept once.
+    previous_macs: Dict[MacAddress, None] = field(default_factory=dict)
 
     @property
     def flip_flopped(self) -> bool:
@@ -97,10 +99,11 @@ class BindingDatabase:
             station.last_seen = now
             return ("refresh", None)
         previous = station.mac
-        station.previous_macs.append(previous)
+        # A flip-flop is a return to any MAC held before the current one.
+        event = "flip-flop" if mac in station.previous_macs else "changed"
+        station.previous_macs[previous] = None
         station.mac = mac
         station.last_seen = now
-        event = "flip-flop" if mac in station.previous_macs[:-1] else "changed"
         return (event, previous)
 
     def forget(self, ip: Ipv4Address) -> None:

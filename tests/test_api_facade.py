@@ -11,6 +11,8 @@ from repro.core import experiment as exp
 from repro.core.api import KINDS, normalize_kind, run
 from repro.core.experiment import ScenarioConfig
 from repro.errors import ExperimentError
+from repro.l2.topology import DEFAULT_SWITCH_PORTS
+from repro.schemes.registry import make_defense
 
 FAST = ScenarioConfig(n_hosts=3, warmup=2.0, attack_duration=6.0, cooldown=1.0)
 
@@ -120,6 +122,12 @@ class TestRunKinds:
         assert isinstance(result, exp.OverheadResult)
         assert result.n_hosts == 4
 
+    def test_overhead_at_64_hosts(self):
+        """Figure 2's largest LAN: 64 users plus the gateway, monitor and
+        attacker outgrow the default 64-port switch."""
+        result = run("overhead", n_hosts=64)
+        assert result.n_hosts == 64
+
     def test_resolution_latency(self):
         result = run("resolution-latency", scheme=None, n_resolutions=5)
         assert isinstance(result, exp.ResolutionLatencyResult)
@@ -186,3 +194,14 @@ class TestLegacyShims:
         for name, _ in _SHIM_CALLS:
             assert hasattr(repro.core, name)
         assert repro.run is api.run
+
+
+class TestScenarioSwitchSizing:
+    def test_lan_that_fits_keeps_the_default_switch(self):
+        scenario = exp.Scenario(ScenarioConfig(n_hosts=60))
+        assert len(scenario.lan.switch.ports) == DEFAULT_SWITCH_PORTS
+
+    def test_large_lan_leaves_a_port_for_a_scheme_server(self):
+        scenario = exp.Scenario(ScenarioConfig(n_hosts=64))
+        scenario.install(make_defense("s-arp"))  # wires its AKD station
+        assert "sarp-akd" in scenario.lan.hosts

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.arp_poison import ArpPoisoner, PoisonTarget
 from repro.errors import SchemeError
@@ -72,6 +74,54 @@ class TestBindingDatabase:
         db.observe(ip, m1, 0.0)
         assert db.observe(ip, m2, 1.0) == ("changed", m1)
         assert db.observe(ip, m1, 2.0) == ("flip-flop", m2)
+
+    def test_rebind_sequence_events_and_distinct_history(self):
+        from repro.net.addresses import Ipv4Address
+
+        db = BindingDatabase()
+        ip = Ipv4Address("10.0.0.1")
+        a, b, c = (MacAddress(f"02:00:00:00:00:0{i}") for i in (1, 2, 3))
+        events = [db.observe(ip, mac, float(t)) for t, mac in enumerate([a, b, a, c, b, c, a])]
+        assert events == [
+            ("new", None),
+            ("changed", a),
+            ("flip-flop", b),
+            ("changed", a),
+            ("flip-flop", c),
+            ("flip-flop", b),
+            ("flip-flop", c),
+        ]
+        station = db.get(ip)
+        assert station.mac == a
+        # Each earlier MAC once, in first-seen order, however often it
+        # came back.
+        assert list(station.previous_macs) == [a, b, c]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=40))
+    def test_flip_flop_iff_any_earlier_mac(self, picks):
+        """Events match a full-history reference model: ``flip-flop``
+        exactly when the new MAC is any MAC held before the current one."""
+        from repro.net.addresses import Ipv4Address
+
+        db = BindingDatabase()
+        ip = Ipv4Address("10.0.0.1")
+        history = []  # every MAC held before the current one, in order
+        current = None
+        for t, pick in enumerate(picks):
+            mac = MacAddress(f"02:00:00:00:00:0{pick}")
+            if current is None:
+                expected = ("new", None)
+            elif mac == current:
+                expected = ("refresh", None)
+            else:
+                kind = "flip-flop" if mac in history else "changed"
+                expected = (kind, current)
+                history.append(current)
+            if mac != current:
+                current = mac
+            assert db.observe(ip, mac, float(t)) == expected
+        assert list(db.get(ip).previous_macs) == list(dict.fromkeys(history))
 
     def test_forget(self):
         from repro.net.addresses import Ipv4Address
