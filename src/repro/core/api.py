@@ -17,9 +17,6 @@ built, so a typo'd parameter fails fast with the allowed set in the
 message.  ``faults`` (a compact spec string or a
 :class:`~repro.faults.FaultSpec`) is folded into the scenario config's
 ``fault_spec`` field, serialized verbatim.
-
-The legacy ``run_*`` functions survive as deprecation shims that warn
-once per process and delegate here.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 
 One :class:`Scenario` is the standard testbed shape — a switched LAN
 with a gateway, a monitor on a mirror port, ``n_hosts`` user stations
-and one attacker — and each ``run_*`` function below performs one of the
-paper's measurements on it.  Everything is seeded and deterministic.
+and one attacker — and each ``_run_*`` function below performs one of the
+paper's measurements on it, reached through :func:`repro.core.api.run`.
+Everything is seeded and deterministic.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -51,13 +51,6 @@ __all__ = [
     "StarvationResult",
     "RESULT_TYPES",
     "result_from_dict",
-    "run_effectiveness",
-    "run_false_positives",
-    "run_detection_latency",
-    "run_overhead",
-    "run_resolution_latency",
-    "run_interception_timeline",
-    "run_footprint",
 ]
 
 
@@ -912,173 +905,3 @@ def result_from_dict(data: Mapping[str, object]) -> SerializableResult:
             f"unknown result kind {kind!r}; known: {sorted(RESULT_TYPES)}"
         ) from None
     return cls.from_dict(data)
-
-
-# ======================================================================
-# Legacy entry points — thin deprecation shims over repro.core.api.run
-# ======================================================================
-#: Legacy function names that already warned this process (warn once each).
-_LEGACY_WARNED: set = set()
-
-
-def _warn_legacy(name: str, kind: str) -> None:
-    if name in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(name)
-    warnings.warn(
-        f"repro.core.experiment.{name}() is deprecated; use "
-        f"repro.core.api.run({kind!r}, ...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_effectiveness(
-    scheme_key: Optional[str],
-    technique: str,
-    config: Optional[ScenarioConfig] = None,
-    **scheme_kwargs,
-) -> EffectivenessResult:
-    """Deprecated: use ``repro.core.api.run("effectiveness", ...)``."""
-    _warn_legacy("run_effectiveness", "effectiveness")
-    from repro.core.api import run
-
-    return run(
-        "effectiveness",
-        config,
-        scheme=scheme_key,
-        scheme_kwargs=scheme_kwargs,
-        technique=technique,
-    )
-
-
-def run_false_positives(
-    scheme_key: Optional[str],
-    duration: float = 1800.0,
-    config: Optional[ScenarioConfig] = None,
-    join_rate: float = 1 / 60.0,
-    nic_swap_rate: float = 1 / 300.0,
-    reannounce_rate: float = 1 / 120.0,
-    max_dhcp_hosts: int = 6,
-    **scheme_kwargs,
-) -> FalsePositiveResult:
-    """Deprecated: use ``repro.core.api.run("false-positives", ...)``."""
-    _warn_legacy("run_false_positives", "false-positives")
-    from repro.core.api import run
-
-    return run(
-        "false-positives",
-        config,
-        scheme=scheme_key,
-        scheme_kwargs=scheme_kwargs,
-        duration=duration,
-        join_rate=join_rate,
-        nic_swap_rate=nic_swap_rate,
-        reannounce_rate=reannounce_rate,
-        max_dhcp_hosts=max_dhcp_hosts,
-    )
-
-
-def run_detection_latency(
-    scheme_key: str,
-    poison_rate: float,
-    config: Optional[ScenarioConfig] = None,
-    **scheme_kwargs,
-) -> LatencyResult:
-    """Deprecated: use ``repro.core.api.run("detection-latency", ...)``."""
-    _warn_legacy("run_detection_latency", "detection-latency")
-    from repro.core.api import run
-
-    return run(
-        "detection-latency",
-        config,
-        scheme=scheme_key,
-        scheme_kwargs=scheme_kwargs,
-        poison_rate=poison_rate,
-    )
-
-
-def run_overhead(
-    scheme_key: Optional[str],
-    n_hosts: int = 16,
-    resolutions_per_host: int = 4,
-    seed: int = 7,
-    **scheme_kwargs,
-) -> OverheadResult:
-    """Deprecated: use ``repro.core.api.run("overhead", ...)``."""
-    _warn_legacy("run_overhead", "overhead")
-    from repro.core.api import run
-
-    return run(
-        "overhead",
-        scheme=scheme_key,
-        scheme_kwargs=scheme_kwargs,
-        n_hosts=n_hosts,
-        resolutions_per_host=resolutions_per_host,
-        seed=seed,
-    )
-
-
-def run_resolution_latency(
-    scheme_key: Optional[str],
-    n_resolutions: int = 50,
-    seed: int = 7,
-    **scheme_kwargs,
-) -> ResolutionLatencyResult:
-    """Deprecated: use ``repro.core.api.run("resolution-latency", ...)``."""
-    _warn_legacy("run_resolution_latency", "resolution-latency")
-    from repro.core.api import run
-
-    return run(
-        "resolution-latency",
-        scheme=scheme_key,
-        scheme_kwargs=scheme_kwargs,
-        n_resolutions=n_resolutions,
-        seed=seed,
-    )
-
-
-def run_interception_timeline(
-    scheme_key: Optional[str],
-    config: Optional[ScenarioConfig] = None,
-    duration: float = 120.0,
-    attack_at: float = 30.0,
-    ping_rate: float = 2.0,
-    bin_seconds: float = 10.0,
-    **scheme_kwargs,
-) -> InterceptionTimeline:
-    """Deprecated: use ``repro.core.api.run("interception-timeline", ...)``."""
-    _warn_legacy("run_interception_timeline", "interception-timeline")
-    from repro.core.api import run
-
-    return run(
-        "interception-timeline",
-        config,
-        scheme=scheme_key,
-        scheme_kwargs=scheme_kwargs,
-        duration=duration,
-        attack_at=attack_at,
-        ping_rate=ping_rate,
-        bin_seconds=bin_seconds,
-    )
-
-
-def run_footprint(
-    scheme_key: Optional[str],
-    n_hosts: int = 16,
-    settle: float = 30.0,
-    seed: int = 7,
-    **scheme_kwargs,
-) -> FootprintResult:
-    """Deprecated: use ``repro.core.api.run("footprint", ...)``."""
-    _warn_legacy("run_footprint", "footprint")
-    from repro.core.api import run
-
-    return run(
-        "footprint",
-        scheme=scheme_key,
-        scheme_kwargs=scheme_kwargs,
-        n_hosts=n_hosts,
-        settle=settle,
-        seed=seed,
-    )

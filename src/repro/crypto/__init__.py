@@ -1,7 +1,7 @@
 """Crypto substrate for S-ARP / TARP: RSA keys, signed bindings, AKD, LTA."""
 
 from repro.crypto.akd import AKD_PORT, AkdClient, AkdService
-from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
+from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, generate_keypair, keychain
 from repro.crypto.lta import LocalTicketAgent, Ticket
 from repro.crypto.sign import CryptoCostModel, SignedBinding
 
@@ -13,6 +13,7 @@ __all__ = [
     "PrivateKey",
     "PublicKey",
     "generate_keypair",
+    "keychain",
     "LocalTicketAgent",
     "Ticket",
     "CryptoCostModel",

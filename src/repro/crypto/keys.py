@@ -9,17 +9,27 @@ S-ARP used DSA via OpenSSL; the substitution keeps the property the
 analysis depends on (unforgeability inside the simulation) while staying
 dependency-free.  Timing is charged separately through the cost model in
 :mod:`repro.crypto.sign`, not measured from these operations.
+
+Signing uses the Chinese Remainder Theorem (two half-size modexps and
+Garner's recombination), which yields the same integer as the textbook
+``pow(m, d, n)``.  :func:`keychain` memoizes the key pairs a labelled
+random stream produces, so every run that draws from the same stream
+(the same seed and scheme) reuses them instead of searching for primes
+again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Iterator, List, Tuple
 
 from repro.errors import CryptoError
 
-__all__ = ["PublicKey", "PrivateKey", "KeyPair", "generate_keypair"]
+__all__ = ["PublicKey", "PrivateKey", "KeyPair", "generate_keypair", "keychain"]
 
 _E = 65537
 
@@ -108,13 +118,25 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """An RSA signing key.  Never serialized; never leaves its owner."""
+    """An RSA signing key.  Never serialized; never leaves its owner.
+
+    Besides ``d`` it keeps the factors and CRT exponents; none of the
+    secret fields appear in ``repr`` (a logged key must not leak them).
+    """
 
     n: int
-    d: int
+    d: int = field(repr=False)
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    dp: int = field(repr=False)  # d mod (p - 1)
+    dq: int = field(repr=False)  # d mod (q - 1)
+    qinv: int = field(repr=False)  # q^-1 mod p
 
     def sign(self, message: bytes) -> bytes:
-        sig_int = pow(_digest_int(message, self.n), self.d, self.n)
+        m = _digest_int(message, self.n)
+        s_q = pow(m, self.dq, self.q)
+        h = self.qinv * (pow(m, self.dp, self.p) - s_q) % self.p
+        sig_int = s_q + h * self.q  # == pow(m, d, n)
         return sig_int.to_bytes((self.n.bit_length() + 7) // 8, "big")
 
 
@@ -145,4 +167,36 @@ def generate_keypair(rng: random.Random, bits: int = 512) -> KeyPair:
             d = pow(_E, -1, phi)
         except ValueError:
             continue
-        return KeyPair(public=PublicKey(n=n, e=_E), private=PrivateKey(n=n, d=d))
+        private = PrivateKey(
+            n=n, d=d, p=p, q=q, dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p)
+        )
+        return KeyPair(public=PublicKey(n=n, e=_E), private=private)
+
+
+#: Schedules kept at most; the oldest is dropped first.
+KEYCHAIN_CAP = 64
+
+#: ``(label, bits) -> (pairs drawn so far, the stream that continues them)``.
+_KEYCHAINS: "OrderedDict[Tuple[str, int], Tuple[List[KeyPair], random.Random]]" = (
+    OrderedDict()
+)
+
+
+def keychain(label: str, bits: int = 512) -> Iterator[KeyPair]:
+    """Yield the key pairs of the random stream seeded with ``label``.
+
+    The sequence is exactly what repeated ``generate_keypair(random.Random
+    (label), bits)`` calls on one stream produce.  Pairs drawn once are
+    memoized per ``(label, bits)`` and the prefix grows on demand, so a
+    second run with the same seed pays for no prime search.
+    """
+    schedule = _KEYCHAINS.get((label, bits))
+    if schedule is None:
+        if len(_KEYCHAINS) >= KEYCHAIN_CAP:
+            _KEYCHAINS.popitem(last=False)
+        schedule = _KEYCHAINS[(label, bits)] = ([], random.Random(label))
+    pairs, rng = schedule
+    for i in itertools.count():
+        if i == len(pairs):
+            pairs.append(generate_keypair(rng, bits))
+        yield pairs[i]

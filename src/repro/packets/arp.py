@@ -10,11 +10,17 @@ model that faithfully with a tagged trailing extension:
 
 Minimum-frame zero padding cannot be confused with an extension because
 the magic values are non-zero.
+
+:meth:`ArpPacket.decode` memoizes its result per payload: a flood hands
+the same wire bytes to every host, and packets are immutable, so each
+distinct payload is parsed once.  The memo is bounded (FIFO eviction) and
+holds only successful parses; malformed input raises on every call.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +39,12 @@ _PTYPE_IPV4 = 0x0800
 
 _BODY = struct.Struct("!HHBBH6s4s6s4s")
 _EXT_LEN = struct.Struct("!H")
+
+#: Decoded payloads kept at most; the oldest is dropped first.
+DECODE_MEMO_CAP = 1024
+
+#: Payload bytes -> the packet they decode to (successful parses only).
+_DECODED: "OrderedDict[bytes, ArpPacket]" = OrderedDict()
 
 
 class ArpOp:
@@ -104,6 +116,11 @@ class ArpPacket:
 
     @classmethod
     def decode(cls, data: bytes) -> "ArpPacket":
+        if type(data) is not bytes:
+            data = bytes(data)  # hashable, and immune to later mutation
+        packet = _DECODED.get(data)
+        if packet is not None:
+            return packet
         reader = Reader(data, context="arp")
         body = reader.take(_BODY.size)
         htype, ptype, hlen, plen, op, sha, spa, tha, tpa = _BODY.unpack(body)
@@ -116,7 +133,7 @@ class ArpPacket:
         if op not in (ArpOp.REQUEST, ArpOp.REPLY):
             raise CodecError(f"unsupported ARP op {op}")
         extension = cls._decode_extension(reader)
-        return cls(
+        packet = cls(
             op=op,
             sha=MacAddress.from_wire(sha),
             spa=Ipv4Address.from_wire(spa),
@@ -124,6 +141,10 @@ class ArpPacket:
             tpa=Ipv4Address.from_wire(tpa),
             extension=extension,
         )
+        if len(_DECODED) >= DECODE_MEMO_CAP:
+            _DECODED.popitem(last=False)
+        _DECODED[data] = packet
+        return packet
 
     @staticmethod
     def _decode_extension(reader: Reader) -> Optional[ArpExtension]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.akd import AkdClient, AkdService
-from repro.crypto.keys import KeyPair, generate_keypair
+from repro.crypto.keys import KeyPair, keychain
 from repro.crypto.sign import CryptoCostModel, SignedBinding
 from repro.errors import CryptoError, SchemeError
 from repro.l2.topology import Lan
@@ -86,9 +86,10 @@ class SecureArp(Scheme):
 
     # ------------------------------------------------------------------
     def _install(self, lan: Lan, protected: List[Host]) -> None:
-        rng = lan.sim.rng_stream("sarp/keys")
+        # The pairs rng_stream("sarp/keys") would draw, memoized across runs.
+        keys = keychain(f"{lan.sim.seed}/sarp/keys", bits=self.key_bits)
         akd_host = lan.add_host("sarp-akd", use_gateway=False)
-        akd_keys = generate_keypair(rng, bits=self.key_bits)
+        akd_keys = next(keys)
         self.akd = AkdService(akd_host, akd_keys)
         assert akd_host.ip is not None
 
@@ -98,11 +99,7 @@ class SecureArp(Scheme):
         for host in members:
             # The AKD signs its own ARP with its master key (which every
             # member holds a priori); everyone else gets a fresh pair.
-            keypair = (
-                akd_keys
-                if host is akd_host
-                else generate_keypair(rng, bits=self.key_bits)
-            )
+            keypair = akd_keys if host is akd_host else next(keys)
             self.akd.enroll(host.ip, keypair.public)
             client = AkdClient(host, akd_host.ip, self.akd.public_key)
             client.cache[akd_host.ip] = akd_keys.public  # bootstrap trust

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.crypto.keys import generate_keypair
+from repro.crypto.keys import keychain
 from repro.crypto.lta import LocalTicketAgent, Ticket
 from repro.crypto.sign import CryptoCostModel
 from repro.errors import CryptoError
@@ -79,9 +79,10 @@ class TicketArp(Scheme):
 
     # ------------------------------------------------------------------
     def _install(self, lan: Lan, protected: List[Host]) -> None:
-        rng = lan.sim.rng_stream("tarp/keys")
+        # The pair rng_stream("tarp/keys") would draw, memoized across runs.
+        keys = keychain(f"{lan.sim.seed}/tarp/keys", bits=self.key_bits)
         self.lta = LocalTicketAgent(
-            generate_keypair(rng, bits=self.key_bits),
+            next(keys),
             default_validity=self.ticket_validity,
         )
         for host in protected:

@@ -1,8 +1,6 @@
-"""Tests for the unified run() facade and the legacy run_* shims."""
+"""Tests for the unified run() facade."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -15,14 +13,6 @@ from repro.l2.topology import DEFAULT_SWITCH_PORTS
 from repro.schemes.registry import make_defense
 
 FAST = ScenarioConfig(n_hosts=3, warmup=2.0, attack_duration=6.0, cooldown=1.0)
-
-
-@pytest.fixture(autouse=True)
-def _reset_legacy_warnings():
-    """Each test sees the warn-once latch in its pristine state."""
-    exp._LEGACY_WARNED.clear()
-    yield
-    exp._LEGACY_WARNED.clear()
 
 
 class TestRegistry:
@@ -53,6 +43,13 @@ class TestRegistry:
     def test_normalize_accepts_underscores(self):
         assert normalize_kind("resolution_latency") == "resolution-latency"
         assert normalize_kind(" overhead ") == "overhead"
+
+    def test_run_exported_from_package(self):
+        import repro
+        import repro.core
+
+        assert repro.run is api.run
+        assert repro.core.run is api.run
 
 
 class TestValidation:
@@ -144,56 +141,6 @@ class TestRunKinds:
     def test_baseline_scheme_none(self):
         result = run("effectiveness", FAST, scheme=None, technique="reply")
         assert not result.prevented  # undefended LAN falls to the attack
-
-
-_SHIM_CALLS = [
-    ("run_effectiveness", lambda: exp.run_effectiveness("dai", "reply", config=FAST)),
-    ("run_false_positives",
-     lambda: exp.run_false_positives("arpwatch", duration=120.0,
-                                     config=ScenarioConfig(n_hosts=3))),
-    ("run_detection_latency",
-     lambda: exp.run_detection_latency("arpwatch", 1.0, config=FAST)),
-    ("run_overhead", lambda: exp.run_overhead("dai", n_hosts=4)),
-    ("run_resolution_latency", lambda: exp.run_resolution_latency(None, 5)),
-    ("run_interception_timeline",
-     lambda: exp.run_interception_timeline(None, config=FAST, duration=20.0,
-                                           attack_at=5.0)),
-    ("run_footprint", lambda: exp.run_footprint("dai", n_hosts=4, settle=5.0)),
-]
-
-
-class TestLegacyShims:
-    @pytest.mark.parametrize("name,call", _SHIM_CALLS, ids=[n for n, _ in _SHIM_CALLS])
-    def test_shim_warns_once_and_delegates(self, name, call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = call()
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert name in str(deprecations[0].message)
-        assert "api.run" in str(deprecations[0].message)
-        assert hasattr(result, "to_dict")
-
-        # A second call through the same shim stays quiet.
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            call()
-        assert [w for w in again if w.category is DeprecationWarning] == []
-
-    def test_shim_matches_facade_result(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            via_shim = exp.run_effectiveness("dai", "reply", config=FAST)
-        direct = api.run("effectiveness", FAST, scheme="dai", technique="reply")
-        assert via_shim.to_dict() == direct.to_dict()
-
-    def test_shims_still_exported_from_package(self):
-        import repro
-        import repro.core
-
-        for name, _ in _SHIM_CALLS:
-            assert hasattr(repro.core, name)
-        assert repro.run is api.run
 
 
 class TestScenarioSwitchSizing:

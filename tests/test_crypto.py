@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiment import Scenario, ScenarioConfig
+from repro.crypto import keys
 from repro.crypto.akd import AKD_PORT, AkdClient, AkdService
-from repro.crypto.keys import PublicKey, generate_keypair
+from repro.crypto.keys import PublicKey, _digest_int, generate_keypair, keychain
 from repro.crypto.lta import LocalTicketAgent, Ticket
 from repro.crypto.sign import CryptoCostModel, SignedBinding
 from repro.errors import CryptoError, KeyRegistrationError
 from repro.l2.topology import Lan
 from repro.net.addresses import Ipv4Address, MacAddress
+from repro.schemes.registry import make_defense
 
 KP = generate_keypair(random.Random(0xC0FFEE), bits=256)
 KP2 = generate_keypair(random.Random(0xBEEF), bits=256)
@@ -68,6 +71,126 @@ class TestKeys:
     @settings(max_examples=25)
     def test_sign_verify_property(self, message):
         assert KP.public.verify(message, KP.private.sign(message))
+
+
+#: One key per modulus size the CRT property is checked at.
+CRT_KEYS = {bits: generate_keypair(random.Random(bits), bits=bits) for bits in (256, 384, 512)}
+
+
+class TestCrtSigning:
+    @pytest.mark.parametrize("bits", sorted(CRT_KEYS))
+    @given(message=st.binary(min_size=0, max_size=200))
+    @settings(max_examples=40)
+    def test_crt_sign_equals_textbook(self, bits, message):
+        private = CRT_KEYS[bits].private
+        n = private.n
+        textbook = pow(_digest_int(message, n), private.d, n)
+        assert private.sign(message) == textbook.to_bytes((n.bit_length() + 7) // 8, "big")
+
+    def test_crt_parameters(self):
+        private = CRT_KEYS[512].private
+        assert private.p * private.q == private.n
+        assert private.dp == private.d % (private.p - 1)
+        assert private.dq == private.d % (private.q - 1)
+        assert private.qinv * private.q % private.p == 1
+
+    def test_repr_hides_private_fields(self):
+        pair = CRT_KEYS[512]
+        text = repr(pair)
+        assert str(pair.public.n) in text  # the public modulus is fine to show
+        for name in ("d", "p", "q", "dp", "dq", "qinv"):
+            assert str(getattr(pair.private, name)) not in text, name
+
+
+@pytest.fixture
+def fresh_keychains(monkeypatch):
+    """An empty schedule table, so each test draws its prefixes cold."""
+    monkeypatch.setattr(keys, "_KEYCHAINS", type(keys._KEYCHAINS)())
+
+
+def _generated(label, bits, count):
+    rng = random.Random(label)
+    return [generate_keypair(rng, bits=bits) for _ in range(count)]
+
+
+class TestKeychain:
+    def test_matches_repeated_generation(self, fresh_keychains):
+        chain = keychain("7/sarp/keys", bits=128)
+        assert [next(chain) for _ in range(5)] == _generated("7/sarp/keys", 128, 5)
+
+    def test_short_prefix_then_longer(self, fresh_keychains):
+        first = keychain("x", bits=128)
+        short = [next(first) for _ in range(2)]
+        second = keychain("x", bits=128)
+        longer = [next(second) for _ in range(4)]
+        assert short == longer[:2]
+        assert longer == _generated("x", 128, 4)
+        # The earlier iterator picks up where it stopped, on the same pairs.
+        assert next(first) is longer[2]
+        assert len(keys._KEYCHAINS[("x", 128)][0]) == 4
+
+    def test_interleaved_labels_and_sizes(self, fresh_keychains):
+        chains = {
+            ("a", 128): keychain("a", bits=128),
+            ("b", 128): keychain("b", bits=128),
+            ("a", 192): keychain("a", bits=192),
+        }
+        drawn = {key: [] for key in chains}
+        for key in [("a", 128), ("b", 128), ("a", 192), ("a", 128), ("a", 192), ("b", 128)]:
+            drawn[key].append(next(chains[key]))
+        for (label, bits), pairs in drawn.items():
+            assert pairs == _generated(label, bits, 2)
+
+    def test_table_is_bounded_and_eviction_is_exact(self, fresh_keychains):
+        for i in range(keys.KEYCHAIN_CAP + 3):
+            next(keychain(f"cap/{i}", bits=128))
+        assert len(keys._KEYCHAINS) == keys.KEYCHAIN_CAP
+        assert ("cap/0", 128) not in keys._KEYCHAINS
+        assert next(keychain("cap/0", bits=128)) == _generated("cap/0", 128, 1)[0]
+
+    def test_no_work_until_drawn(self, fresh_keychains):
+        keychain("lazy", bits=128)
+        assert keys._KEYCHAINS == {}
+
+
+#: Public-key fingerprints S-ARP and TARP installed before the key
+#: schedule was memoized (seed 7, 8 users); the schedule must not move them.
+SARP_FINGERPRINTS = {
+    "gateway": "dfb6dd82c5696dce",
+    "monitor": "66a104a7691e06a5",
+    "sarp-akd": "0e20d5380a91c3b0",
+    "user-0": "50d62c3698bb2b08",
+    "user-1": "bc4bd03f8780c686",
+    "user-2": "174980ea93423050",
+    "user-3": "b2779209b21d975f",
+    "user-4": "31aa2992cf3c4ed2",
+    "user-5": "c850804e67864448",
+    "user-6": "bf5cb17eaa5e3374",
+    "user-7": "b1e3875a45848b5b",
+}
+TARP_FINGERPRINT = "e37014aeea9712ef"
+
+
+def _installed(key):
+    scheme = make_defense(key)
+    Scenario(ScenarioConfig(n_hosts=8, seed=7)).install(scheme)
+    return scheme
+
+
+class TestSchemeKeysPinned:
+    def test_sarp_fingerprints_cold_and_warm(self, fresh_keychains):
+        for _ in range(2):  # the first install fills the schedule, the second reuses it
+            sarp = _installed("s-arp")
+            got = {
+                name: state.keypair.public.fingerprint
+                for name, state in sarp._states.items()
+            }
+            assert got == SARP_FINGERPRINTS
+            assert sarp.akd.public_key.fingerprint == SARP_FINGERPRINTS["sarp-akd"]
+
+    def test_tarp_fingerprint_cold_and_warm(self, fresh_keychains):
+        for _ in range(2):
+            assert _installed("tarp").lta.public_key.fingerprint == TARP_FINGERPRINT
 
 
 class TestSignedBinding:

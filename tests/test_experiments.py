@@ -6,16 +6,8 @@ import pytest
 
 from repro.core.analyzer import Analyzer
 from repro.core.criteria import CRITERIA, comparison_matrix, coverage_matrix
-from repro.core.experiment import (
-    ScenarioConfig,
-    run_detection_latency,
-    run_effectiveness,
-    run_false_positives,
-    run_footprint,
-    run_interception_timeline,
-    run_overhead,
-    run_resolution_latency,
-)
+from repro.core.api import run
+from repro.core.experiment import ScenarioConfig
 from repro.core.report import table_1_criteria
 from repro.errors import ExperimentError
 from repro.schemes.registry import SCHEME_FACTORIES, all_profiles
@@ -25,13 +17,13 @@ FAST = ScenarioConfig(n_hosts=3, warmup=3.0, attack_duration=15.0, cooldown=2.0)
 
 class TestEffectiveness:
     def test_baseline_is_missed(self):
-        result = run_effectiveness(None, "reply", config=FAST)
+        result = run("effectiveness", FAST, scheme=None, technique="reply")
         assert result.outcome == "missed"
         assert result.victim_poisoned_seconds > 10
         assert result.packets_intercepted > 0
 
     def test_dai_prevents_and_detects(self):
-        result = run_effectiveness("dai", "reply", config=FAST)
+        result = run("effectiveness", FAST, scheme="dai", technique="reply")
         assert result.prevented and result.detected
         assert result.victim_poisoned_seconds == 0.0
         assert result.packets_intercepted == 0
@@ -39,106 +31,106 @@ class TestEffectiveness:
         assert result.detection_latency < 1.0
 
     def test_static_prevents_silently(self):
-        result = run_effectiveness("static-arp", "reply", config=FAST)
+        result = run("effectiveness", FAST, scheme="static-arp", technique="reply")
         assert result.outcome == "prevented"
         assert not result.detected
 
     def test_arpwatch_detects_without_preventing(self):
-        result = run_effectiveness("arpwatch", "reply", config=FAST)
+        result = run("effectiveness", FAST, scheme="arpwatch", technique="reply")
         assert result.outcome == "detected"
         assert result.victim_poisoned_seconds > 0
 
     def test_port_security_misses_poisoning(self):
-        result = run_effectiveness("port-security", "reply", config=FAST)
+        result = run("effectiveness", FAST, scheme="port-security", technique="reply")
         assert result.outcome == "missed"
 
     def test_reactive_baseline_poisons(self):
-        result = run_effectiveness(None, "reactive", config=FAST)
+        result = run("effectiveness", FAST, scheme=None, technique="reactive")
         assert not result.prevented
 
     def test_unknown_technique_rejected(self):
         with pytest.raises(ExperimentError):
-            run_effectiveness(None, "quantum", config=FAST)
+            run("effectiveness", FAST, scheme=None, technique="quantum")
 
     def test_deterministic_given_seed(self):
-        a = run_effectiveness("hybrid", "reply", config=FAST)
-        b = run_effectiveness("hybrid", "reply", config=FAST)
+        a = run("effectiveness", FAST, scheme="hybrid", technique="reply")
+        b = run("effectiveness", FAST, scheme="hybrid", technique="reply")
         assert a == b
 
 
 class TestFalsePositives:
     def test_no_attack_means_only_fps(self):
-        result = run_false_positives("arpwatch", duration=300.0)
+        result = run("false-positives", scheme="arpwatch", duration=300.0)
         assert result.scheme == "arpwatch"
         assert result.duration == 300.0
         assert result.churn_events  # churn actually happened
 
     def test_hybrid_quieter_than_arpwatch(self):
-        aw = run_false_positives("arpwatch", duration=600.0)
-        hy = run_false_positives("hybrid", duration=600.0)
+        aw = run("false-positives", scheme="arpwatch", duration=600.0)
+        hy = run("false-positives", scheme="hybrid", duration=600.0)
         assert hy.fp_alerts <= aw.fp_alerts
 
     def test_fp_per_hour(self):
-        result = run_false_positives("middleware", duration=1800.0)
+        result = run("false-positives", scheme="middleware", duration=1800.0)
         assert result.fp_per_hour == pytest.approx(result.fp_alerts * 2.0)
 
 
 class TestLatencyAndOverhead:
     def test_detection_latency_reported(self):
-        result = run_detection_latency("arpwatch", poison_rate=2.0, config=FAST)
+        result = run("detection-latency", FAST, scheme="arpwatch", poison_rate=2.0)
         assert result.detected
         assert result.detection_latency is not None
 
     def test_higher_rate_not_slower(self):
-        slow = run_detection_latency("arpwatch", poison_rate=0.2, config=FAST)
-        fast = run_detection_latency("arpwatch", poison_rate=5.0, config=FAST)
+        slow = run("detection-latency", FAST, scheme="arpwatch", poison_rate=0.2)
+        fast = run("detection-latency", FAST, scheme="arpwatch", poison_rate=5.0)
         assert fast.detection_latency <= slow.detection_latency + 1e-9
 
     def test_invalid_rate(self):
         with pytest.raises(ExperimentError):
-            run_detection_latency("arpwatch", poison_rate=0.0)
+            run("detection-latency", scheme="arpwatch", poison_rate=0.0)
 
     def test_overhead_baseline(self):
-        result = run_overhead(None, n_hosts=6, resolutions_per_host=2)
+        result = run("overhead", scheme=None, n_hosts=6, resolutions_per_host=2)
         assert result.resolutions == 12
         assert result.arp_frames > 0
         assert result.scheme_messages == 0
 
     def test_sarp_overhead_exceeds_plain(self):
-        plain = run_overhead(None, n_hosts=6, resolutions_per_host=2)
-        sarp = run_overhead("s-arp", n_hosts=6, resolutions_per_host=2)
+        plain = run("overhead", scheme=None, n_hosts=6, resolutions_per_host=2)
+        sarp = run("overhead", scheme="s-arp", n_hosts=6, resolutions_per_host=2)
         assert sarp.frames_per_resolution > plain.frames_per_resolution
         assert sarp.bytes_per_resolution > plain.bytes_per_resolution
 
     def test_resolution_latency_ordering(self):
-        plain = run_resolution_latency(None, n_resolutions=8)
-        tarp = run_resolution_latency("tarp", n_resolutions=8)
-        sarp = run_resolution_latency("s-arp", n_resolutions=8)
+        plain = run("resolution-latency", scheme=None, n_resolutions=8)
+        tarp = run("resolution-latency", scheme="tarp", n_resolutions=8)
+        sarp = run("resolution-latency", scheme="s-arp", n_resolutions=8)
         assert plain.mean_latency < tarp.mean_latency < sarp.mean_latency
 
     def test_sarp_slowdown_in_expected_band(self):
         """The headline Figure 3 shape: S-ARP is a small multiple slower."""
-        plain = run_resolution_latency(None, n_resolutions=8)
-        sarp = run_resolution_latency("s-arp", n_resolutions=8)
+        plain = run("resolution-latency", scheme=None, n_resolutions=8)
+        sarp = run("resolution-latency", scheme="s-arp", n_resolutions=8)
         slowdown = sarp.mean_latency / plain.mean_latency
         assert 3.0 < slowdown < 100.0
 
 
 class TestInterceptionAndFootprint:
     def test_baseline_interception_rises_after_attack(self):
-        timeline = run_interception_timeline(None, duration=60.0, attack_at=20.0)
+        timeline = run("interception-timeline", scheme=None, duration=60.0, attack_at=20.0)
         before = [r for t, r in timeline.bins if t < 20.0]
         after = [r for t, r in timeline.bins if t >= 30.0]
         assert max(before) == 0.0
         assert max(after) > 0.8
 
     def test_dai_keeps_interception_zero(self):
-        timeline = run_interception_timeline("dai", duration=60.0, attack_at=20.0)
+        timeline = run("interception-timeline", scheme="dai", duration=60.0, attack_at=20.0)
         assert timeline.peak_ratio == 0.0
 
     def test_footprint_scales_with_hosts(self):
-        small = run_footprint("arpwatch", n_hosts=4, settle=10.0)
-        large = run_footprint("arpwatch", n_hosts=10, settle=10.0)
+        small = run("footprint", scheme="arpwatch", n_hosts=4, settle=10.0)
+        large = run("footprint", scheme="arpwatch", n_hosts=10, settle=10.0)
         assert large.state_entries > small.state_entries
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ChecksumError, CodecError, TruncatedPacketError
+from repro.l2.topology import Lan
 from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress, ZERO_MAC
+from repro.packets import arp as arp_module
 from repro.packets.arp import ArpExtension, ArpOp, ArpPacket, SARP_MAGIC, TARP_MAGIC
 from repro.packets.base import Reader, internet_checksum
 from repro.packets.ethernet import EtherType, EthernetFrame, MIN_PAYLOAD
@@ -172,6 +174,83 @@ class TestArp:
 
     def test_summary_labels_gratuitous(self):
         assert "gratuitous" in ArpPacket.gratuitous(sha=MAC_A, spa=IP_A).summary()
+
+
+@pytest.fixture
+def empty_arp_memo(monkeypatch):
+    """A fresh, empty decode memo for the duration of one test."""
+    memo = type(arp_module._DECODED)()
+    monkeypatch.setattr(arp_module, "_DECODED", memo)
+    return memo
+
+
+class TestArpDecodeMemo:
+    def test_roundtrip_on_miss_and_hit(self, empty_arp_memo):
+        ext = ArpExtension(magic=SARP_MAGIC, payload=b"sig")
+        for arp in (
+            ArpPacket.request(sha=MAC_A, spa=IP_A, tpa=IP_B),
+            ArpPacket.reply(sha=MAC_B, spa=IP_B, tha=MAC_A, tpa=IP_A, extension=ext),
+        ):
+            wire = arp.encode()
+            missed = ArpPacket.decode(wire)
+            assert wire in empty_arp_memo
+            hit = ArpPacket.decode(bytes(wire))  # an equal buffer, not the same object
+            assert missed == arp and hit == arp
+            assert hit is missed
+            assert hit.encode() == wire
+
+    def test_malformed_raises_every_time_and_is_not_stored(self, empty_arp_memo):
+        raw = bytearray(ArpPacket.request(sha=MAC_A, spa=IP_A, tpa=IP_B).encode())
+        raw[7] = 9  # op 9
+        for bad in (bytes(raw), b"\x00\x01" * 5, b""):
+            for _ in range(3):
+                with pytest.raises(CodecError):
+                    ArpPacket.decode(bad)
+        assert len(empty_arp_memo) == 0
+
+    def test_memo_never_exceeds_its_cap(self, empty_arp_memo):
+        cap = arp_module.DECODE_MEMO_CAP
+        first = None
+        for i in range(cap + 50):
+            ip = Ipv4Address(0x0A000000 + i)
+            wire = ArpPacket.request(sha=MAC_A, spa=ip, tpa=IP_B).encode()
+            first = first or wire
+            assert ArpPacket.decode(wire).spa == ip
+            assert len(empty_arp_memo) <= cap
+        assert len(empty_arp_memo) == cap
+        assert first not in empty_arp_memo  # the oldest went first
+        assert ArpPacket.decode(first).spa == Ipv4Address(0x0A000000)
+
+    def test_mutable_buffers_decode(self, empty_arp_memo):
+        arp = ArpPacket.reply(
+            sha=MAC_B, spa=IP_B, tha=MAC_A, tpa=IP_A,
+            extension=ArpExtension(magic=TARP_MAGIC, payload=b"ticket"),
+        )
+        wire = arp.encode()
+        for buf in (bytearray(wire), memoryview(wire), memoryview(bytearray(wire))):
+            decoded = ArpPacket.decode(buf)
+            assert decoded == arp
+            assert type(decoded.extension.payload) is bytes
+        mutable = bytearray(wire)
+        decoded = ArpPacket.decode(mutable)
+        mutable[8:14] = bytes(6)  # later writes do not reach the decoded packet
+        assert ArpPacket.decode(mutable).sha == ZERO_MAC
+        assert decoded.sha == MAC_B
+
+    def test_flooded_request_every_guard_sees_an_equal_packet(self, sim, empty_arp_memo):
+        lan = Lan(sim)
+        hosts = [lan.add_host(f"h{i}") for i in range(4)]
+        seen = {}
+        for host in hosts[1:]:
+            host.add_arp_guard(
+                lambda h, arp, frame: seen.setdefault(h.name, arp) and None
+            )
+        sender = hosts[0]
+        sender.resolve(hosts[1].ip, on_resolved=lambda mac: None)
+        sim.run(until=1.0)
+        expected = ArpPacket.request(sha=sender.mac, spa=sender.ip, tpa=hosts[1].ip)
+        assert sorted(seen) == ["h1", "h2", "h3"]
+        assert all(arp == expected for arp in seen.values())
 
 
 class TestIpv4:
