@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="run the wire fast-path microbenchmarks"
+        "bench", help="run the bench suite and its regression gate"
     )
     bench.add_argument(
         "--check", action="store_true",
@@ -400,15 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--update", action="store_true",
-        help="write the current results as the new baseline",
+        help="write the current results as the new baseline (refused "
+        "unless the run produced every suite key)",
     )
     bench.add_argument(
         "--baseline", default=None,
-        help="baseline JSON path (default: BENCH_wire.json at the repo root)",
+        help="baseline JSON path (default: BENCH.json at the repo root)",
     )
     bench.add_argument(
         "--quick", action="store_true",
-        help="smaller iteration counts (CI smoke mode)",
+        help="smaller iteration counts (CI smoke mode; full-only keys "
+        "are skipped)",
     )
     bench.add_argument(
         "--tolerance", type=float, default=None,
@@ -417,42 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-batch", action="store_true",
         help="disable coalesced event dispatch for this run (gates the "
-        "per-frame data plane; batch-only baseline keys are skipped)",
-    )
-    bench.add_argument(
-        "--no-scale", action="store_true",
-        help="skip the campus-scale suite when checking (scale baseline "
-        "keys are then allowed missing)",
-    )
-    bench.add_argument(
-        "--no-replay", action="store_true",
-        help="skip the replay-ingest suite when checking (replay "
-        "baseline keys are then allowed missing)",
-    )
-
-    scale = sub.add_parser(
-        "scale", help="run the campus-scale (spine-leaf, sharded) benchmarks"
-    )
-    scale.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) if any benchmark regresses below BENCH_scale.json",
-    )
-    scale.add_argument(
-        "--update", action="store_true",
-        help="write the current results as the new scale baseline",
-    )
-    scale.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON path (default: BENCH_scale.json at the repo root)",
-    )
-    scale.add_argument(
-        "--quick", action="store_true",
-        help="1k-host cells only, short runs (CI smoke mode; the 10k-host "
-        "cell is full-mode only)",
-    )
-    scale.add_argument(
-        "--tolerance", type=float, default=None,
-        help="fraction of baseline throughput that still passes (default 0.5)",
+        "per-frame data plane; batch-only keys are skipped)",
     )
     return parser
 
@@ -845,16 +812,7 @@ def _cmd_top(args, out) -> int:
 def _cmd_bench(args, out) -> int:
     from pathlib import Path
 
-    from repro.perf import PERF
-    from repro.perf.bench import (
-        BATCH_ONLY_BENCHMARKS,
-        DEFAULT_TOLERANCE,
-        check,
-        format_results,
-        load_baseline,
-        run_suite,
-        write_baseline,
-    )
+    from repro.perf import PERF, bench
 
     if args.no_batch:
         # Process-wide: every Simulator built by the suite inherits it.
@@ -862,141 +820,42 @@ def _cmd_bench(args, out) -> int:
 
         _simulator.DEFAULT_BATCHING = False
 
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:  # default: BENCH_wire.json next to the source tree
-        baseline_path = Path(__file__).resolve().parents[2] / "BENCH_wire.json"
+    baseline_path = (
+        Path(args.baseline) if args.baseline is not None else bench.BASELINE_PATH
+    )
+    baseline = (
+        bench.load_baseline(baseline_path) if baseline_path.exists() else None
+    )
+    if args.check and baseline is None:
+        out.write(f"# no baseline at {baseline_path}; run with --update\n")
+        return 1
 
     PERF.reset()
-    results = run_suite(quick=args.quick)
-
-    baseline = load_baseline(baseline_path) if baseline_path.exists() else None
-    out.write(format_results(results, baseline) + "\n")
+    results = bench.run_suite(quick=args.quick)
+    out.write(bench.format_results(results, baseline) + "\n")
     out.write(f"# perf: {PERF.summary()}\n")
 
     if args.update:
-        if args.no_batch:
-            out.write("# refusing --update with --no-batch: the baseline "
-                      "must carry the batched headline\n")
+        skipped = sorted(set(bench.SUITE) - set(results))
+        if skipped:
+            out.write(f"# refusing --update: the run skipped {', '.join(skipped)}; "
+                      "the baseline must carry every suite key\n")
             return 2
-        write_baseline(baseline_path, results)
+        bench.write_baseline(baseline_path, results)
         out.write(f"# baseline written to {baseline_path}\n")
         return 0
     if args.check:
-        if baseline is None:
-            out.write(f"# no baseline at {baseline_path}; run with --update\n")
-            return 1
         tolerance = (
-            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
+            args.tolerance if args.tolerance is not None
+            else bench.DEFAULT_TOLERANCE
         )
-        allow_missing = BATCH_ONLY_BENCHMARKS if args.no_batch else frozenset()
-
-        # Fold the campus-scale gate in: BENCH_scale.json keys join the
-        # baseline, and whichever of them this run legitimately skips
-        # (--no-scale / --no-batch: the churn cells measure the batched
-        # plane; --quick: the 10k cell is full-mode only) joins the
-        # allow-missing set — same mechanism as BATCH_ONLY_BENCHMARKS.
-        from repro.perf.scale import (
-            DEFAULT_SCALE_BASELINE,
-            SCALE_BENCHMARKS,
-            SCALE_FULL_ONLY,
-            run_scale_suite,
-        )
-
-        scale_path = baseline_path.parent / DEFAULT_SCALE_BASELINE
-        if scale_path.exists():
-            baseline = {**baseline, **load_baseline(scale_path)}
-            if args.no_scale or args.no_batch:
-                allow_missing = allow_missing | SCALE_BENCHMARKS
-            else:
-                scale_results = run_scale_suite(quick=args.quick)
-                out.write(format_results(scale_results, baseline) + "\n")
-                results = {**results, **scale_results}
-                if args.quick:
-                    allow_missing = allow_missing | SCALE_FULL_ONLY
-
-        # And the replay-ingest gate: same fold, BENCH_replay.json keys.
-        # (The replay engine delivers straight into the monitor RX path,
-        # not through coalesced event dispatch, so --no-batch does not
-        # skip it — only an explicit --no-replay does.)
-        from repro.perf.replay import (
-            DEFAULT_REPLAY_BASELINE,
-            REPLAY_BENCHMARKS,
-            run_replay_suite,
-        )
-
-        replay_path = baseline_path.parent / DEFAULT_REPLAY_BASELINE
-        if replay_path.exists():
-            baseline = {**baseline, **load_baseline(replay_path)}
-            if args.no_replay:
-                allow_missing = allow_missing | REPLAY_BENCHMARKS
-            else:
-                replay_results = run_replay_suite(quick=args.quick)
-                out.write(format_results(replay_results, baseline) + "\n")
-                results = {**results, **replay_results}
-
-        failures = check(results, baseline, tolerance, allow_missing)
+        expected = bench.expected_keys(args.quick, batching=not args.no_batch)
+        failures = bench.check(results, baseline, expected, tolerance)
         for failure in failures:
             out.write(f"# REGRESSION {failure}\n")
         if failures:
             return 1
         out.write(f"# bench check passed (tolerance {tolerance})\n")
-    return 0
-
-
-def _cmd_scale(args, out) -> int:
-    from pathlib import Path
-
-    from repro.perf import PERF
-    from repro.perf.bench import (
-        DEFAULT_TOLERANCE,
-        check,
-        format_results,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.perf.scale import (
-        DEFAULT_SCALE_BASELINE,
-        SCALE_FULL_ONLY,
-        run_scale_suite,
-    )
-
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = (
-            Path(__file__).resolve().parents[2] / DEFAULT_SCALE_BASELINE
-        )
-
-    PERF.reset()
-    results = run_scale_suite(quick=args.quick)
-
-    baseline = load_baseline(baseline_path) if baseline_path.exists() else None
-    out.write(format_results(results, baseline) + "\n")
-    out.write(f"# perf: {PERF.summary()}\n")
-
-    if args.update:
-        if args.quick:
-            out.write("# refusing --update with --quick: the baseline must "
-                      "carry the 10k-host cell\n")
-            return 2
-        write_baseline(baseline_path, results)
-        out.write(f"# baseline written to {baseline_path}\n")
-        return 0
-    if args.check:
-        if baseline is None:
-            out.write(f"# no baseline at {baseline_path}; run with --update\n")
-            return 1
-        tolerance = (
-            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        )
-        allow_missing = SCALE_FULL_ONLY if args.quick else frozenset()
-        failures = check(results, baseline, tolerance, allow_missing)
-        for failure in failures:
-            out.write(f"# REGRESSION {failure}\n")
-        if failures:
-            return 1
-        out.write(f"# scale check passed (tolerance {tolerance})\n")
     return 0
 
 
@@ -1187,8 +1046,6 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return _cmd_top(args, out)
     if args.command == "bench":
         return _cmd_bench(args, out)
-    if args.command == "scale":
-        return _cmd_scale(args, out)
     if args.command == "replay":
         return _cmd_replay(args, out)
     if args.command == "analyze":

@@ -10,7 +10,7 @@ Design constraints, in order:
 1. **Zero cost when disabled.**  Every instrumentation site guards with
    ``if TRACER.enabled:`` — one global-load plus attribute-load, no call.
    The ``repro bench --check`` gate runs with tracing off and must not
-   regress against ``BENCH_wire.json``.
+   regress against ``BENCH.json``.
 2. **Bounded.**  Events land in a ring (``deque(maxlen=...)``); when it
    wraps, :attr:`Tracer.dropped` counts what was lost so a truncated
    trace is never mistaken for a complete one.

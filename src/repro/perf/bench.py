@@ -1,10 +1,19 @@
-"""Wire fast-path microbenchmarks and the bench-regression gate.
+"""The bench suite and its regression gate.
 
-Each benchmark measures one layer of the zero-copy wire path in
-operations per second; :func:`run_suite` returns ``{name: ops_per_sec}``.
-A committed baseline (``BENCH_wire.json`` at the repo root) plus
-:func:`check` turn the suite into a regression gate: ``repro bench
---check`` fails when any benchmark drops below ``baseline * tolerance``.
+Every benchmark lives in one registry, :data:`SUITE`, and measures one
+workload in operations per second: the wire fast-path layers, the
+broadcast-flood headline on both data planes, campus-scale spine-leaf
+build and churn cells, and replay ingest.  :func:`run_suite` returns
+``{name: ops_per_sec}``.  The committed baseline (``BENCH.json`` at the
+repo root) plus :func:`check` turn the suite into a regression gate:
+``repro bench --check`` fails when any benchmark drops below ``baseline
+* tolerance``, and ``repro bench --update`` rewrites the baseline.
+
+Two tags on each entry say when a run produces its key: ``batched_only``
+keys measure the coalesced dispatch plane and are skipped under
+``--no-batch``; ``full_only`` keys are skipped under ``--quick``.
+:func:`expected_keys` derives a run's key set from the tags, and the
+gate checks exactly that set.
 
 The default tolerance is deliberately loose (0.5) because the suite runs
 on shared CI machines; the gate exists to catch order-of-magnitude
@@ -17,28 +26,27 @@ from __future__ import annotations
 import json
 import platform
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
-    "BATCH_ONLY_BENCHMARKS",
-    "BENCHMARKS",
-    "DEFAULT_BASELINE",
+    "BASELINE_PATH",
     "DEFAULT_TOLERANCE",
+    "SUITE",
+    "Bench",
     "check",
-    "expected_benchmark_names",
+    "expected_keys",
+    "format_results",
     "load_baseline",
     "run_suite",
     "write_baseline",
 ]
 
-DEFAULT_BASELINE = "BENCH_wire.json"
+#: The committed baseline: ``BENCH.json`` at the repo root.
+BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH.json"
 DEFAULT_TOLERANCE = 0.5
-
-#: Benchmarks that only exist when event batching is enabled; ``repro
-#: bench --check --no-batch`` passes these as ``allow_missing`` so the
-#: per-frame plane can be gated on the same committed baseline.
-BATCH_ONLY_BENCHMARKS = frozenset({"broadcast_flood_deliveries"})
 
 #: Inner-loop iteration counts: full and --quick.
 _ITERS = {"full": 20_000, "quick": 2_000}
@@ -46,7 +54,7 @@ _REPEATS = {"full": 5, "quick": 2}
 
 
 # ----------------------------------------------------------------------
-# Workload builders — each returns (callable, ops_per_call)
+# Wire workloads — each micro builder returns (callable, ops_per_call)
 # ----------------------------------------------------------------------
 def _sample_frame_bytes() -> bytes:
     from repro.net.addresses import MacAddress
@@ -218,35 +226,6 @@ def _bench_broadcast_flood(quick: bool, batching: bool = True) -> float:
     return best
 
 
-#: name -> builder returning (work, ops_per_call); the flood benchmark is
-#: special-cased because it manages its own timing loop.
-BENCHMARKS: Dict[str, Callable[[], tuple]] = {
-    "encode_arp_fresh": _bench_encode_fresh,
-    "encode_arp_memoized": _bench_encode_memoized,
-    "decode_frame_eager": _bench_decode_eager,
-    "decode_frame_lazy_header": _bench_decode_lazy_header,
-    "checksum_odd_1281B": _bench_checksum_odd,
-    "intern_mac_from_wire": _bench_intern_addresses,
-    "cam_lookup_batch_wire": _bench_cam_lookup_batch,
-    "nic_batch_filter": _bench_nic_batch_filter,
-}
-
-#: The flood keys run_suite adds beyond BENCHMARKS (the batched headline
-#: is emitted only while batching is the process default).
-_FLOOD_BENCHMARKS = ("broadcast_flood_deliveries", "broadcast_flood_unbatched")
-
-
-def expected_benchmark_names() -> frozenset:
-    """Every key a full (batching-on) run of the suite produces.
-
-    The committed baseline is validated against this set: a baseline key
-    outside it means a benchmark was renamed or dropped without
-    regenerating ``BENCH_wire.json`` — which :func:`check` then reports
-    as "missing from current run" instead of silently ungating it.
-    """
-    return frozenset(BENCHMARKS) | frozenset(_FLOOD_BENCHMARKS)
-
-
 def _time_ops(work: Callable[[], None], ops_per_call: int, quick: bool) -> float:
     mode = "quick" if quick else "full"
     iters = _ITERS[mode]
@@ -261,28 +240,167 @@ def _time_ops(work: Callable[[], None], ops_per_call: int, quick: bool) -> float
     return best
 
 
-def run_suite(quick: bool = False) -> Dict[str, float]:
-    """Run every benchmark; returns ``{name: ops_per_sec}``.
+def _micro(builder: Callable[[], tuple]) -> Callable[[bool], float]:
+    """Adapt a ``(work, ops_per_call)`` builder to a suite runner."""
 
-    The unbatched flood always runs (it gates the per-frame plane); the
-    batched headline is produced only while event batching is the
-    process default, so ``--no-batch`` runs simply lack that key and the
-    caller allows it via :data:`BATCH_ONLY_BENCHMARKS`.
+    def run(quick: bool) -> float:
+        work, ops_per_call = builder()
+        return _time_ops(work, ops_per_call, quick)
+
+    return run
+
+
+# ----------------------------------------------------------------------
+# Campus-scale and replay cells
+# ----------------------------------------------------------------------
+#: The 1k-host campus cell both modes run: 4 buildings x 5 leaves x 50 hosts.
+_CELL_1K = dict(buildings=4, leaves_per_building=5, hosts_per_leaf=50)
+#: The 10k-host campus cell (full mode): 10 x 10 x 100.
+_CELL_10K = dict(buildings=10, leaves_per_building=10, hosts_per_leaf=100)
+
+
+def _bench_campus_build(quick: bool) -> float:
+    """Hosts wired per second of topology construction (O(n) build gate)."""
+    from repro.l2.topology import Campus
+    from repro.sim import Simulator
+
+    best = 0.0
+    for _ in range(2 if quick else 3):
+        sim = Simulator(seed=7)
+        start = time.perf_counter()
+        campus = Campus(sim, **_CELL_1K)
+        elapsed = time.perf_counter() - start
+        if elapsed > 0:
+            best = max(best, campus.total_hosts / elapsed)
+    return best
+
+
+def _bench_campus_churn(quick: bool, shards: int, cell: Dict[str, int]) -> float:
+    """Aggregate batched-plane deliveries/sec for one churn cell."""
+    from repro.core.scale import _run_campus_churn
+
+    result = _run_campus_churn(
+        None,
+        talkers=24 if quick else 64,
+        duration=0.8 if quick else 1.5,
+        shards=shards,
+        **cell,
+    )
+    return result.deliveries_per_sec
+
+
+def _replay_trace(frames: int):
+    """The canonical replay trace: default mix, fixed seed."""
+    from repro.replay.sources import SyntheticSource
+
+    return SyntheticSource(frames=frames, seed=7)
+
+
+def _bench_replay_source(quick: bool) -> float:
+    """Raw synthetic generation rate: frames/sec out of the generator."""
+    frames = 100_000 if quick else 200_000
+    best = 0.0
+    for _ in range(2 if quick else 3):
+        source = _replay_trace(frames)
+        start = time.perf_counter()
+        n = sum(1 for _ in source)
+        elapsed = time.perf_counter() - start
+        if elapsed > 0:
+            best = max(best, n / elapsed)
+    return best
+
+
+def _bench_replay_engine(quick: bool, scheme: Optional[str]) -> float:
+    """Batched replay ingest rate (frames/sec), optionally under a scheme.
+
+    The replay engine delivers straight into the monitor RX path, not
+    through coalesced event dispatch, so these keys run on both planes.
+    """
+    from repro.replay.engine import _run_replay
+
+    frames = 100_000 if quick else 300_000
+    best = 0.0
+    for _ in range(2 if quick else 3):
+        result = _run_replay(scheme, source=_replay_trace(frames))
+        best = max(best, result.frames_per_sec)
+    return best
+
+
+# ----------------------------------------------------------------------
+# The suite registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Bench:
+    """One suite entry: ``run(quick)`` returns ops/sec.
+
+    ``batched_only`` keys measure the coalesced dispatch plane and are
+    not produced under ``--no-batch``; ``full_only`` keys are not
+    produced under ``--quick``.
+    """
+
+    run: Callable[[bool], float]
+    batched_only: bool = False
+    full_only: bool = False
+
+
+#: Every benchmark, in run order.
+SUITE: Dict[str, Bench] = {
+    "encode_arp_fresh": Bench(_micro(_bench_encode_fresh)),
+    "encode_arp_memoized": Bench(_micro(_bench_encode_memoized)),
+    "decode_frame_eager": Bench(_micro(_bench_decode_eager)),
+    "decode_frame_lazy_header": Bench(_micro(_bench_decode_lazy_header)),
+    "checksum_odd_1281B": Bench(_micro(_bench_checksum_odd)),
+    "intern_mac_from_wire": Bench(_micro(_bench_intern_addresses)),
+    "cam_lookup_batch_wire": Bench(_micro(_bench_cam_lookup_batch)),
+    "nic_batch_filter": Bench(_micro(_bench_nic_batch_filter)),
+    "broadcast_flood_unbatched": Bench(
+        partial(_bench_broadcast_flood, batching=False)
+    ),
+    "broadcast_flood_deliveries": Bench(
+        partial(_bench_broadcast_flood, batching=True), batched_only=True
+    ),
+    "campus_build_hosts_per_sec": Bench(_bench_campus_build, batched_only=True),
+    "campus_churn_deliveries": Bench(
+        partial(_bench_campus_churn, shards=0, cell=_CELL_1K), batched_only=True
+    ),
+    "campus_churn_sharded_deliveries": Bench(
+        partial(_bench_campus_churn, shards=1, cell=_CELL_1K), batched_only=True
+    ),
+    "campus_churn_10k_deliveries": Bench(
+        partial(_bench_campus_churn, shards=1, cell=_CELL_10K),
+        batched_only=True,
+        full_only=True,
+    ),
+    "replay_source_fps": Bench(_bench_replay_source),
+    "replay_engine_fps": Bench(partial(_bench_replay_engine, scheme=None)),
+    "replay_arpwatch_fps": Bench(partial(_bench_replay_engine, scheme="arpwatch")),
+}
+
+
+def expected_keys(quick: bool, batching: bool) -> frozenset:
+    """The :data:`SUITE` keys a run in this mode produces and is gated on."""
+    return frozenset(
+        name
+        for name, bench in SUITE.items()
+        if not (bench.full_only and quick)
+        and not (bench.batched_only and not batching)
+    )
+
+
+def run_suite(quick: bool = False) -> Dict[str, float]:
+    """Run every benchmark this mode produces; returns ``{name: ops_per_sec}``.
+
+    The mode is ``quick`` plus the process-default event batching, which
+    ``repro bench --no-batch`` turns off before the run.
     """
     from repro.sim.simulator import DEFAULT_BATCHING
 
-    results: Dict[str, float] = {}
-    for name, builder in BENCHMARKS.items():
-        work, ops_per_call = builder()
-        results[name] = _time_ops(work, ops_per_call, quick)
-    results["broadcast_flood_unbatched"] = _bench_broadcast_flood(
-        quick, batching=False
-    )
-    if DEFAULT_BATCHING:
-        results["broadcast_flood_deliveries"] = _bench_broadcast_flood(
-            quick, batching=True
-        )
-    return results
+    expected = expected_keys(quick, DEFAULT_BATCHING)
+    return {
+        name: bench.run(quick)
+        for name, bench in SUITE.items()
+        if name in expected
+    }
 
 
 # ----------------------------------------------------------------------
@@ -308,23 +426,29 @@ def load_baseline(path: Path) -> Dict[str, float]:
 def check(
     results: Dict[str, float],
     baseline: Dict[str, float],
+    expected: frozenset,
     tolerance: float = DEFAULT_TOLERANCE,
-    allow_missing: frozenset = frozenset(),
 ) -> List[str]:
-    """Compare ``results`` to ``baseline``; returns failure messages.
+    """Gate ``results`` against ``baseline``; returns failure messages.
 
-    A benchmark fails when it is missing from ``results`` or its
-    throughput fell below ``baseline * tolerance``.  Benchmarks present
-    only in ``results`` (newly added, no baseline yet) pass.  Baseline
-    keys in ``allow_missing`` may be absent from ``results`` without
-    failing — how ``--no-batch`` runs skip the batch-only headline.
+    ``expected`` is the run's :func:`expected_keys`.  An expected key
+    fails when it is missing from ``results`` or its throughput fell
+    below ``baseline * tolerance``; one with no baseline yet passes.  A
+    baseline key unknown to :data:`SUITE` fails too: a renamed or
+    dropped benchmark must regenerate the baseline, not silently ungate
+    it.  Baseline keys the tags exclude from this run are not gated.
     """
-    failures: List[str] = []
-    for name, base_ops in sorted(baseline.items()):
+    failures = [
+        f"{name}: baseline key unknown to the suite"
+        for name in sorted(set(baseline) - set(SUITE))
+    ]
+    for name in sorted(expected):
         current = results.get(name)
         if current is None:
-            if name not in allow_missing:
-                failures.append(f"{name}: missing from current run")
+            failures.append(f"{name}: missing from current run")
+            continue
+        base_ops = baseline.get(name)
+        if base_ops is None:
             continue
         floor = base_ops * tolerance
         if current < floor:

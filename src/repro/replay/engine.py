@@ -189,7 +189,7 @@ class ReplayResult(SerializableResult):
 
     @property
     def frames_per_sec(self) -> float:
-        """Sustained ingest throughput (the BENCH_replay gate metric)."""
+        """Sustained ingest throughput (the ``replay_*`` bench-gate metric)."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.frames / self.wall_seconds

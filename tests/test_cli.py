@@ -122,6 +122,17 @@ class TestCommands:
 
 
 class TestBenchCommand:
+    @pytest.fixture(autouse=True)
+    def cheap_suite(self, monkeypatch):
+        """Two real suite keys instead of all of them: the CLI plumbing is
+        under test here, and the campus and replay cells take seconds."""
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "SUITE", {
+            name: bench.SUITE[name]
+            for name in ("decode_frame_eager", "broadcast_flood_deliveries")
+        })
+
     def test_update_then_check_roundtrip(self, tmp_path):
         baseline = tmp_path / "baseline.json"
         text = run_cli("bench", "--quick", "--update", "--baseline", str(baseline))

@@ -1,11 +1,11 @@
-"""The campus-scale bench gate: BENCH_scale.json wiring and the
-campus-churn experiment kind (CLI grid, serialization, sharding modes).
+"""The campus-churn experiment kind: CLI grid, serialization and
+sharding modes.  (The campus keys of the bench gate are pinned in
+``test_bench_gate.py``.)
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -13,40 +13,10 @@ from repro.core import api
 from repro.core.experiment import result_from_dict
 from repro.core.scale import CampusScaleResult, _run_campus_churn
 from repro.errors import ExperimentError
-from repro.perf.bench import check
-from repro.perf.scale import (
-    DEFAULT_SCALE_BASELINE,
-    SCALE_BENCHMARKS,
-    SCALE_FULL_ONLY,
-)
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 _SMALL = dict(
     buildings=2, leaves_per_building=1, hosts_per_leaf=4, duration=0.8
 )
-
-
-class TestBaselineFile:
-    def test_committed_baseline_keys_match_the_suite(self):
-        payload = json.loads((REPO_ROOT / DEFAULT_SCALE_BASELINE).read_text())
-        assert set(payload["results"]) == SCALE_BENCHMARKS
-
-    def test_full_only_is_a_subset(self):
-        assert SCALE_FULL_ONLY < SCALE_BENCHMARKS
-
-    def test_allow_missing_folding(self):
-        """A quick/skipped run may miss scale keys only when the caller
-        folds them into allow_missing — the BATCH_ONLY_BENCHMARKS idiom."""
-        baseline = {name: 100.0 for name in SCALE_BENCHMARKS}
-        quick_results = {
-            name: 100.0 for name in SCALE_BENCHMARKS - SCALE_FULL_ONLY
-        }
-        assert check(quick_results, baseline)  # gate trips without the fold
-        assert not check(
-            quick_results, baseline, allow_missing=SCALE_FULL_ONLY
-        )
-        assert not check({}, baseline, allow_missing=SCALE_BENCHMARKS)
 
 
 class TestCampusChurnKind:
