@@ -6,11 +6,11 @@ propagation latency and serialization rate.  Every link can host a
 :class:`~repro.sim.trace.TraceRecorder`, which is how sniffers and the
 evaluation's overhead accounting observe traffic.
 
-The wire is also where the batched data plane engages: when the owning
-simulator has ``batching`` on (and tracing is off — traced runs keep
-exact per-frame dispatch so span/provenance semantics never fork),
-:meth:`Link.carry` coalesces same-instant deliveries to one receiver
-into a single ``deliver_batch`` flush instead of one event per frame,
+The wire is also where the batched data plane engages: :meth:`Link.carry`
+hands every arrival to :meth:`~repro.sim.simulator.Simulator.coalesce`,
+which — when the owning simulator has ``batching`` on and tracing is off
+— merges same-instant deliveries to one receiver into a single
+``deliver_batch`` flush instead of one event per frame,
 and :meth:`Port.transmit_batch` lets a flooding switch hand a whole
 frame batch to each egress link in one call.  Fault-injection hooks on
 :attr:`Link.faults` still transform every frame individually (same hook
@@ -20,12 +20,10 @@ on both paths.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.errors import PortError, TopologyError
 from repro.hooks import HookPoint
-from repro.obs.trace import TRACER
 from repro.sim.simulator import Simulator
 from repro.sim.trace import Direction, TraceRecorder
 
@@ -35,6 +33,20 @@ __all__ = ["Device", "Port", "Link"]
 DEFAULT_LATENCY = 50e-6
 #: Default link rate, bits per second (100 Mb/s FastEthernet).
 DEFAULT_RATE_BPS = 100e6
+
+
+def wire_delay(
+    latency: float, nbytes: int, seconds_per_byte: float, extra: float = 0.0
+) -> float:
+    """Seconds from transmit to arrival of an ``nbytes`` frame on a cable.
+
+    Propagation plus serialization, plus any fault-injected ``extra``.
+    Every cable (:class:`Link`, and the cross-partition
+    :class:`~repro.sim.partition.Boundary`) uses this one expression, in
+    this association order, so arrival timestamps are float-identical
+    however a topology is split.
+    """
+    return latency + nbytes * seconds_per_byte + extra
 
 
 class Port:
@@ -164,32 +176,20 @@ class Link:
         sim = self.sim
         if self.recorder is not None:
             self.recorder.record(sim.now, sender.name, Direction.TX, data)
-        batching = sim.batching and not TRACER.enabled
         if self.faults.hooks:
             # Impairment hooks rewrite the delivery plan: each entry is
             # (extra_delay, payload); an empty plan means the frame is lost.
             plan = self.faults.transform(((0.0, data),), self, sender)
             for extra, payload in plan:
-                delay = (
-                    self.latency + len(payload) * self._seconds_per_byte + extra
+                sim.coalesce(
+                    wire_delay(self.latency, len(payload), self._seconds_per_byte, extra),
+                    receiver,
+                    payload,
                 )
-                if batching:
-                    sim.coalesce(delay, receiver, payload)
-                else:
-                    sim.schedule(
-                        delay, partial(receiver.deliver, payload), name="link.carry"
-                    )
             return
-        delay = self.latency + len(data) * self._seconds_per_byte
-        if batching:
-            # Same-instant deliveries to this receiver share one flush
-            # event; the delay expression is byte-for-byte the one the
-            # per-event path uses, so timestamps never diverge.
-            sim.coalesce(delay, receiver, data)
-            return
-        # partial() instead of a lambda: the callback fires in C without an
-        # intermediate Python frame, and this is one event per frame hop.
-        sim.schedule(delay, partial(receiver.deliver, data), name="link.carry")
+        sim.coalesce(
+            wire_delay(self.latency, len(data), self._seconds_per_byte), receiver, data
+        )
 
     def carry_batch(self, sender: Port, datas: Sequence[bytes]) -> None:
         """Propagate a whole frame batch from ``sender`` in one call.
@@ -214,7 +214,6 @@ class Link:
                 record(now, name, Direction.TX, data)
         latency = self.latency
         spb = self._seconds_per_byte
-        batching = sim.batching and not TRACER.enabled
         if self.faults.hooks:
             # Per-frame transform inside the batch: each frame gets its own
             # delivery plan, drawn in batch (== wire) order.
@@ -223,24 +222,9 @@ class Link:
             )
             for plan in plans:
                 for extra, payload in plan:
-                    delay = latency + len(payload) * spb + extra
-                    if batching:
-                        sim.coalesce(delay, receiver, payload)
-                    else:
-                        sim.schedule(
-                            delay,
-                            partial(receiver.deliver, payload),
-                            name="link.carry",
-                        )
-            return
-        if not batching:
-            schedule = sim.schedule
-            for data in datas:
-                schedule(
-                    latency + len(data) * spb,
-                    partial(receiver.deliver, data),
-                    name="link.carry",
-                )
+                    sim.coalesce(
+                        wire_delay(latency, len(payload), spb, extra), receiver, payload
+                    )
             return
         # Group by frame length (== by arrival time): the common flood
         # batch is uniform, so this is one accumulator probe for the lot.
@@ -253,7 +237,7 @@ class Link:
                 group.append(data)
         coalesce_many = sim.coalesce_many
         for length, group in by_len.items():
-            coalesce_many(latency + length * spb, receiver, group)
+            coalesce_many(wire_delay(latency, length, spb), receiver, group)
 
     def disconnect(self) -> None:
         """Tear the link down (cable pull)."""

@@ -7,7 +7,9 @@ One import surface for the three observability primitives:
   snapshot/merge for campaign fork-workers).  The legacy
   :data:`repro.perf.PERF` block is registered as the ``perf`` collector,
   with :meth:`~repro.perf.PerfCounters.absorb` as its merge hook — so a
-  worker's wire-fast-path statistics survive the worker.
+  worker's wire-fast-path statistics survive the worker.  ``PERF`` is
+  the only owner of those counters (batch flushes, CAM sweeps, ...);
+  exporters emit them from the collector as ``repro_perf_*``.
 * :data:`TRACER` — the bounded structured event log (simulation-time
   spans and instants), off by default and zero-cost while off.
 * ``TRACER.provenance`` — the frame-id table mapping live wire buffers
@@ -76,36 +78,3 @@ __all__ = [
 # wire-fast-path counters, and merging a worker snapshot folds its perf
 # deltas into this process's PERF.  register_collector is idempotent.
 REGISTRY.register_collector("perf", PERF.snapshot, PERF.absorb)
-
-#: The PR 7 batch-plane counters, re-exported as one labeled counter
-#: family so ``repro metrics`` emits them as
-#: ``batch_plane_ops_total{op="cam_sweeps"}`` instead of burying them in
-#: the flat perf collector block.
-_BATCH_PLANE_OPS = (
-    "batch_flushes",
-    "batched_items",
-    "cam_sweeps",
-    "cam_sweep_skips",
-    "nic_batch_filtered",
-)
-
-
-def _sync_batch_plane() -> None:
-    """Mirror PERF's batch-plane attributes into a labeled family.
-
-    Runs before every registry snapshot (see ``register_sync``).  Mirror
-    semantics — child values are *set* from PERF, not incremented — keep
-    the family correct even after a worker snapshot was merged twice
-    (PERF.absorb already folded the worker delta; the next sync
-    overwrites any double-add).
-    """
-    family = REGISTRY.counter(
-        "batch_plane_ops_total",
-        "Batched data-plane operations (mirrored from repro.perf.PERF)",
-        labels=("op",),
-    )
-    for op in _BATCH_PLANE_OPS:
-        family.labels(op=op).value = float(getattr(PERF, op))
-
-
-REGISTRY.register_sync("batch_plane", _sync_batch_plane)

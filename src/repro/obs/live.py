@@ -16,11 +16,13 @@ series behind.  The writer is fork-aware: a campaign worker inheriting
 the parent's recorder reopens the file in append mode on first write, and
 every line carries ``pid`` so readers can split interleaved series.
 
-Zero-cost contract: the hot event loop pays for telemetry only when a
-recorder is attached (``sim.telemetry is None`` otherwise routes through
-the untouched fused loop — see :meth:`repro.sim.simulator.Simulator.run`),
-and attachment only happens while a process-default recorder is installed
-(:func:`install` / :func:`session`).  ``repro bench --check`` gates this.
+Zero-cost contract: the simulator's one event loop
+(:meth:`repro.sim.simulator.Simulator.run`) calls :meth:`TelemetryRecorder.tick`
+only when the event count reaches the mark ``tick`` last returned, so an
+untelemetered run pays nothing and a telemetered one pays once per
+cadence stride.  Attachment only happens while a process-default
+recorder is installed (:func:`install` / :func:`session`).
+``repro bench --check`` gates this.
 
 Cross-thread progress sharing happens through :data:`BEACON`, a tiny
 lock-free progress block the recorder refreshes on every cadence stride;
@@ -198,20 +200,25 @@ class TelemetryRecorder:
             sim.telemetry = None
 
     # ------------------------------------------------------------------
-    # Hot-side entry points (called from the instrumented run loop)
+    # Hot-side entry points (called from the simulator's run loop)
     # ------------------------------------------------------------------
-    def tick(self, sim) -> None:
-        """Per-event cadence check; cheap no-op between stride marks."""
+    def tick(self, sim) -> int:
+        """Cadence check; returns the event count of the next stride mark.
+
+        A no-op below the mark, so callers may tick more often than the
+        mark asks (``step()`` ticks every event); ``Simulator.run`` ticks
+        only when the returned mark is reached.
+        """
         if sim.events_processed < self._next_mark:
-            return
+            return self._next_mark
         self._next_mark = sim.events_processed + self._stride
         BEACON.update(sim)
         wall = self._clock()
-        if self.cadence_wall is not None and (
-            wall - self._last_sample_wall < self.cadence_wall
+        if self.cadence_wall is None or (
+            wall - self._last_sample_wall >= self.cadence_wall
         ):
-            return
-        self.sample(sim, reason="cadence", wall=wall)
+            self.sample(sim, reason="cadence", wall=wall)
+        return self._next_mark
 
     def run_end(self, sim) -> None:
         """Close out a ``run()`` with a final sample if anything fired."""

@@ -185,10 +185,6 @@ class MetricsRegistry:
         #: Collector payloads merged from elsewhere that have no merge
         #: hook of their own: accumulated here, re-emitted in snapshots.
         self._external: Dict[str, Dict[str, float]] = {}
-        #: Pre-snapshot sync hooks: callables run at the top of
-        #: :meth:`snapshot` to mirror hot-path attribute counters into
-        #: first-class (labeled) metric families.
-        self._syncs: Dict[str, Callable[[], None]] = {}
 
     # ------------------------------------------------------------------
     # Declaration
@@ -247,26 +243,11 @@ class MetricsRegistry:
         """
         self._collectors[name] = (collect, merge)
 
-    def register_sync(self, name: str, sync: Callable[[], None]) -> None:
-        """Run ``sync()`` before every :meth:`snapshot`.
-
-        Sync hooks bridge plain-attribute hot-path counters into labeled
-        metric families without putting a method call on the hot path:
-        the hook *sets* family children from the attribute values at
-        snapshot time (mirror semantics — re-running it is idempotent,
-        so worker-merge double-adds self-correct at the next snapshot).
-        Like collectors, sync hooks are wiring: :meth:`reset` keeps them,
-        and re-registering a name replaces the previous hook.
-        """
-        self._syncs[name] = sync
-
     # ------------------------------------------------------------------
     # Snapshot / merge
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe point-in-time view of every metric and collector."""
-        for sync in self._syncs.values():
-            sync()
         metrics: Dict[str, object] = {}
         for name, family in sorted(self._families.items()):
             samples: List[Dict[str, object]] = []
@@ -415,8 +396,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every metric family and external accumulation.
 
-        Registered collectors and sync hooks stay (they are wiring, not
-        state).
+        Registered collectors stay (they are wiring, not state).
         """
         self._families.clear()
         self._external.clear()

@@ -9,11 +9,10 @@ domain:
   the tuple-keyed heap and the fused run loop now serve per-domain) that
   additionally owns the switches/hosts/links of its domain;
 * a :class:`Boundary` is the cross-partition cable: it mimics
-  :class:`~repro.l2.device.Link`'s transmit surface byte-for-byte (same
-  delay expression, evaluated in the same order, so arrival timestamps
-  are float-identical to a single-simulator run) but, instead of
-  scheduling directly, it posts a timestamped :class:`Envelope` to the
-  coordinator;
+  :class:`~repro.l2.device.Link`'s transmit surface and computes arrival
+  times with the same :func:`~repro.l2.device.wire_delay` (so they are
+  float-identical to a single-simulator run) but, instead of scheduling
+  directly, it posts a timestamped :class:`Envelope` to the coordinator;
 * a :class:`ShardedSimulator` advances all partitions in **conservative
   lookahead windows**: every boundary latency is at least ``lookahead``
   seconds, so no frame sent during a window ``[t, t + lookahead]`` can
@@ -40,13 +39,12 @@ partitions only, and writes its own heartbeat file.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError, TopologyError
+from repro.l2.device import wire_delay
 from repro.obs.live import default_recorder as _default_recorder
 from repro.obs.registry import REGISTRY
-from repro.obs.trace import TRACER
 from repro.sim.simulator import Simulator
 
 __all__ = [
@@ -133,11 +131,11 @@ class Boundary:
     """A cross-partition link.
 
     Duck-types the transmit half of :class:`~repro.l2.device.Link` (ports
-    call ``link.carry`` / ``link.carry_batch``), computes the *identical*
-    delay expression, and posts envelopes to the coordinator instead of
-    scheduling — the destination partition schedules the delivery itself
-    at flush time, through the same coalesced/per-event mechanics a local
-    link would have used.
+    call ``link.carry`` / ``link.carry_batch``), computes arrival times
+    with Link's own :func:`~repro.l2.device.wire_delay`, and posts
+    envelopes to the coordinator instead of scheduling — the destination
+    partition schedules the delivery itself at flush time, through the
+    same ``coalesce`` entry a local link uses.
 
     Boundaries carry no fault hooks and no trace recorder: impairments
     and sniffers belong on intra-domain links (campus spine links are
@@ -189,10 +187,11 @@ class Boundary:
         src, dst = self._ends(sender)
         self.frames_carried += 1
         self.bytes_carried += len(data)
-        # Byte-for-byte the Link.carry delay expression, evaluated against
-        # the *sending* partition's clock — identical float result.
-        delay = self.latency + len(data) * self._seconds_per_byte
-        when = src.partition.now + delay
+        # Evaluated against the *sending* partition's clock, as Link.carry
+        # does through Simulator.coalesce: now + delay.
+        when = src.partition.now + wire_delay(
+            self.latency, len(data), self._seconds_per_byte
+        )
         self._coordinator._post(
             Envelope(when, dst.partition.name, dst.device, dst.index, bytes(data))
         )
@@ -210,7 +209,8 @@ class Boundary:
         device = dst.device
         index = dst.index
         for data in datas:
-            post(Envelope(now + (latency + len(data) * spb), name, device, index, bytes(data)))
+            when = now + wire_delay(latency, len(data), spb)
+            post(Envelope(when, name, device, index, bytes(data)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -395,23 +395,18 @@ class ShardedSimulator:
     def _deliver(self, envelope: Envelope) -> None:
         """Schedule one envelope into its destination partition.
 
-        Reuses the exact Link delivery mechanics: coalesced batch flush
-        keyed on the precomputed absolute ``(when, port)`` when the
-        destination plane batches, per-event dispatch otherwise — so a
-        cross-partition frame is indistinguishable, timestamp and batch
-        shape included, from one that crossed a local link.
+        Reuses the exact Link delivery mechanics — ``coalesce_at`` keyed on
+        the precomputed absolute ``(when, port)``, on whichever plane the
+        destination runs — so a cross-partition frame is indistinguishable,
+        timestamp and batch shape included, from one that crossed a local
+        link.
         """
         partition = self.partitions[envelope.partition]
         port = partition.device(envelope.device).ports[envelope.port]
         self.envelopes_routed += 1
-        if partition.batching and not TRACER.enabled:
-            partition.coalesce_at(envelope.when, port, envelope.payload)
-        else:
-            partition.schedule_at(
-                envelope.when,
-                partial(port.deliver, envelope.payload),
-                name="boundary.carry",
-            )
+        partition.coalesce_at(
+            envelope.when, port, envelope.payload, name="boundary.carry"
+        )
 
     def _flush_outbox(self) -> None:
         outbox = self._outbox

@@ -19,10 +19,10 @@ Same-timestamp deliveries to one sink can additionally be *coalesced*
 (:meth:`Simulator.coalesce`): all items landing on the same ``(time,
 sink)`` pair share one flush event that hands ``sink.deliver_batch`` the
 whole batch at once, instead of one event per frame.  This is the batched
-data plane's entry point; per-event dispatch remains the fallback
-(``batching=False``), and both paths compute identical delivery
-timestamps from the same expressions, so fixed-seed runs stay
-reproducible either way.
+data plane's entry point and the one place that picks the plane: with
+``batching=False`` or tracing on, the same call schedules one
+``sink.deliver`` event per item at the same timestamp, so fixed-seed
+runs stay reproducible either way.
 
 Example
 -------
@@ -42,6 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import ClockError, SimulationError
@@ -213,37 +214,25 @@ class Simulator:
         item,
         name: str = "link.carry",
     ) -> None:
-        """Append ``item`` to the batch delivered to ``sink`` at ``now+delay``.
+        """Deliver ``item`` to ``sink`` at ``now+delay``, batched when possible.
 
-        All items coalesced onto the same ``(time, sink)`` pair are handed
-        to ``sink.deliver_batch(items)`` by a single flush event, scheduled
+        On the batched plane (:attr:`batching` on, tracing off) all items
+        coalesced onto the same ``(time, sink)`` pair are handed to
+        ``sink.deliver_batch(items)`` by a single flush event, scheduled
         with the sequence number of the batch's *first* item — so a batch
         fires exactly where its first frame would have, and items keep
-        their arrival order inside the batch.  Per-item dispatch
-        (:meth:`schedule`) remains the fallback when :attr:`batching` is
-        off; delivery timestamps are computed identically on both paths.
+        their arrival order inside the batch.  On the per-event plane
+        (the reference) each item gets its own ``sink.deliver(item)``
+        event at the same timestamp.
         """
         if delay < 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
         when = self._now + delay
-        key = (when, sink)
-        open_batches = self._open_batches
-        items = open_batches.get(key)
+        items = self._open_batches.get((when, sink))
         if items is not None:
             items.append(item)
             return
-        items = [item]
-        open_batches[key] = items
-
-        def flush() -> None:
-            del open_batches[key]
-            PERF.batch_flushes += 1
-            PERF.batched_items += len(items)
-            sink.deliver_batch(items)
-
-        seq = next(self._counter)
-        event = Event(time=when, seq=seq, action=flush, name=name, sim=self)
-        heapq.heappush(self._heap, (when, seq, event))
+        self._open_batch(when, sink, [item], name)
 
     def coalesce_many(
         self,
@@ -258,24 +247,11 @@ class Simulator:
         if delay < 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
         when = self._now + delay
-        key = (when, sink)
-        open_batches = self._open_batches
-        items = open_batches.get(key)
+        items = self._open_batches.get((when, sink))
         if items is not None:
             items.extend(new_items)
             return
-        items = list(new_items)
-        open_batches[key] = items
-
-        def flush() -> None:
-            del open_batches[key]
-            PERF.batch_flushes += 1
-            PERF.batched_items += len(items)
-            sink.deliver_batch(items)
-
-        seq = next(self._counter)
-        event = Event(time=when, seq=seq, action=flush, name=name, sim=self)
-        heapq.heappush(self._heap, (when, seq, event))
+        self._open_batch(when, sink, list(new_items), name)
 
     def coalesce_at(
         self,
@@ -296,13 +272,36 @@ class Simulator:
             raise ClockError(
                 f"cannot schedule at t={when} before current time t={self._now}"
             )
-        key = (when, sink)
-        open_batches = self._open_batches
-        items = open_batches.get(key)
+        items = self._open_batches.get((when, sink))
         if items is not None:
             items.append(item)
             return
-        items = [item]
+        self._open_batch(when, sink, [item], name)
+
+    def _open_batch(self, when: float, sink, items: list, name: str) -> None:
+        """The miss path of the ``coalesce*`` entry points.
+
+        This is the one place that picks the delivery plane.  Tracing
+        forces the per-event plane so span and provenance semantics never
+        fork.  On the batched plane, ``items`` becomes the open batch for
+        ``(when, sink)``: later same-instant items append to it until the
+        flush event hands the lot to ``sink.deliver_batch``.  ``flush``
+        is a closure fired straight from :meth:`_fire`, so a profiler sees
+        every coalesced delivery called from the event loop itself.
+        """
+        heap = self._heap
+        counter = self._counter
+        if not self.batching or TRACER.enabled:
+            deliver = sink.deliver
+            for item in items:
+                seq = next(counter)
+                event = Event(
+                    time=when, seq=seq, action=partial(deliver, item), name=name, sim=self
+                )
+                heapq.heappush(heap, (when, seq, event))
+            return
+        key = (when, sink)
+        open_batches = self._open_batches
         open_batches[key] = items
 
         def flush() -> None:
@@ -311,9 +310,9 @@ class Simulator:
             PERF.batched_items += len(items)
             sink.deliver_batch(items)
 
-        seq = next(self._counter)
+        seq = next(counter)
         event = Event(time=when, seq=seq, action=flush, name=name, sim=self)
-        heapq.heappush(self._heap, (when, seq, event))
+        heapq.heappush(heap, (when, seq, event))
 
     def call_every(
         self,
@@ -426,75 +425,45 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if self.telemetry is not None:
-                self._run_instrumented(until, max_events)
-            else:
-                # One fused peek/pop loop: this dispatches every event in
-                # the simulation, so the per-event overhead matters more
-                # than the tidier step()-based formulation it replaces.
-                heap = self._heap  # safe: _compact() rebuilds it in place
-                pop = heapq.heappop
-                limit = self.events_processed + max_events
-                fire = self._fire
-                while heap:
-                    when, _seq, event = heap[0]
-                    if event.cancelled:
-                        pop(heap)
-                        event._sim = None
-                        self._cancelled_in_heap -= 1
-                        continue
-                    if until is not None and when > until:
-                        break
+            # One fused peek/pop loop: this dispatches every event in the
+            # simulation, so its only per-event test is one compare against
+            # ``stop``, the next event count that needs attention: the
+            # max_events guard or an attached recorder's next cadence mark.
+            # With a recorder, the first event stops so tick() can name
+            # its mark.  tick() only reads simulator state, so runs with
+            # and without a recorder are identical.
+            heap = self._heap  # safe: _compact() rebuilds it in place
+            pop = heapq.heappop
+            limit = self.events_processed + max_events
+            telemetry = self.telemetry
+            stop = limit + 1 if telemetry is None else self.events_processed + 1
+            fire = self._fire
+            while heap:
+                when, _seq, event = heap[0]
+                if event.cancelled:
                     pop(heap)
                     event._sim = None
-                    self._now = when
-                    self.events_processed += 1
-                    fire(event)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if until is not None and when > until:
+                    break
+                pop(heap)
+                event._sim = None
+                self._now = when
+                self.events_processed += 1
+                fire(event)
+                if self.events_processed >= stop:
                     if self.events_processed > limit:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; runaway schedule?"
                         )
+                    stop = min(limit + 1, telemetry.tick(self))
             if until is not None and self._now < until:
                 self._now = until
+            if telemetry is not None:
+                telemetry.run_end(self)
         finally:
             self._running = False
-
-    def _run_instrumented(self, until: Optional[float], max_events: int) -> None:
-        """The telemetry twin of run()'s fused loop.
-
-        Kept as a structural mirror (same pop/fire sequence, same clock
-        and limit semantics) so fixed-seed runs are byte-identical with
-        and without a recorder: ``tick()`` only *reads* simulator state.
-        Duplicating the loop keeps the common untelemetered path free of
-        the per-event ``tick`` call — the zero-cost guard the bench gate
-        enforces.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        limit = self.events_processed + max_events
-        fire = self._fire
-        telemetry = self.telemetry
-        tick = telemetry.tick
-        while heap:
-            when, _seq, event = heap[0]
-            if event.cancelled:
-                pop(heap)
-                event._sim = None
-                self._cancelled_in_heap -= 1
-                continue
-            if until is not None and when > until:
-                break
-            pop(heap)
-            event._sim = None
-            self._now = when
-            self.events_processed += 1
-            fire(event)
-            tick(self)
-            if self.events_processed > limit:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; runaway schedule?"
-                )
-        telemetry.run_end(self)
 
     def _peek(self) -> Optional[Event]:
         heap = self._heap

@@ -75,11 +75,8 @@ def _run_scenario(
     counters = {h.name: dict(h.counters) for h in hosts}
     rx = {h.name: (h.nic.rx_frames, h.nic.rx_bytes) for h in hosts}
     # Only the metrics section: the perf collector legitimately differs
-    # between the two planes (that difference is the whole point).  The
-    # batch_plane_ops_total family mirrors those same perf counters into
-    # labeled form, so it is excluded for the same reason.
+    # between the two planes (that difference is the whole point).
     metrics = REGISTRY.delta(registry_before).get("metrics", {})
-    metrics.pop("batch_plane_ops_total", None)
     switch_counts = (
         lan.switch.forwarded_frames,
         lan.switch.flooded_frames,

@@ -81,6 +81,61 @@ class TestCoalesce:
         sim.run()
         assert sink.batches == [(1.0, ["a", "b", "c"])]
 
+    def test_all_entry_points_share_one_batch(self):
+        """Whichever entry point opens the batch, the other two ride it:
+        one flush, one PERF flush, items in call order."""
+        calls = {
+            "coalesce": lambda sim, sink, tag: sim.coalesce(1.0, sink, tag),
+            "coalesce_many": lambda sim, sink, tag: sim.coalesce_many(
+                1.0, sink, [tag, tag + "'"]
+            ),
+            "coalesce_at": lambda sim, sink, tag: sim.coalesce_at(1.0, sink, tag),
+        }
+        names = list(calls)
+        for first in range(len(names)):
+            order = names[first:] + names[:first]
+            sim = Simulator(seed=1)
+            sink = _Sink(sim)
+            flushes, items = PERF.batch_flushes, PERF.batched_items
+            for name in order:
+                calls[name](sim, sink, name)
+            assert sim.pending() == 1
+            sim.run()
+            expected = []
+            for name in order:
+                expected += [name, name + "'"] if name == "coalesce_many" else [name]
+            assert sink.batches == [(1.0, expected)]
+            assert PERF.batch_flushes - flushes == 1
+            assert PERF.batched_items - items == 4
+
+    def test_per_event_plane_delivers_each_item_on_its_own_event(self):
+        """Batching off, or tracing on, picks the per-event plane: every
+        item becomes one ``sink.deliver`` event, in call order."""
+
+        class PlainSink(_Sink):
+            def deliver(self, item):
+                self.batches.append((self.sim.now, item))
+
+        for batching, traced in ((False, False), (True, True)):
+            if traced:
+                TRACER.reset()
+                TRACER.enable()
+            try:
+                sim = Simulator(seed=1, batching=batching)
+                sink = PlainSink(sim)
+                flushes = PERF.batch_flushes
+                sim.coalesce(1.0, sink, "a")
+                sim.coalesce_many(1.0, sink, ["b", "c"])
+                sim.coalesce_at(1.0, sink, "d")
+                assert sim.pending() == 4
+                sim.run()
+            finally:
+                if traced:
+                    TRACER.disable()
+                    TRACER.reset()
+            assert sink.batches == [(1.0, "a"), (1.0, "b"), (1.0, "c"), (1.0, "d")]
+            assert PERF.batch_flushes == flushes
+
     def test_negative_delay_rejected(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)

@@ -77,6 +77,45 @@ class TestEventCadence:
         sim.run(until=5.0)  # clock fill only, no events
         assert len(rec.snapshots) == before
 
+    def test_cadence_marks_hold_across_runs(self):
+        rec = TelemetryRecorder(cadence_events=10, include_metrics=False)
+        sim = _busy_sim()
+        rec.attach(sim)
+        for until in (7.0, 13.0, 29.5, 30.0, 52.0):
+            sim.run(until=until)
+        cadence = [s["events"] for s in rec.snapshots if s["reason"] == "cadence"]
+        assert cadence == [10, 20, 30, 40, 50]
+
+    def test_step_ticks_every_event(self):
+        rec = TelemetryRecorder(cadence_events=3, include_metrics=False)
+        sim = _busy_sim()
+        rec.attach(sim)
+        for _ in range(7):
+            assert sim.step()
+        cadence = [s["events"] for s in rec.snapshots if s["reason"] == "cadence"]
+        assert cadence == [3, 6]
+
+    def test_run_end_reports_until_on_every_engine(self):
+        """The run-end row lands after the clock fill, so a plain and a
+        one-partition sharded run both report ``t_sim == until``."""
+        from repro.sim import ShardedSimulator
+
+        plain_rec = TelemetryRecorder(include_metrics=False)
+        plain = Simulator(seed=1)
+        plain_rec.attach(plain)
+        plain.schedule_at(1.0, lambda: None)
+        plain.run(until=5.0)
+
+        sharded_rec = TelemetryRecorder(include_metrics=False)
+        fabric = ShardedSimulator(seed=1)
+        sharded_rec.attach(fabric)
+        fabric.add_partition("only").schedule_at(1.0, lambda: None)
+        fabric.run(until=5.0)
+
+        for rec in (plain_rec, sharded_rec):
+            assert rec.snapshots[-1]["reason"] == "run-end"
+            assert rec.snapshots[-1]["t_sim"] == 5.0
+
     def test_untelemetered_simulator_is_untouched(self):
         sim = _busy_sim()
         assert sim.telemetry is None
@@ -273,3 +312,52 @@ class TestPartitionedHeapDepth:
         assert snap["heap_depth"] == 1
         assert "heap_depth_by_partition" not in snap
         validate_snapshot(snap)
+
+
+class TestTelemetryIsReadOnly:
+    """Attaching a recorder must not change a run: the simulator's one
+    event loop merely stops at cadence marks to tick it."""
+
+    @staticmethod
+    def _mitm(monkeypatch, batching, telemetry):
+        import repro.sim.simulator as simulator
+        from repro.core import experiment
+        from repro.sim.trace import TraceRecorder
+
+        monkeypatch.setattr(simulator, "DEFAULT_BATCHING", batching)
+        scenarios = []
+        build = experiment.Scenario.__init__
+
+        def capture(self, config):
+            build(self, config)
+            for link in self.lan.links:
+                link.recorder = TraceRecorder()
+            scenarios.append(self)
+
+        monkeypatch.setattr(experiment.Scenario, "__init__", capture)
+        config = ScenarioConfig(seed=11, n_hosts=4, attack_duration=4.0,
+                                warmup=1.0, cooldown=1.0)
+        result = run("effectiveness", config, scheme="dai+arpwatch",
+                     technique="reply", faults="loss=0.1,jitter=1ms",
+                     telemetry=telemetry)
+        monkeypatch.undo()
+        (scenario,) = scenarios
+        lan = scenario.lan
+        return {
+            "result": result.to_dict(),
+            "links": [list(link.recorder) for link in lan.links],
+            "devices": [list(h.recorder) for h in lan.hosts.values()]
+            + [list(lan.switch.recorder)],
+            "arp": {name: list(h.arp_cache) for name, h in lan.hosts.items()},
+            "cam": list(lan.switch.cam),
+            "events": scenario.sim.events_processed,
+        }
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_recorder_leaves_the_run_unchanged(self, monkeypatch, batching):
+        bare = self._mitm(monkeypatch, batching, None)
+        rec = TelemetryRecorder(cadence_events=7, include_metrics=True)
+        watched = self._mitm(monkeypatch, batching, rec)
+        assert [s["reason"] for s in rec.snapshots].count("cadence") > 10
+        assert bare["events"] > 0 and any(bare["links"])
+        assert watched == bare

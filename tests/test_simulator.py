@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ClockError, SimulationError
+from repro.obs.live import TelemetryRecorder
 from repro.sim.simulator import Simulator
 
 
@@ -91,12 +92,24 @@ class TestRunUntil:
         assert fired == ["b"]
 
     def test_runaway_schedule_guard(self, sim):
-        def loop():
-            sim.schedule(0.0, loop)
+        def runaway(sim):
+            def loop():
+                sim.schedule(0.0, loop)
 
-        sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
+            sim.schedule(0.0, loop)
+            with pytest.raises(SimulationError):
+                sim.run(max_events=100)
+            return sim.events_processed
+
+        assert runaway(sim) == 101
+        # An attached recorder moves the guard by no event, whether its
+        # cadence marks fall before, on or after the limit.
+        for cadence in (1, 7, 100, 101, 500):
+            watched = Simulator(seed=sim.seed)
+            TelemetryRecorder(cadence_events=cadence, include_metrics=False).attach(
+                watched
+            )
+            assert runaway(watched) == 101
 
     def test_step_returns_false_when_idle(self, sim):
         assert sim.step() is False
