@@ -372,3 +372,160 @@ class TestDedupLru:
                                dedup_window=5.0, dedup_key=("cold", i))
         # The hot key was refreshed at t=10, so it must still dedup.
         assert ("hot",) in scheme._dedup_seen
+
+
+# ======================================================================
+# Traced dispatch (characterization)
+# ======================================================================
+_MODES = ("emit", "verdict", "allow")
+_BEHAVIOURS = {
+    "accept": lambda: True,
+    "veto": lambda: False,
+    "abstain": lambda: None,
+    "raise": lambda: (_ for _ in ()).throw(ValueError("boom")),
+}
+
+
+def _expected_trace(mode, owned, behaviour, policy, point):
+    """What traced dispatch records for [hook under test, accepting tail].
+
+    Returns ``(events, result, drops, errors)``: the full event list
+    under a clock that ticks once per read, the dispatch return value,
+    and the ``hook_drops_total``/``hook_errors_total`` deltas by scheme.
+    """
+    from repro.obs.trace import ObsEvent
+
+    clock = iter(range(100))
+    events, drops, errors = [], {}, {}
+    label = "mine" if owned else "fb"
+
+    def span(scheme, inner=(), **verdict):
+        start = next(clock)
+        events.extend(inner_event(next(clock)) for inner_event in inner)
+        end = next(clock)
+        attrs = {"scheme": scheme, "node": "n1", "frame": 7, **verdict}
+        events.append(ObsEvent("scheme.inspect", start, end - start, "span", attrs))
+
+    def error_instant(ts):
+        attrs = {
+            "point": point, "node": "n1", "scheme": "mine" if owned else "unlabeled",
+            "error": "ValueError", "policy": policy, "frame": 7,
+        }
+        return ObsEvent("hook.error", ts, None, "instant", attrs)
+
+    raised = behaviour == "raise"
+    if raised:
+        errors["mine" if owned else "unlabeled"] = 1.0
+    inner = (error_instant,) if raised else ()
+    if mode == "emit":
+        if owned:
+            span("mine", inner)
+        elif raised:
+            events.append(error_instant(next(clock)))
+        span("tail")
+        return events, None, drops, errors
+
+    done = object()
+    if mode == "verdict":
+        if raised:
+            span(label, inner, verdict="error")
+            result = False if policy == FAIL_CLOSED else done
+        elif behaviour == "abstain":
+            span(label)
+            result = done
+        else:
+            value = _BEHAVIOURS[behaviour]()
+            span(label, verdict="accept" if value else "drop")
+            result = value
+        if result is False:
+            drops[label] = 1.0
+        if result is done:
+            span("tail", verdict="accept")
+            result = True
+        return events, result, drops, errors
+
+    if raised:
+        span(label, inner, verdict="error")
+        vetoed = policy == FAIL_CLOSED
+    else:
+        vetoed = not _BEHAVIOURS[behaviour]()
+        span(label, verdict="drop" if vetoed else "allow")
+    if vetoed:
+        drops[label] = 1.0
+        return events, (False, label), drops, errors
+    span("tail", verdict="allow")
+    return events, (True, None), drops, errors
+
+
+def _point_counts(delta, family, point):
+    samples = delta["metrics"].get(family, {}).get("samples", [])
+    return {
+        s["labels"]["scheme"]: s["value"]
+        for s in samples
+        if s["labels"]["point"] == point
+    }
+
+
+class TestTracedDispatch:
+    """Pins traced ``emit``/``verdict``/``allow`` event for event."""
+
+    @pytest.mark.parametrize("policy", [FAIL_OPEN, FAIL_CLOSED])
+    @pytest.mark.parametrize("behaviour", sorted(_BEHAVIOURS))
+    @pytest.mark.parametrize("owned", [True, False], ids=["owned", "unowned"])
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_trace_result_and_counters(self, mode, owned, behaviour, policy):
+        from repro.obs.registry import REGISTRY
+        from repro.obs.trace import TRACER
+
+        name = f"t.traced.{mode}.{int(owned)}.{behaviour}.{policy}"
+        point = HookPoint(name, node="n1", policy=policy, fallback_label="fb")
+        point.add(_BEHAVIOURS[behaviour], owner="mine" if owned else None)
+        point.add(lambda: True, owner="tail")
+        expected = _expected_trace(mode, owned, behaviour, policy, name)
+
+        ticks = iter(range(100))
+        before = REGISTRY.snapshot()
+        perf_before = PERF.hook_errors
+        TRACER.reset()
+        TRACER.use_clock(lambda: next(ticks))
+        TRACER.current_frame = 7
+        TRACER.enable()
+        try:
+            result = getattr(point, mode)()
+        finally:
+            TRACER.disable()
+        events = list(TRACER.events)
+        TRACER.reset()
+        delta = REGISTRY.delta(before)
+
+        assert events == expected[0]
+        assert result == expected[1] and type(result) is type(expected[1])
+        assert _point_counts(delta, "hook_drops_total", name) == expected[2]
+        assert _point_counts(delta, "hook_errors_total", name) == expected[3]
+        assert PERF.hook_errors - perf_before == sum(expected[3].values())
+
+    def test_teardown_error_instant(self):
+        from repro.obs.trace import TRACER
+
+        stack = TeardownStack(owner="td-owner")
+        stack.push(lambda: (_ for _ in ()).throw(KeyError("gone")))
+        before = errors_for("scheme.teardown", "td-owner")
+        perf_before = PERF.hook_errors
+        TRACER.reset()
+        TRACER.use_clock(lambda: 3.0)
+        TRACER.enable()
+        try:
+            assert stack.close() == 1
+        finally:
+            TRACER.disable()
+        events = list(TRACER.events)
+        TRACER.reset()
+        assert [(e.name, e.ts, e.dur, e.kind, e.attrs) for e in events] == [
+            ("hook.error", 3.0, None, "instant", {
+                "point": "scheme.teardown", "scheme": "td-owner",
+                "error": "KeyError", "node": None, "policy": FAIL_OPEN,
+                "frame": None,
+            }),
+        ]
+        assert errors_for("scheme.teardown", "td-owner") == before + 1
+        assert PERF.hook_errors == perf_before + 1
