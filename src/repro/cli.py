@@ -588,18 +588,19 @@ def _cmd_campaign(args, out) -> int:
         f"{len(campaign.failures)} failed, jobs={campaign.jobs}, "
         f"{campaign.elapsed:.2f}s\n"
     )
-    from repro.perf import PERF
+    from repro.obs import REGISTRY
+    from repro.perf import summary
 
     # Worker counters are shipped back as _obs deltas and merged into the
-    # parent registry (and PERF, via its merge hook) — so with --jobs > 1
-    # this line now reflects the whole campaign, not just the coordinator.
+    # parent registry's perf section — so with --jobs > 1 this line
+    # reflects the whole campaign, not just the coordinator.
     if campaign.worker_metrics_merged:
         scope = f"merged from {campaign.worker_metrics_merged} worker tasks"
     elif campaign.jobs == 1:
         scope = "in-process"
     else:
         scope = "coordinator only"
-    out.write(f"# perf ({scope}): {PERF.summary()}\n")
+    out.write(f"# perf ({scope}): {summary(REGISTRY.collect('perf'))}\n")
     if telemetry is not None:
         from pathlib import Path
 
@@ -631,7 +632,7 @@ def _cmd_campaign(args, out) -> int:
         from pathlib import Path
 
         from repro.campaign.aggregate import publish_metrics
-        from repro.obs import REGISTRY, to_prometheus
+        from repro.obs import to_prometheus
 
         published = publish_metrics(campaign)
         Path(args.metrics_out).write_text(to_prometheus(REGISTRY.snapshot()))
@@ -812,7 +813,8 @@ def _cmd_top(args, out) -> int:
 def _cmd_bench(args, out) -> int:
     from pathlib import Path
 
-    from repro.perf import PERF, bench
+    from repro.obs.registry import REGISTRY, subtract_counts
+    from repro.perf import bench, summary
 
     if args.no_batch:
         # Process-wide: every Simulator built by the suite inherits it.
@@ -830,10 +832,11 @@ def _cmd_bench(args, out) -> int:
         out.write(f"# no baseline at {baseline_path}; run with --update\n")
         return 1
 
-    PERF.reset()
+    perf_before = REGISTRY.collect("perf")
     results = bench.run_suite(quick=args.quick)
     out.write(bench.format_results(results, baseline) + "\n")
-    out.write(f"# perf: {PERF.summary()}\n")
+    perf = subtract_counts(REGISTRY.collect("perf"), perf_before)
+    out.write(f"# perf: {summary(perf)}\n")
 
     if args.update:
         skipped = sorted(set(bench.SUITE) - set(results))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.core.experiment import (
     RESULT_TYPES,
@@ -38,26 +38,11 @@ from repro.core.experiment import (
 )
 from repro.errors import ExperimentError
 from repro.l2.topology import Campus
-from repro.obs.registry import REGISTRY
-from repro.perf import PERF
+from repro.obs.registry import REGISTRY, alerts_in
 from repro.schemes import make_defense
 from repro.sim import ShardedSimulator, Simulator
 
 __all__ = ["CampusScaleResult", "_run_campus_churn"]
-
-
-def _alerts_in(delta: Mapping[str, object]) -> int:
-    """Total ``scheme_alerts_total`` in a registry delta (all labels).
-
-    Works identically whether alerts were raised in this process or
-    merged home from shard workers — which is why the result counts
-    alerts this way instead of reading ``scheme.alerts`` (stale in the
-    parent after a fork).
-    """
-    family = delta.get("metrics", {}).get("scheme_alerts_total")
-    if not family:
-        return 0
-    return int(sum(s["value"] for s in family.get("samples", ())))
 
 
 @dataclass(frozen=True)
@@ -136,7 +121,6 @@ def _run_campus_churn(
             )
 
     obs_before = REGISTRY.snapshot()
-    perf_before = PERF.snapshot()
 
     build_start = time.perf_counter()
     if shards > 0:
@@ -187,7 +171,8 @@ def _run_campus_churn(
         shards_used = 1 if shards else 0
     wall_seconds = time.perf_counter() - run_start
 
-    perf_delta = PERF.delta_since(perf_before)
+    obs_delta = REGISTRY.delta(obs_before)
+    perf_delta = obs_delta["collectors"].get("perf", {})
     return CampusScaleResult(
         scheme=scheme_key,
         hosts=len(campus.hosts),
@@ -199,7 +184,7 @@ def _run_campus_churn(
         deliveries=int(perf_delta.get("batched_items", 0)),
         wall_seconds=wall_seconds,
         build_seconds=build_seconds,
-        alerts=_alerts_in(REGISTRY.delta(obs_before)),
+        alerts=alerts_in(obs_delta),
     )
 
 

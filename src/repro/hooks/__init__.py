@@ -28,6 +28,12 @@ and nothing attributed the failure to the scheme that installed it.
   tuple (``if point.hooks:``), the same cost as the old empty-list
   check, so ``repro bench --check`` stays flat with no schemes
   installed.
+* **One observed dispatch** — :meth:`~HookPoint.emit`,
+  :meth:`~HookPoint.verdict` and :meth:`~HookPoint.allow` keep plain
+  loops for the unobserved run and hand off to one observed loop
+  (``HookPoint._observed``) while the tracer is on; that loop wraps each
+  hook decision in a ``scheme.inspect`` span carrying its verdict.
+  Hook faults and teardown faults share one accounting path.
 
 Dispatch modes match the calling conventions of the legacy surfaces:
 :meth:`~HookPoint.emit` (notify-all: frame taps), :meth:`~HookPoint.verdict`
@@ -46,6 +52,7 @@ the hook points of one device under its node label.
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.registry import REGISTRY
@@ -73,6 +80,12 @@ _POLICIES = (FAIL_OPEN, FAIL_CLOSED)
 #: Label used for hooks whose owner could not be determined.
 UNLABELED = "unlabeled"
 
+#: Dispatch modes of :meth:`HookPoint._observed`.
+_EMIT, _VERDICT, _ALLOW = "emit", "verdict", "allow"
+
+#: Stands in for a span around hooks that are not scheme inspections.
+_NO_SPAN = nullcontext()
+
 
 def hook_errors_counter():
     """The ``hook_errors_total{point,scheme}`` registry counter family."""
@@ -90,6 +103,29 @@ def hook_drops_counter():
         "Frames/packets vetoed at a hook point, by hook point and vetoing scheme",
         labels=("point", "scheme"),
     )
+
+
+def _record_fault(
+    point: str,
+    node: Optional[str],
+    scheme: str,
+    exc: Exception,
+    policy: str,
+    frame: Optional[int],
+) -> None:
+    """Count and attribute one swallowed hook or teardown exception."""
+    PERF.hook_errors += 1
+    hook_errors_counter().labels(point=point, scheme=scheme).inc()
+    if TRACER.enabled:
+        TRACER.instant(
+            "hook.error",
+            point=point,
+            node=node,
+            scheme=scheme,
+            error=type(exc).__name__,
+            policy=policy,
+            frame=frame,
+        )
 
 
 class Hook:
@@ -258,25 +294,71 @@ class HookPoint:
     # ------------------------------------------------------------------
     def _isolate(self, hook: Hook, exc: Exception) -> None:
         """Count and attribute one swallowed hook exception."""
-        PERF.hook_errors += 1
-        hook_errors_counter().labels(
-            point=self.name, scheme=hook.owner or UNLABELED
-        ).inc()
-        if TRACER.enabled:
-            TRACER.instant(
-                "hook.error",
-                point=self.name,
-                node=self.node,
-                scheme=hook.owner or UNLABELED,
-                error=type(exc).__name__,
-                policy=self.policy,
-                frame=TRACER.current_frame,
-            )
+        _record_fault(
+            self.name,
+            self.node,
+            hook.owner or UNLABELED,
+            exc,
+            self.policy,
+            TRACER.current_frame,
+        )
 
     def _count_drop(self, hook: Hook) -> None:
         hook_drops_counter().labels(
             point=self.name, scheme=hook.owner or self.fallback_label
         ).inc()
+
+    # ------------------------------------------------------------------
+    # Observed dispatch
+    # ------------------------------------------------------------------
+    def _observed(self, mode: str, hooks: Tuple[Hook, ...], args):
+        """The one dispatch loop taken while an observer is on.
+
+        :meth:`emit`, :meth:`verdict` and :meth:`allow` hand off here
+        when ``TRACER.enabled``; results, fault isolation and drop
+        counting match their plain loops.  Every hook decision passes
+        through one ``scheme.inspect`` span whose ``verdict`` attribute
+        is ``accept``/``drop`` (``verdict``), ``allow``/``drop``
+        (``allow``) or ``error``.  ``emit`` records no verdict and opens
+        no span for unowned hooks (attack sniffers, test probes are not
+        scheme inspections); the judging modes label those with
+        ``fallback_label``.
+        """
+        tracer = TRACER
+        fid = tracer.current_frame
+        for hook in hooks:
+            if not hook.active:
+                continue
+            scheme = hook.owner or self.fallback_label
+            if mode is _EMIT and hook.owner is None:
+                span = _NO_SPAN
+            else:
+                span = tracer.span(
+                    "scheme.inspect", scheme=scheme, node=self.node, frame=fid
+                )
+            with span:
+                try:
+                    value = hook.fn(*args)
+                except Exception as exc:
+                    self._isolate(hook, exc)
+                    if mode is _EMIT:
+                        continue
+                    span.set(verdict="error")
+                    if self.policy == FAIL_CLOSED:
+                        self._count_drop(hook)
+                        return False if mode is _VERDICT else (False, scheme)
+                    continue
+                if mode is _ALLOW:
+                    span.set(verdict="allow" if value else "drop")
+                    if not value:
+                        self._count_drop(hook)
+                        return (False, scheme)
+                elif mode is _VERDICT and value is not None:
+                    span.set(verdict="accept" if value else "drop")
+                    if value is False:
+                        self._count_drop(hook)
+                    return value
+        return (True, None) if mode is _ALLOW else None
 
     # ------------------------------------------------------------------
     # Dispatch modes
@@ -287,7 +369,7 @@ class HookPoint:
         if not hooks:
             return
         if TRACER.enabled:
-            self._emit_traced(hooks, args)
+            self._observed(_EMIT, hooks, args)
             return
         for hook in hooks:
             if not hook.active:
@@ -296,28 +378,6 @@ class HookPoint:
                 hook.fn(*args)
             except Exception as exc:
                 self._isolate(hook, exc)
-
-    def _emit_traced(self, hooks: Tuple[Hook, ...], args) -> None:
-        tracer = TRACER
-        fid = tracer.current_frame
-        for hook in hooks:
-            if not hook.active:
-                continue
-            if hook.owner is None:
-                # Unlabeled taps (attack sniffers, test probes) are not
-                # scheme inspections; call them without a span.
-                try:
-                    hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
-                continue
-            with tracer.span(
-                "scheme.inspect", scheme=hook.owner, node=self.node, frame=fid
-            ):
-                try:
-                    hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
 
     def verdict(self, *args) -> Optional[bool]:
         """First non-``None`` return wins (ARP-guard convention).
@@ -329,7 +389,7 @@ class HookPoint:
         if not hooks:
             return None
         if TRACER.enabled:
-            return self._verdict_traced(hooks, args)
+            return self._observed(_VERDICT, hooks, args)
         for hook in hooks:
             if not hook.active:
                 continue
@@ -347,32 +407,6 @@ class HookPoint:
                 return value
         return None
 
-    def _verdict_traced(self, hooks: Tuple[Hook, ...], args) -> Optional[bool]:
-        tracer = TRACER
-        fid = tracer.current_frame
-        for hook in hooks:
-            if not hook.active:
-                continue
-            scheme = hook.owner or self.fallback_label
-            with tracer.span(
-                "scheme.inspect", scheme=scheme, node=self.node, frame=fid
-            ) as span:
-                try:
-                    value = hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
-                    span.set(verdict="error")
-                    if self.policy == FAIL_CLOSED:
-                        self._count_drop(hook)
-                        return False
-                    continue
-                if value is not None:
-                    span.set(verdict="accept" if value else "drop")
-                    if value is False:
-                        self._count_drop(hook)
-                    return value
-        return None
-
     def allow(self, *args) -> Tuple[bool, Optional[str]]:
         """Every hook must allow (ingress-filter convention).
 
@@ -384,7 +418,7 @@ class HookPoint:
         if not hooks:
             return (True, None)
         if TRACER.enabled:
-            return self._allow_traced(hooks, args)
+            return self._observed(_ALLOW, hooks, args)
         for hook in hooks:
             if not hook.active:
                 continue
@@ -399,33 +433,6 @@ class HookPoint:
             if not ok:
                 self._count_drop(hook)
                 return (False, hook.owner or self.fallback_label)
-        return (True, None)
-
-    def _allow_traced(
-        self, hooks: Tuple[Hook, ...], args
-    ) -> Tuple[bool, Optional[str]]:
-        tracer = TRACER
-        fid = tracer.current_frame
-        for hook in hooks:
-            if not hook.active:
-                continue
-            scheme = hook.owner or self.fallback_label
-            with tracer.span(
-                "scheme.inspect", scheme=scheme, node=self.node, frame=fid
-            ) as span:
-                try:
-                    ok = hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
-                    span.set(verdict="error")
-                    if self.policy == FAIL_CLOSED:
-                        self._count_drop(hook)
-                        return (False, scheme)
-                    continue
-                span.set(verdict="allow" if ok else "drop")
-            if not ok:
-                self._count_drop(hook)
-                return (False, scheme)
         return (True, None)
 
     def transform(self, value, *args):
@@ -616,20 +623,9 @@ class TeardownStack:
                 callback()
             except Exception as exc:
                 failures += 1
-                PERF.hook_errors += 1
-                hook_errors_counter().labels(
-                    point="scheme.teardown", scheme=owner or UNLABELED
-                ).inc()
-                if TRACER.enabled:
-                    TRACER.instant(
-                        "hook.error",
-                        point="scheme.teardown",
-                        scheme=owner or UNLABELED,
-                        error=type(exc).__name__,
-                        node=None,
-                        policy=FAIL_OPEN,
-                        frame=None,
-                    )
+                _record_fault(
+                    "scheme.teardown", None, owner or UNLABELED, exc, FAIL_OPEN, None
+                )
         return failures
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

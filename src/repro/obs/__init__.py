@@ -4,12 +4,11 @@ One import surface for the three observability primitives:
 
 * :data:`REGISTRY` — the process-wide metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram` with labels,
-  snapshot/merge for campaign fork-workers).  The legacy
-  :data:`repro.perf.PERF` block is registered as the ``perf`` collector,
-  with :meth:`~repro.perf.PerfCounters.absorb` as its merge hook — so a
-  worker's wire-fast-path statistics survive the worker.  ``PERF`` is
-  the only owner of those counters (batch flushes, CAM sweeps, ...);
-  exporters emit them from the collector as ``repro_perf_*``.
+  snapshot/delta/merge for campaign fork-workers).  It is the one
+  counter namespace: the :data:`repro.perf.PERF` block of plain-int
+  fast-path counters is read as its ``perf`` collector, and worker
+  counts merged home accumulate in the registry, never in ``PERF``.
+  Exporters emit the collector's counts as ``repro_perf_*``.
 * :data:`TRACER` — the bounded structured event log (simulation-time
   spans and instants), off by default and zero-cost while off.
 * ``TRACER.provenance`` — the frame-id table mapping live wire buffers
@@ -74,7 +73,8 @@ __all__ = [
     "parse_prometheus",
 ]
 
-# Absorb the legacy perf block: snapshots of the registry include the
-# wire-fast-path counters, and merging a worker snapshot folds its perf
-# deltas into this process's PERF.  register_collector is idempotent.
-REGISTRY.register_collector("perf", PERF.snapshot, PERF.absorb)
+# The wire-fast-path counts, read at snapshot time; worker perf deltas
+# merged home add onto them.  register_collector is idempotent.
+REGISTRY.register_collector(
+    "perf", lambda: {name: getattr(PERF, name) for name in PERF.COUNTS}
+)

@@ -5,8 +5,9 @@ watches a run while it happens.  A :class:`TelemetryRecorder` attached to
 a simulator samples, on a configurable event-count or wall-clock cadence:
 
 * simulator progress — sim-clock, events fired, live heap depth;
-* the per-window :data:`repro.perf.PERF` delta (so each snapshot carries
-  the batch/fallback ratio of *that window*, not the whole process);
+* the per-window delta of the registry's ``perf`` counts (so each
+  snapshot carries the batch/fallback ratio of *that window*, not the
+  whole process), subtracted by the registry's own delta rule;
 * optionally the per-window :data:`~repro.obs.registry.REGISTRY` delta.
 
 Samples land in a bounded ring (:attr:`TelemetryRecorder.snapshots`) and,
@@ -41,8 +42,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ObsError
-from repro.obs.registry import REGISTRY
-from repro.perf import PERF
+from repro.obs.registry import REGISTRY, subtract_counts
 
 __all__ = [
     "BEACON",
@@ -230,7 +230,7 @@ class TelemetryRecorder:
     # ------------------------------------------------------------------
     def _ensure_baseline(self) -> None:
         if self._perf_before is None:
-            self._perf_before = {n: getattr(PERF, n) for n in PERF.ADDITIVE}
+            self._perf_before = REGISTRY.collect("perf")
             if self.include_metrics:
                 self._reg_before = REGISTRY.snapshot()
 
@@ -239,8 +239,9 @@ class TelemetryRecorder:
         self._ensure_baseline()
         if wall is None:
             wall = self._clock()
-        perf_delta = PERF.delta_since(self._perf_before)
-        self._perf_before = {n: getattr(PERF, n) for n in PERF.ADDITIVE}
+        perf_now = REGISTRY.collect("perf")
+        perf_delta = subtract_counts(perf_now, self._perf_before)
+        self._perf_before = perf_now
         flushes = perf_delta.get("batch_flushes", 0)
         items = perf_delta.get("batched_items", 0)
         snap: Dict[str, object] = {

@@ -8,24 +8,25 @@ façade without slowing any of them down:
 
 * hot-path code keeps doing plain attribute increments (free);
 * cold blocks register a *collector* — a callable the registry invokes at
-  snapshot time to pull their current values — optionally paired with a
-  *merge* function so snapshots shipped back from campaign fork-workers
-  can be folded into the parent process;
+  snapshot time to pull their current counts;
 * new instrumentation uses first-class :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` metrics, with Prometheus-style labels.
 
 Snapshots are JSON-safe dicts that survive a round trip through campaign
 worker pipes and the on-disk result cache, and :meth:`MetricsRegistry.merge`
 folds any snapshot into the live registry — counters and histograms add,
-gauges take the incoming value, collector payloads route to their merge
-hook.  That is how ``repro campaign --jobs N`` aggregates per-worker wire
-statistics that previously died with the worker.
+gauges take the incoming value, collector sections accumulate in the
+registry on top of the live collector's counts.  That is how ``repro
+campaign --jobs N`` aggregates per-worker wire statistics that previously
+died with the worker.  Collectors therefore report counts only: a ratio
+would be subtracted by :meth:`~MetricsRegistry.delta` and summed by
+:meth:`~MetricsRegistry.merge` into nonsense.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import ObsError
 
@@ -37,6 +38,8 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "DEFAULT_BUCKETS",
+    "alerts_in",
+    "subtract_counts",
 ]
 
 #: Default histogram buckets (seconds) — tuned for simulated-LAN latencies,
@@ -125,6 +128,47 @@ class Histogram:
 _METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _accumulate(into: Dict[str, float], payload: Mapping[str, object]) -> None:
+    for key, value in payload.items():
+        if _is_count(value):
+            into[key] = into.get(key, 0) + value
+
+
+def subtract_counts(
+    after: Mapping[str, object], before: Mapping[str, object]
+) -> Dict[str, float]:
+    """``after - before`` for one collector section: the registry's delta rule.
+
+    Non-numeric values are skipped and unchanged counts omitted, so the
+    result carries exactly the counts that moved.
+    """
+    section: Dict[str, float] = {}
+    for key, value in after.items():
+        if _is_count(value):
+            diff = value - before.get(key, 0)
+            if diff:
+                section[key] = diff
+    return section
+
+
+def alerts_in(delta: Mapping[str, object]) -> int:
+    """Total ``scheme_alerts_total`` in a registry delta (all labels).
+
+    Works identically whether alerts were raised in this process or
+    merged home from fork workers — which is why results count alerts
+    this way instead of reading ``scheme.alerts`` (stale in the parent
+    after a fork).
+    """
+    family = delta.get("metrics", {}).get("scheme_alerts_total")
+    if not family:
+        return 0
+    return int(sum(s["value"] for s in family.get("samples", ())))
+
+
 class MetricFamily:
     """A named metric plus its labeled children.
 
@@ -180,10 +224,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
-        self._collectors: Dict[str, Tuple[Callable[[], Dict[str, float]],
-                                          Optional[Callable[[Dict[str, float]], None]]]] = {}
-        #: Collector payloads merged from elsewhere that have no merge
-        #: hook of their own: accumulated here, re-emitted in snapshots.
+        self._collectors: Dict[str, Callable[[], Dict[str, float]]] = {}
+        #: Collector sections merged from elsewhere (fork-workers):
+        #: accumulated here, added onto the live counts in snapshots.
         self._external: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
@@ -228,20 +271,22 @@ class MetricsRegistry:
         return family if family.labelnames else family.labels()
 
     def register_collector(
-        self,
-        name: str,
-        collect: Callable[[], Dict[str, float]],
-        merge: Optional[Callable[[Dict[str, float]], None]] = None,
+        self, name: str, collect: Callable[[], Dict[str, float]]
     ) -> None:
         """Attach an external counter block (e.g. ``repro.perf.PERF``).
 
         ``collect()`` is called at snapshot time and must return a flat
-        JSON-safe dict.  ``merge(payload)`` — when given — receives the
-        matching section of a foreign snapshot during :meth:`merge`
-        (campaign workers shipping their counters home).  Re-registering
-        the same name replaces the previous hooks (idempotent wiring).
+        JSON-safe dict of counts.  Re-registering the same name replaces
+        the previous callable (idempotent wiring).
         """
-        self._collectors[name] = (collect, merge)
+        self._collectors[name] = collect
+
+    def collect(self, name: str) -> Dict[str, float]:
+        """One collector section: its live counts plus any merged in."""
+        collect = self._collectors.get(name)
+        section = dict(collect()) if collect is not None else {}
+        _accumulate(section, self._external.get(name, {}))
+        return section
 
     # ------------------------------------------------------------------
     # Snapshot / merge
@@ -270,14 +315,9 @@ class MetricsRegistry:
                 "labelnames": list(family.labelnames),
                 "samples": samples,
             }
-        collectors: Dict[str, Dict[str, float]] = {}
-        for name, (collect, _) in sorted(self._collectors.items()):
-            collectors[name] = dict(collect())
-        for name, payload in sorted(self._external.items()):
-            base = collectors.setdefault(name, {})
-            for key, value in payload.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    base[key] = base.get(key, 0) + value
+        names = sorted(self._collectors)
+        names += sorted(set(self._external) - set(self._collectors))
+        collectors = {name: self.collect(name) for name in names}
         return {"metrics": metrics, "collectors": collectors}
 
     def delta(self, before: Mapping[str, object]) -> Dict[str, object]:
@@ -338,14 +378,7 @@ class MetricsRegistry:
         before_collectors = dict(before.get("collectors", {}))
         collectors: Dict[str, Dict[str, float]] = {}
         for name, values in after["collectors"].items():
-            base = before_collectors.get(name, {})
-            section = {}
-            for key, value in values.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    continue
-                diff = value - base.get(key, 0)
-                if diff:
-                    section[key] = diff
+            section = subtract_counts(values, before_collectors.get(name, {}))
             if section:
                 collectors[name] = section
         return {"metrics": metrics, "collectors": collectors}
@@ -354,8 +387,8 @@ class MetricsRegistry:
         """Fold a foreign snapshot (e.g. from a fork-worker) into this one.
 
         Counters and histograms accumulate; gauges take the incoming
-        value; collector sections route to their registered merge hook,
-        or accumulate in an external store when the block has none here.
+        value; collector sections accumulate in the registry's own store,
+        which :meth:`collect` adds onto the live collector's counts.
         """
         for name, payload in dict(snapshot.get("metrics", {})).items():
             kind = payload["type"]
@@ -384,14 +417,7 @@ class MetricsRegistry:
                     child.sum += float(sample["sum"])
                     child.count += int(sample["count"])
         for name, payload in dict(snapshot.get("collectors", {})).items():
-            hook = self._collectors.get(name)
-            if hook is not None and hook[1] is not None:
-                hook[1](dict(payload))
-            else:
-                store = self._external.setdefault(name, {})
-                for key, value in payload.items():
-                    if isinstance(value, (int, float)) and not isinstance(value, bool):
-                        store[key] = store.get(key, 0) + value
+            _accumulate(self._external.setdefault(name, {}), payload)
 
     def reset(self) -> None:
         """Drop every metric family and external accumulation.

@@ -9,8 +9,14 @@ floods reuse a single encoded buffer, and hot addresses are interned.
 :data:`PERF` is the process-global counter block those optimizations
 report into.  It answers "did the fast path actually engage?" without a
 profiler: encodes avoided, payload decodes skipped, flood buffers reused
-and the address-intern hit rate.  Counters are plain attribute increments
+and the address-intern hits.  Counters are plain attribute increments
 so the instrumentation itself stays off the profile.
+
+``PERF`` holds counts only.  The metrics registry reads them as its
+``perf`` collector (:attr:`PerfCounters.COUNTS`) and owns everything
+else: snapshots, window deltas, and merging worker counts home.  Rates
+are derived from counts in one place, :func:`summary`, so no rate is
+ever subtracted or summed.
 
 Counters are cumulative for the process; :meth:`PerfCounters.reset`
 re-baselines everything (including the intern-cache statistics, which
@@ -19,16 +25,15 @@ live in :mod:`repro.net.addresses`).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Mapping
 
-__all__ = ["PerfCounters", "PERF"]
+__all__ = ["PerfCounters", "PERF", "summary"]
 
 
 class PerfCounters:
     """Process-wide counters for the wire fast path."""
 
-    #: Additive counters — plain ints a foreign snapshot can be folded
-    #: into (see :meth:`absorb`); intern stats are derived, not additive.
+    #: Plain-int counters the fast path increments directly.
     ADDITIVE = (
         "packet_encodes",
         "encodes_avoided",
@@ -45,6 +50,10 @@ class PerfCounters:
         "cam_sweeps",
         "cam_sweep_skips",
     )
+
+    #: Every count the registry's ``perf`` collector reports: the
+    #: additive fields plus the intern hits and misses since :meth:`reset`.
+    COUNTS = ADDITIVE + ("intern_hits", "intern_misses")
 
     __slots__ = ADDITIVE + (
         "_intern_hits_base",
@@ -106,95 +115,41 @@ class PerfCounters:
     def intern_misses(self) -> int:
         return self._intern_totals()[1] - self._intern_misses_base
 
-    @property
-    def intern_hit_rate(self) -> float:
-        hits, misses = self.intern_hits, self.intern_misses
-        total = hits + misses
-        return hits / total if total else 0.0
 
-    @property
-    def encode_memo_rate(self) -> float:
-        total = self.packet_encodes + self.encodes_avoided
-        return self.encodes_avoided / total if total else 0.0
+def _ratio(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
 
-    @property
-    def batch_coalesce_rate(self) -> float:
-        """Fraction of batched frames that shared a flush event."""
-        items = self.batched_items
-        if not items:
-            return 0.0
-        return (items - self.batch_flushes) / items
 
-    def snapshot(self) -> Dict[str, object]:
-        """A JSON-safe point-in-time view of every counter."""
-        return {
-            "packet_encodes": self.packet_encodes,
-            "encodes_avoided": self.encodes_avoided,
-            "encode_memo_rate": round(self.encode_memo_rate, 4),
-            "lazy_frames": self.lazy_frames,
-            "payload_decodes": self.payload_decodes,
-            "lazy_decodes_skipped": self.lazy_decodes_skipped,
-            "eager_decodes": self.eager_decodes,
-            "flood_buffer_reuses": self.flood_buffer_reuses,
-            "trace_drops": self.trace_drops,
-            "hook_errors": self.hook_errors,
-            "dedup_evictions": self.dedup_evictions,
-            "batch_flushes": self.batch_flushes,
-            "batched_items": self.batched_items,
-            "batch_coalesce_rate": round(self.batch_coalesce_rate, 4),
-            "nic_batch_filtered": self.nic_batch_filtered,
-            "cam_sweeps": self.cam_sweeps,
-            "cam_sweep_skips": self.cam_sweep_skips,
-            "intern_hits": self.intern_hits,
-            "intern_misses": self.intern_misses,
-            "intern_hit_rate": round(self.intern_hit_rate, 4),
-        }
+def summary(counts: Mapping[str, int]) -> str:
+    """The ``# perf:`` one-liner, with its rates derived from ``counts``.
 
-    def delta_since(self, before: Dict[str, object]) -> Dict[str, int]:
-        """Additive-counter deltas vs an earlier :meth:`snapshot`.
-
-        Campaign fork-workers inherit the parent's counter values, so
-        shipping absolute snapshots home would double-count everything
-        accumulated before the fork; workers ship deltas instead.
-        """
-        return {
-            name: getattr(self, name) - int(before.get(name, 0))
-            for name in self.ADDITIVE
-        }
-
-    def absorb(self, delta: Dict[str, object]) -> None:
-        """Fold a foreign additive snapshot/delta into this block.
-
-        Registered with the metrics registry as the ``perf`` collector's
-        merge hook; unknown and derived keys are ignored.
-        """
-        for name in self.ADDITIVE:
-            value = delta.get(name)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                setattr(self, name, getattr(self, name) + int(value))
-
-    def summary(self) -> str:
-        """One-line human summary (used by campaign reports)."""
-        drops = f", trace-drops={self.trace_drops}" if self.trace_drops else ""
-        if self.hook_errors:
-            drops += f", hook-errors={self.hook_errors}"
-        batched = ""
-        if self.batched_items:
-            batched = (
-                f", batched-frames={self.batched_items} "
-                f"({self.batch_coalesce_rate:.0%} coalesced)"
-            )
-        return (
-            f"encodes={self.packet_encodes} "
-            f"avoided={self.encodes_avoided} ({self.encode_memo_rate:.0%} memoized), "
-            f"lazy-views={self.lazy_frames} "
-            f"payload-decodes-skipped={self.lazy_decodes_skipped}, "
-            f"flood-buffer-reuses={self.flood_buffer_reuses}, "
-            f"intern-hit-rate={self.intern_hit_rate:.0%}" + batched + drops
+    ``counts`` is a registry ``perf`` collector section: a snapshot, a
+    window delta or a merge of worker deltas.  Missing keys count as
+    zero, because :meth:`~repro.obs.registry.MetricsRegistry.delta`
+    omits them.
+    """
+    c = {name: int(counts.get(name, 0)) for name in PerfCounters.COUNTS}
+    drops = f", trace-drops={c['trace_drops']}" if c["trace_drops"] else ""
+    if c["hook_errors"]:
+        drops += f", hook-errors={c['hook_errors']}"
+    batched = ""
+    if c["batched_items"]:
+        coalesced = c["batched_items"] - c["batch_flushes"]
+        batched = (
+            f", batched-frames={c['batched_items']} "
+            f"({_ratio(coalesced, c['batched_items']):.0%} coalesced)"
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PerfCounters({self.snapshot()})"
+    encodes = c["packet_encodes"] + c["encodes_avoided"]
+    interns = c["intern_hits"] + c["intern_misses"]
+    return (
+        f"encodes={c['packet_encodes']} "
+        f"avoided={c['encodes_avoided']} "
+        f"({_ratio(c['encodes_avoided'], encodes):.0%} memoized), "
+        f"lazy-views={c['lazy_frames']} "
+        f"payload-decodes-skipped={max(0, c['lazy_frames'] - c['payload_decodes'])}, "
+        f"flood-buffer-reuses={c['flood_buffer_reuses']}, "
+        f"intern-hit-rate={_ratio(c['intern_hits'], interns):.0%}" + batched + drops
+    )
 
 
 #: The process-global counter block every fast-path site reports into.

@@ -47,7 +47,7 @@ from repro.core.experiment import (
 )
 from repro.errors import ReplayError, SchemeError
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.obs.registry import REGISTRY
+from repro.obs.registry import REGISTRY, alerts_in
 from repro.obs.trace import TRACER
 from repro.packets.ethernet import EtherType
 from repro.replay.sources import FrameSource, open_source
@@ -193,14 +193,6 @@ class ReplayResult(SerializableResult):
         if self.wall_seconds <= 0:
             return 0.0
         return self.frames / self.wall_seconds
-
-
-def _alerts_in(delta: Mapping[str, object]) -> int:
-    """Total ``scheme_alerts_total`` across a registry delta."""
-    family = delta.get("metrics", {}).get("scheme_alerts_total")
-    if not family:
-        return 0
-    return int(sum(s["value"] for s in family.get("samples", ())))
 
 
 def _overrides_on_any_frame(scheme: Scheme) -> bool:
@@ -476,7 +468,7 @@ def _run_replay(
         frames=int(stats["frames"]),
         bytes=int(stats["bytes"]),
         delivered=int(stats["delivered"]),
-        alerts=_alerts_in(REGISTRY.delta(obs_before)),
+        alerts=alerts_in(REGISTRY.delta(obs_before)),
         sim_seconds=float(span),
         wall_seconds=float(stats["wall_seconds"]),
         window=window,

@@ -30,9 +30,9 @@ pins this property).
 
 Process sharding reuses the ``repro.campaign`` machinery: partitions are
 grouped into fork workers, window barriers run over pipes, and each
-worker ships home its ``REGISTRY.delta`` (which carries the PERF counter
-block through the ``perf`` collector's merge hook) exactly like a
-campaign task's ``_obs`` payload.  Telemetry and heartbeats are per
+worker ships home its ``REGISTRY.delta`` (whose ``perf`` section carries
+the wire fast-path counts) exactly like a campaign task's ``_obs``
+payload.  Telemetry and heartbeats are per
 shard: a worker ticks the attached recorder against a view of its own
 partitions only, and writes its own heartbeat file.
 """
@@ -482,8 +482,8 @@ class ShardedSimulator:
         envelopes still in flight), broadcasts the window, routes the
         envelopes each shard emitted to the shards owning their
         destination partitions, and repeats.  On finish every worker
-        ships its ``REGISTRY.delta`` home — PERF rides along through the
-        registry's ``perf`` collector merge hook — exactly like a
+        ships its ``REGISTRY.delta`` home — the wire fast-path counts
+        ride along in its ``perf`` section — exactly like a
         campaign ``_obs`` payload, so parent-side metrics reflect the
         whole fabric with no double counting.
 

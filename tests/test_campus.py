@@ -217,14 +217,14 @@ def _acceptance_run(fabric):
 class TestAcceptanceShardedEquivalence:
     def test_four_plus_partition_run_matches_unsharded(self):
         REGISTRY.reset()
-        perf_before = PERF.snapshot()
+        perf_before = REGISTRY.snapshot()
         plain_alerts, _ = _acceptance_run(Simulator(seed=7))
-        plain_perf = PERF.delta_since(perf_before)
+        plain_perf = _perf_delta(perf_before)
 
         fabric = ShardedSimulator(seed=7)
-        perf_before = PERF.snapshot()
+        perf_before = REGISTRY.snapshot()
         sharded_alerts, _ = _acceptance_run(fabric)
-        sharded_perf = PERF.delta_since(perf_before)
+        sharded_perf = _perf_delta(perf_before)
 
         assert len(fabric.partitions) == 5  # 4 buildings + spine
         assert plain_alerts  # the attack was actually detected
@@ -234,14 +234,14 @@ class TestAcceptanceShardedEquivalence:
 
     def test_process_sharded_run_merges_identical_totals(self):
         REGISTRY.reset()
-        perf_before = PERF.snapshot()
+        perf_before = REGISTRY.snapshot()
         plain_alerts, _ = _acceptance_run(Simulator(seed=7))
-        plain_perf = PERF.delta_since(perf_before)
+        plain_perf = _perf_delta(perf_before)
         plain_counter = _alert_counter_total()
 
         REGISTRY.reset()
         fabric = ShardedSimulator(seed=7)
-        perf_before = PERF.snapshot()
+        perf_before = REGISTRY.snapshot()
         campus = Campus(
             fabric, buildings=4, leaves_per_building=1, hosts_per_leaf=4
         )
@@ -264,13 +264,19 @@ class TestAcceptanceShardedEquivalence:
                 ),
             )
         summary = fabric.run_sharded(until=2.0, jobs=2)
-        sharded_perf = PERF.delta_since(perf_before)
+        sharded_perf = _perf_delta(perf_before)
 
         assert summary["shards"] == 2
         # Alert objects stay in the worker that raised them; the merged
         # registry counter is the cross-process ground truth.
         assert _alert_counter_total() == plain_counter == len(plain_alerts)
         assert sharded_perf == plain_perf
+
+
+def _perf_delta(before) -> dict:
+    """Every additive perf counter's change since ``before`` (registry)."""
+    perf = REGISTRY.delta(before)["collectors"].get("perf", {})
+    return {name: perf.get(name, 0) for name in PERF.ADDITIVE}
 
 
 def _alert_counter_total() -> int:

@@ -192,17 +192,14 @@ class TestCollectors:
         block["hits"] = 9
         assert reg.delta(before)["collectors"]["cache"] == {"hits": 6}
 
-    def test_merge_routes_to_collector_hook(self):
+    def test_merge_adds_onto_live_collector(self):
         reg = MetricsRegistry()
         block = {"hits": 3}
-
-        def absorb(payload):
-            for k, v in payload.items():
-                block[k] = block.get(k, 0) + v
-
-        reg.register_collector("cache", lambda: dict(block), absorb)
+        reg.register_collector("cache", lambda: dict(block))
         reg.merge({"metrics": {}, "collectors": {"cache": {"hits": 4}}})
-        assert block["hits"] == 7
+        assert reg.snapshot()["collectors"]["cache"] == {"hits": 7}
+        block["hits"] = 5  # live counts keep moving under the merged ones
+        assert reg.collect("cache") == {"hits": 9}
 
     def test_merge_without_hook_accumulates_externally(self):
         reg = MetricsRegistry()
@@ -227,9 +224,55 @@ class TestGlobalWiring:
 
         snap = REGISTRY.snapshot()
         assert "perf" in snap["collectors"]
-        assert set(snap["collectors"]["perf"]) == set(PERF.snapshot())
+        assert set(snap["collectors"]["perf"]) == set(PERF.COUNTS)
 
     def test_default_buckets_cover_lan_latencies(self):
         assert DEFAULT_BUCKETS[0] <= 1e-4
         assert DEFAULT_BUCKETS[-1] >= 10.0
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+
+class TestPerfCountsOnly:
+    """The ``perf`` section holds counts; only the summary derives rates."""
+
+    def test_window_delta_and_worker_merge_carry_counts_only(self):
+        from repro.obs import REGISTRY
+        from repro.perf import PERF
+
+        PERF.reset()
+        try:
+            # Cumulative memo rate 0.9 before the window, 0.5 after it:
+            # the window itself memoized 1 of 10 encodes (rate 0.1).
+            PERF.packet_encodes, PERF.encodes_avoided = 1, 9
+            before = REGISTRY.snapshot()
+            PERF.packet_encodes += 9
+            PERF.encodes_avoided += 1
+            PERF.batched_items += 10
+            PERF.batch_flushes += 4
+            window = REGISTRY.delta(before)["collectors"]["perf"]
+        finally:
+            PERF.reset()
+        parent = MetricsRegistry()
+        for _ in range(2):  # two workers ship the same window home
+            parent.merge({"metrics": {}, "collectors": {"perf": window}})
+        merged = parent.snapshot()["collectors"]["perf"]
+
+        for section in (window, merged):
+            assert all(
+                type(value) is int and value >= 0 for value in section.values()
+            ), section
+        assert window == {
+            "packet_encodes": 9,
+            "encodes_avoided": 1,
+            "batched_items": 10,
+            "batch_flushes": 4,
+        }
+        assert merged == {key: 2 * value for key, value in window.items()}
+
+        from repro.perf import summary
+
+        for section in (window, merged):
+            text = summary(section)
+            assert "(10% memoized)" in text
+            assert "(60% coalesced)" in text
+            assert "intern-hit-rate=0%" in text

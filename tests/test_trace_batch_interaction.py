@@ -16,8 +16,8 @@ import json
 import pytest
 
 from repro.obs.export import to_chrome_trace
+from repro.obs.registry import REGISTRY, subtract_counts
 from repro.obs.trace import TRACER
-from repro.perf import PERF
 from repro.l2.topology import Lan
 from repro.sim.simulator import Simulator
 
@@ -35,7 +35,7 @@ def _run_traced(batching: bool, seed: int = 23):
     """Drive mixed traffic with tracing on; return trace doc + evidence."""
     TRACER.reset()
     TRACER.enable()
-    perf_before = {name: getattr(PERF, name) for name in PERF.ADDITIVE}
+    perf_before = REGISTRY.collect("perf")
     try:
         sim = Simulator(seed=seed, batching=batching)
         lan = Lan(sim)
@@ -47,7 +47,7 @@ def _run_traced(batching: bool, seed: int = 23):
         sim.run(until=6.0)
     finally:
         TRACER.disable()
-    perf_delta = PERF.delta_since(perf_before)
+    perf_delta = subtract_counts(REGISTRY.collect("perf"), perf_before)
     doc = to_chrome_trace(list(TRACER.events), TRACER.provenance.frames)
     rx = {h.name: h.nic.rx_frames for h in hosts}
     return doc, perf_delta, rx, len(TRACER)
@@ -84,12 +84,12 @@ class TestTracingForcesPerFramePlane:
 
 class TestUntracedBatchedPlaneStillBatches:
     def test_batch_fast_path_resumes_once_tracer_is_off(self):
-        perf_before = {name: getattr(PERF, name) for name in PERF.ADDITIVE}
+        perf_before = REGISTRY.collect("perf")
         sim = Simulator(seed=23, batching=True)
         lan = Lan(sim)
         hosts = [lan.add_host(f"h{i}") for i in range(4)]
         hosts[0].ping(hosts[1].ip)
         hosts[2].announce()
         sim.run(until=6.0)
-        perf_delta = PERF.delta_since(perf_before)
+        perf_delta = subtract_counts(REGISTRY.collect("perf"), perf_before)
         assert perf_delta.get("batch_flushes", 0) > 0

@@ -390,9 +390,12 @@ class TestPerfCounters:
     def test_snapshot_is_json_safe(self):
         import json
 
-        snapshot = PERF.snapshot()
+        from repro.obs import REGISTRY
+
+        snapshot = REGISTRY.snapshot()["collectors"]["perf"]
         json.dumps(snapshot)
-        assert "encode_memo_rate" in snapshot
+        # The memo rate's inputs; the summary derives the rate.
+        assert {"packet_encodes", "encodes_avoided"} <= set(snapshot)
 
     def test_reset_rebaselines(self):
         counters = PerfCounters()
@@ -402,7 +405,10 @@ class TestPerfCounters:
         assert counters.intern_hits == 0  # relative to the new baseline
 
     def test_summary_mentions_key_rates(self):
-        text = PERF.summary()
+        from repro.obs import REGISTRY
+        from repro.perf import summary
+
+        text = summary(REGISTRY.collect("perf"))
         assert "memoized" in text and "intern-hit-rate" in text
 
 
