@@ -5,17 +5,21 @@ timestamps, LINKTYPE_ETHERNET), so a simulated capture opens directly in
 Wireshark/tcpdump — and real captures of Ethernet traffic can be pulled
 back in and fed to the offline analyzer or the replay engine.
 
-Both directions stream: :func:`iter_pcap_frames` parses the capture in
-fixed-size blocks (a multi-GB capture is never materialized),
-:func:`iter_pcap` views its output as :class:`TraceRecord` objects, and
+Both directions stream.  One record walk parses the capture in
+fixed-size blocks (a multi-GB capture is never materialized) and serves
+three views: :func:`iter_pcap_frames` yields ``(timestamp, frame)``
+pairs, :func:`iter_pcap` views those as :class:`TraceRecord` objects,
+and :func:`iter_pcap_windows` runs arpwatch's capture filter inside the
+walk and yields :class:`FrameWindow` records for the replay engine.
 :class:`PcapWriter` is a context manager with incremental ``append()``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator, Tuple, Union
+from typing import BinaryIO, Iterator, List, NamedTuple, Tuple, Union
 
 from repro.errors import PcapError
 from repro.sim.trace import Direction, TraceRecord
@@ -23,9 +27,12 @@ from repro.sim.trace import Direction, TraceRecord
 __all__ = [
     "MAX_CAPLEN",
     "PCAP_MAGIC",
+    "FrameWindow",
     "PcapWriter",
+    "capture_filter",
     "iter_pcap",
     "iter_pcap_frames",
+    "iter_pcap_windows",
 ]
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -120,23 +127,101 @@ def _open_reader(source: Union[str, Path, BinaryIO]) -> tuple:
     return Path(source).open("rb", buffering=0), True
 
 
-def iter_pcap_frames(
+class FrameWindow(NamedTuple):
+    """One window of a frame stream, as a replay source hands it over.
+
+    ``frames`` consecutive frames of the stream, of which ``kept`` are
+    the ones the consumer asked for, in order.  ``skew`` counts the
+    window's frames whose timestamp ran below the running maximum, and
+    ``max_ts`` is that running maximum once the window is through; both
+    start from the stream's ``floor``, so they carry over from window
+    to window.
+    """
+
+    first_ts: float
+    max_ts: float
+    frames: int
+    bytes: int
+    skew: int
+    kept: List
+
+
+def capture_filter(buf: bytes, start: int, stop: int) -> bool:
+    """arpwatch's capture filter, ``arp or udp port 67 or 68``.
+
+    Tests the frame ``buf[start:stop]`` by indexing, with no copy and
+    no decode: ARP by ethertype, DHCP as IPv4/UDP with either port 67
+    or 68 at the IHL-derived offset (so IP options are skipped).  A
+    frame too short for a field fails the test.  Every kept frame has
+    ethertype low byte ``0x06`` (byte 13) or IP protocol ``17`` (byte
+    23), so a caller holding those two bytes may skip the call when
+    neither matches.
+    """
+    if stop - start < 14 or buf[start + 12] != 0x08:
+        return False
+    kind = buf[start + 13]
+    if kind == 0x06:
+        return True
+    if kind or stop - start < 38 or buf[start + 23] != 17:
+        return False
+    version_ihl = buf[start + 14]
+    if version_ihl >> 4 != 4:
+        return False
+    ports = start + 14 + (version_ihl & 0x0F) * 4
+    return (
+        ports + 2 <= stop and buf[ports] == 0 and buf[ports + 1] in (67, 68)
+    ) or (
+        ports + 4 <= stop and buf[ports + 2] == 0 and buf[ports + 3] in (67, 68)
+    )
+
+
+def _stamp(key: int) -> float:
+    """The float timestamp of a ``seconds * 10**6 + micros`` key."""
+    seconds, micros = divmod(key, 1_000_000)
+    return seconds + micros / 1_000_000
+
+
+def _floor_key(floor: float) -> int:
+    """The smallest timestamp key whose float timestamp is >= ``floor``."""
+    key = max(0, math.ceil(floor * 1_000_000))
+    while key and _stamp(key - 1) >= floor:
+        key -= 1
+    while _stamp(key) < floor:
+        key += 1
+    return key
+
+
+def _walk(
     source: Union[str, Path, BinaryIO],
-    buffer_size: int = READ_BUFFER,
-) -> Iterator[Tuple[float, bytes]]:
-    """Stream an Ethernet pcap as ``(timestamp, frame)`` pairs.
+    buffer_size: int,
+    window: int,
+    floor: float,
+    stamped: bool,
+) -> Iterator[FrameWindow]:
+    """The one record walk behind every pcap reader.
 
-    The one record parser: it reads ``buffer_size``-byte blocks and
-    walks the records in each block with ``Struct.unpack_from``, so the
-    file is never materialized and multi-GB captures replay in
-    O(``buffer_size`` + one record) memory.  A record that straddles a
-    block boundary is completed from the next read.
+    Reads ``buffer_size``-byte blocks and walks the records in each
+    block with one ``Struct.unpack_from`` per record, so the file is
+    never materialized and multi-GB captures stream in
+    O(``buffer_size`` + one window) memory.  A record that straddles a
+    block boundary is completed from the next read.  The unpack also
+    peeks at frame bytes 13 and 23; the buffer ends in one unpack's
+    worth of zero padding, so an unpack at a partial header never runs
+    off its end.
 
-    Handles both byte orders; rejects nanosecond-format and non-Ethernet
-    captures.  A capture that ends mid-record, or a record header whose
-    ``caplen`` exceeds :data:`MAX_CAPLEN`, raises
-    :class:`~repro.errors.PcapError` naming the byte offset and record
-    index instead of silently truncating.
+    Timestamps are compared as integer ``seconds * 10**6 + micros``
+    keys, so a record becomes a float only when it is a window's first
+    or is kept ``stamped``.  For micros below 10**6 (every well-formed
+    capture) the keys order exactly as the float timestamps do.
+
+    A window is yielded every ``window`` records (never, for a
+    ``window`` below 1) and at the end of the capture; the records of
+    a window cut short by an error are dropped with it.  ``stamped``
+    keeps every record as a ``(timestamp, frame)`` pair and also yields
+    at the end of each block, so every record before an error reaches
+    the caller.  Otherwise the walk keeps only the frames
+    :func:`capture_filter` passes, and a dropped record is never copied
+    out of the buffer or given a float timestamp.
     """
     if buffer_size < 1:
         raise ValueError(f"buffer_size must be positive, got {buffer_size!r}")
@@ -155,55 +240,135 @@ def iter_pcap_frames(
         linktype = struct.unpack(endian + "IHHiIII", head)[6]
         if linktype != _LINKTYPE_ETHERNET:
             raise PcapError(f"pcap: linktype {linktype} is not Ethernet")
-        unpack_from = struct.Struct(endian + "IIII").unpack_from
+        # Record header (origlen skipped), then frame bytes 13 and 23.
+        peek = struct.Struct(endian + "III4x13xB9xB")
+        unpack_from = peek.unpack_from
+        pad = bytes(peek.size)
         hsize = _RECORD_HEADER.size
         read = reader.read
-        buf = b""
+        keep = capture_filter
+        top = _floor_key(floor)
+        reached = False  # has any record reached the floor yet?
+        buf = pad
+        end = 0  # buf[end:] is padding
         base = _GLOBAL_HEADER.size  # file offset of buf[0]
         pos = 0  # start of the next record within buf
-        index = 0
-        want = buffer_size
+        start = base  # file offset of the current window's first record
+        done = 0  # records in windows already yielded
+        n = skew = caplen = stop = 0
+        first_ts = 0.0
+        kept: list = []
+        eof = False
         while True:
-            end = len(buf)
-            while pos + hsize <= end:
-                seconds, micros, caplen, _origlen = unpack_from(buf, pos)
-                if caplen > MAX_CAPLEN:
-                    raise PcapError(
-                        f"pcap: record length {caplen} exceeds the "
-                        f"{MAX_CAPLEN}-byte maximum at byte offset "
-                        f"{base + pos} (record {index})"
-                    )
+            while n != window:
+                seconds, micros, caplen, kind, proto = unpack_from(buf, pos)
                 stop = pos + hsize + caplen
-                if stop > end:
-                    # Read at least the rest of this record next time.
-                    want = max(buffer_size, stop - end)
+                if stop > end or caplen > MAX_CAPLEN:
                     break
-                yield seconds + micros / 1_000_000, buf[pos + hsize : stop]
+                key = seconds * 1_000_000 + micros
+                if not n:
+                    first_ts = seconds + micros / 1_000_000
+                if key < top:
+                    skew += 1
+                else:
+                    top = key
+                if stamped:
+                    kept.append((seconds + micros / 1_000_000, buf[pos + hsize : stop]))
+                elif (proto == 17 or kind == 0x06) and keep(buf, pos + hsize, stop):
+                    kept.append(buf[pos + hsize : stop])
                 pos = stop
-                index += 1
-            block = read(want)
-            want = buffer_size
-            if not block:
-                break
-            buf = buf[pos:] + block
-            base += pos
-            pos = 0
-        left = len(buf) - pos
-        if left >= hsize:
-            caplen = unpack_from(buf, pos)[2]
-            raise PcapError(
-                f"pcap: truncated record body at byte offset "
-                f"{base + pos + hsize} (record {index}: got "
-                f"{left - hsize} of {caplen} bytes)"
-            )
-        if left:
-            raise PcapError(
-                f"pcap: truncated record header at byte offset {base + pos} "
-                f"(record {index}: got {left} of {hsize} header bytes)"
-            )
+                n += 1
+            if n and (n == window or stamped or eof):
+                reached = reached or n > skew
+                yield FrameWindow(
+                    first_ts, _stamp(top) if reached else floor,
+                    n, base + pos - start - hsize * n, skew, kept,
+                )
+                start = base + pos
+                done += n
+                n = skew = 0
+                kept = []
+            if eof:
+                return
+            if stop == pos:
+                continue  # the window filled: walk on through the buffer
+            # The record at pos is not wholly in the buffer, or its
+            # header is corrupt.
+            header = pos + hsize <= end
+            if header and caplen > MAX_CAPLEN:
+                raise PcapError(
+                    f"pcap: record length {caplen} exceeds the "
+                    f"{MAX_CAPLEN}-byte maximum at byte offset "
+                    f"{base + pos} (record {done + n})"
+                )
+            # Read at least the rest of this record.
+            block = read(max(buffer_size, stop - end) if header else buffer_size)
+            if block:
+                buf = b"".join((buf[pos:end], block, pad))
+                base += pos
+                end += len(block) - pos
+                pos = 0
+                continue
+            left = end - pos
+            if left >= hsize:
+                raise PcapError(
+                    f"pcap: truncated record body at byte offset "
+                    f"{base + pos + hsize} (record {done + n}: got "
+                    f"{left - hsize} of {caplen} bytes)"
+                )
+            if left:
+                raise PcapError(
+                    f"pcap: truncated record header at byte offset {base + pos} "
+                    f"(record {done + n}: got {left} of {hsize} header bytes)"
+                )
+            eof = True
     finally:
         if owns:
             reader.close()
+
+
+def iter_pcap_frames(
+    source: Union[str, Path, BinaryIO],
+    buffer_size: int = READ_BUFFER,
+) -> Iterator[Tuple[float, bytes]]:
+    """Stream an Ethernet pcap as ``(timestamp, frame)`` pairs.
+
+    A view over the one record walk: it reads ``buffer_size``-byte
+    blocks, so multi-GB captures stream in O(``buffer_size`` + one
+    record) memory, and hands out each block's records as soon as the
+    block is walked.
+
+    Handles both byte orders; rejects nanosecond-format and non-Ethernet
+    captures.  A capture that ends mid-record, or a record header whose
+    ``caplen`` exceeds :data:`MAX_CAPLEN`, raises
+    :class:`~repro.errors.PcapError` naming the byte offset and record
+    index instead of silently truncating; every record before it is
+    yielded first.
+    """
+    for block in _walk(source, buffer_size, -1, 0.0, stamped=True):
+        yield from block.kept
+
+
+def iter_pcap_windows(
+    source: Union[str, Path, BinaryIO],
+    window: int,
+    floor: float = 0.0,
+    buffer_size: int = READ_BUFFER,
+) -> Iterator[FrameWindow]:
+    """Stream an Ethernet pcap as :class:`FrameWindow` records.
+
+    A view over the one record walk, with arpwatch's capture filter
+    (:func:`capture_filter`) run inside it: each window covers
+    ``window`` records and keeps only the ARP and DHCP frames, so a
+    dropped record costs one header unpack and a few integer compares.
+    ``floor`` is the timestamp the skew count and ``max_ts`` start
+    from.  Same checks and same :class:`~repro.errors.PcapError` text
+    as :func:`iter_pcap_frames`; the records of a window cut short by
+    an error are not yielded.
+    """
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window!r}")
+    return _walk(source, buffer_size, window, floor, stamped=False)
 
 
 def iter_pcap(

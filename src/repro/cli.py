@@ -863,7 +863,7 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_replay(args, out) -> int:
-    from repro.errors import ReplayError, SchemeError
+    from repro.errors import PcapError, ReplayError, SchemeError
 
     if args.pcap is not None:
         if args.rate is not None:
@@ -897,7 +897,7 @@ def _cmd_replay(args, out) -> int:
             drain=args.drain,
             telemetry=telemetry,
         )
-    except (ReplayError, SchemeError) as exc:
+    except (ReplayError, SchemeError, PcapError) as exc:
         raise SystemExit(f"replay: {exc}") from None
     finally:
         if telemetry is not None:
@@ -1054,10 +1054,14 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     if args.command == "analyze":
         from repro.analysis.forensics import OfflineArpAnalyzer
         from repro.analysis.pcap import iter_pcap
+        from repro.errors import PcapError
 
         analyzer = OfflineArpAnalyzer()
         analyzer.scan_threshold = args.scan_threshold
-        summary = analyzer.analyze(iter_pcap(args.pcap))
+        try:
+            summary = analyzer.analyze(iter_pcap(args.pcap))
+        except PcapError as exc:
+            raise SystemExit(f"analyze: {exc}") from None
         out.write(summary.render() + "\n")
         return 0
     if args.command == "recommend":

@@ -14,15 +14,16 @@ Two delivery modes, picked automatically per run:
   (when the tracer is enabled) registered with frame provenance so
   alerts resolve to trace positions.  Chosen whenever a per-frame
   ``observer`` is attached or ``TRACER`` is enabled.
-* **batched** — throughput: frames accumulate in a bounded in-flight
-  window and each chunk is handed to the PR 7 ``deliver_batch`` plane at
-  the chunk's first timestamp (the same first-item-slot rule
-  ``Simulator.coalesce`` uses).  Before delivery the chunk passes a
-  kernel-BPF-style prefilter (``arp or udp port 67/68`` — exactly the
-  capture filter arpwatch installs) so the benign majority never pays
-  per-frame Python dispatch.  The prefilter is disabled automatically
-  when an installed scheme overrides ``on_any_frame`` and therefore
-  inspects non-ARP/DHCP traffic.
+* **batched** — throughput: the source hands over one
+  :class:`~repro.analysis.pcap.FrameWindow` per bounded in-flight
+  window (:meth:`FrameSource.windows`), and the window's kept frames go
+  to the ``deliver_batch`` plane at the window's first timestamp (the
+  same first-item-slot rule ``Simulator.coalesce`` uses).  The source
+  runs arpwatch's capture filter (``arp or udp port 67 or 68``) while
+  it builds the window — a pcap source inside its record walk — so the
+  benign majority never reaches the engine.  The filter is off when an
+  installed scheme overrides ``on_any_frame`` and therefore inspects
+  non-ARP/DHCP traffic.
 
 Either way the source is consumed *pull-based* behind the window, so a
 multi-GB trace replays in O(window) memory — ``peak_in_flight`` records
@@ -37,8 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from repro.core.experiment import (
     RESULT_TYPES,
@@ -72,37 +72,6 @@ REPLAY_MONITOR_MAC = MacAddress("02:52:45:50:4c:59")
 
 #: Default bounded in-flight window (frames).
 DEFAULT_WINDOW = 1024
-
-_ET_ARP = b"\x08\x06"
-_ET_IPV4 = b"\x08\x00"
-_PROTO_UDP = b"\x11"
-_DHCP_PORTS = (b"\x00\x43", b"\x00\x44")
-
-
-def _maybe_dhcp(data: bytes) -> bool:
-    """Raw-byte DHCP test: IPv4/UDP with either port in {67, 68}.
-
-    Called only after the cheap proto-byte check matched UDP; reads the
-    ports at the IHL-derived offsets, so IP options are handled.
-    """
-    if data[12:14] != _ET_IPV4 or len(data) < 38 or (data[14] >> 4) != 4:
-        return False
-    ihl = (data[14] & 0x0F) * 4
-    ports = data[14 + ihl : 14 + ihl + 4]
-    return ports[0:2] in _DHCP_PORTS or ports[2:4] in _DHCP_PORTS
-
-
-def _interesting(data: bytes) -> bool:
-    """The arpwatch capture filter: ``arp or (udp port 67 or 68)``.
-
-    Raw-byte test, no decode.  The prefilter only ever *narrows* the
-    batched path — anything needing full per-frame fidelity (tracing,
-    observers, whole-traffic schemes) runs the unfiltered per-frame
-    plane, so correctness never depends on this heuristic.
-    """
-    return data[12:14] == _ET_ARP or (
-        data[23:24] == _PROTO_UDP and _maybe_dhcp(data)
-    )
 
 
 class _ObserverHost(Host):
@@ -175,7 +144,7 @@ class ReplayResult(SerializableResult):
     frames: int
     bytes: int
     #: Frames handed to the host RX path (after the batched-mode
-    #: prefilter; equals ``frames`` in per-frame mode).
+    #: capture filter; equals ``frames`` in per-frame mode).
     delivered: int
     alerts: int
     #: Trace time span covered (last timestamp - first timestamp).
@@ -293,7 +262,7 @@ class ReplayEngine:
         per_frame = (
             self.observer is not None or TRACER.enabled or self.window == 1
         )
-        prefilter = not any(map(_overrides_on_any_frame, self.schemes))
+        filtered = not any(map(_overrides_on_any_frame, self.schemes))
         monitor = self.lan.monitor
         nic = monitor.nic
         sim = self.sim
@@ -342,36 +311,27 @@ class ReplayEngine:
             peak = 1 if frames else 0
             mode = "per-frame"
         else:
-            # Chunked pull: islice materializes one window of (ts, raw)
-            # pairs at C speed, so per-frame Python bookkeeping happens
-            # only at window granularity.  Timestamp skew is likewise
-            # clamped per window — batched delivery lands the whole
-            # chunk at its first frame's slot anyway (the same rule
-            # Simulator.coalesce applies).
-            window = self.window
+            # Each window lands at its first frame's slot, clamped to
+            # the clock: the rule Simulator.coalesce applies.
             observe = self._ingest_seconds.labels(mode="batched").observe
+            deliver_batch = nic.deliver_batch
             window_start = start
-            it = iter(src)
-            while True:
-                pairs = list(islice(it, window))
-                if not pairs:
-                    break
-                n = len(pairs)
+            for win in src.windows(self.window, last_ts, filtered):
+                n = win.frames
                 if n > peak:
                     peak = n
-                chunk_ts = pairs[0][0]
                 if first_ts is None:
-                    first_ts = chunk_ts
-                if chunk_ts < last_ts:
-                    skew += 1
-                    chunk_ts = last_ts
-                raws = [p[1] for p in pairs]
+                    first_ts = win.first_ts
+                chunk_ts = max(win.first_ts, last_ts)
+                if chunk_ts > sim.now:
+                    sim.advance_to(chunk_ts)
                 frames += n
-                nbytes += sum(map(len, raws))
-                end_ts = pairs[-1][0]
-                if end_ts > last_ts:
-                    last_ts = end_ts
-                delivered += self._flush(raws, chunk_ts, nic, prefilter)
+                nbytes += win.bytes
+                skew += win.skew
+                last_ts = win.max_ts
+                if win.kept:
+                    deliver_batch(win.kept)
+                    delivered += len(win.kept)
                 now_wall = time.perf_counter()
                 observe(now_wall - window_start)
                 window_start = now_wall
@@ -405,34 +365,6 @@ class ReplayEngine:
             "mode": mode,
             "peak_in_flight": peak,
         }
-
-    def _flush(
-        self,
-        chunk: List[bytes],
-        chunk_ts: float,
-        nic,
-        prefilter: bool,
-    ) -> int:
-        """Deliver one window at its first frame's timestamp."""
-        sim = self.sim
-        if chunk_ts > sim.now:
-            sim.advance_to(chunk_ts)
-        if prefilter:
-            # Inlined _interesting(): the ARP ethertype and UDP proto
-            # byte are checked in the comprehension itself, so the TCP
-            # majority is rejected in two C-level slice compares without
-            # a Python call.
-            arp, udp, dhcp = _ET_ARP, _PROTO_UDP, _maybe_dhcp
-            batch = [
-                d
-                for d in chunk
-                if d[12:14] == arp or (d[23:24] == udp and dhcp(d))
-            ]
-        else:
-            batch = chunk
-        if batch:
-            nic.deliver_batch(batch)
-        return len(batch)
 
 
 def _run_replay(

@@ -2,16 +2,20 @@
 
 A :class:`FrameSource` is an iterable of ``(timestamp, raw_bytes)``
 pairs with ``close()`` and progress accounting (``frames_read`` /
-``bytes_read``).  Sources are *pull-based*: nothing is read until the
-consumer asks, so the engine's bounded in-flight window is the only
-buffering anywhere in the pipeline and multi-GB traces replay in
-O(window) memory.
+``bytes_read``).  Its :meth:`~FrameSource.windows` method hands the
+same stream over a window at a time, as
+:class:`~repro.analysis.pcap.FrameWindow` records that carry the
+window's counts and only the frames arpwatch's capture filter keeps;
+the batched replay engine consumes nothing else.  Sources are
+*pull-based*: nothing is read until the consumer asks, so the engine's
+bounded in-flight window is the only buffering anywhere in the
+pipeline and multi-GB traces replay in O(window) memory.
 
 Three implementations:
 
-* :class:`PcapSource` — streams a classic libpcap capture through
-  :func:`repro.analysis.pcap.iter_pcap_frames` (block reads, never
-  materializes the file);
+* :class:`PcapSource` — streams a classic libpcap capture through the
+  block record walk of :mod:`repro.analysis.pcap` (never materializes
+  the file), and runs the capture filter inside that walk;
 * :class:`SyntheticSource` — a seeded, re-iterable generator of ARP
   churn plus a benign TCP/UDP mix at a configurable rate, following the
   ``repro.faults`` rng-stream discipline (`random.Random(f"{seed}/…")`);
@@ -27,9 +31,16 @@ whose canonical ``spec_string`` round-trips through ``to_dict`` /
 from __future__ import annotations
 
 import random
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.analysis.pcap import (
+    FrameWindow,
+    capture_filter,
+    iter_pcap_frames,
+    iter_pcap_windows,
+)
 from repro.errors import ReplayError
 from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.packets.arp import ArpPacket
@@ -98,6 +109,46 @@ class FrameSource:
     def __iter__(self) -> Iterator[Tuple[float, bytes]]:
         raise NotImplementedError
 
+    def windows(
+        self, window: int, floor: float = 0.0, filtered: bool = True
+    ) -> Iterator[FrameWindow]:
+        """The stream, ``window`` frames at a time.
+
+        Each :class:`~repro.analysis.pcap.FrameWindow` carries the
+        window's first timestamp, frame and byte counts, and the frames
+        :func:`~repro.analysis.pcap.capture_filter` keeps (every frame
+        when ``filtered`` is false).  ``skew`` counts, per frame, the
+        timestamps below the running maximum, which starts at
+        ``floor``; ``max_ts`` is that maximum after the window.
+
+        This default is built on :meth:`__iter__`; a source that can
+        filter more cheaply overrides it.
+        """
+        stream = iter(self)
+        top = floor
+        while True:
+            pairs = list(islice(stream, window))
+            if not pairs:
+                return
+            stamps = [pair[0] for pair in pairs]
+            frames = [pair[1] for pair in pairs]
+            skew = 0
+            if stamps[0] < top or stamps != sorted(stamps):
+                for ts in stamps:
+                    if ts < top:
+                        skew += 1
+                    else:
+                        top = ts
+            else:
+                top = stamps[-1]
+            if filtered:
+                kept = [f for f in frames if capture_filter(f, 0, len(f))]
+            else:
+                kept = frames
+            yield FrameWindow(
+                stamps[0], top, len(frames), sum(map(len, frames)), skew, kept
+            )
+
     def close(self) -> None:
         """Release underlying resources (idempotent)."""
 
@@ -134,13 +185,17 @@ class FrameSource:
 
 
 class PcapSource(FrameSource):
-    """Stream a classic libpcap capture, one frame at a time.
+    """Stream a classic libpcap capture.
 
-    Wraps :func:`repro.analysis.pcap.iter_pcap_frames`, so the file is
-    read in fixed-size blocks and a capture that ends mid-record raises
-    :class:`~repro.errors.PcapError` naming the byte offset.  Timestamps
-    carry pcap's microsecond resolution.  ``frames_read``/``bytes_read``
-    are published when the stream ends or is closed.
+    Iterates through :func:`repro.analysis.pcap.iter_pcap_frames` and
+    windows through :func:`repro.analysis.pcap.iter_pcap_windows`, two
+    views of one block record walk: the file is read in fixed-size
+    blocks and a capture that ends mid-record raises
+    :class:`~repro.errors.PcapError` naming the byte offset.  Filtered
+    windows run the capture filter inside the walk, so a dropped record
+    is never copied out of the read buffer.  Timestamps carry pcap's
+    microsecond resolution.  ``frames_read``/``bytes_read`` are
+    published when the stream ends or is closed.
     """
 
     kind = "pcap"
@@ -152,8 +207,6 @@ class PcapSource(FrameSource):
             raise ReplayError(f"pcap source: no such file {str(self.path)!r}")
 
     def __iter__(self) -> Iterator[Tuple[float, bytes]]:
-        from repro.analysis.pcap import iter_pcap_frames
-
         self.frames_read = 0
         self.bytes_read = 0
         frames_read = 0
@@ -163,6 +216,25 @@ class PcapSource(FrameSource):
                 frames_read += 1
                 bytes_read += len(pair[1])
                 yield pair
+        finally:
+            self.frames_read = frames_read
+            self.bytes_read = bytes_read
+
+    def windows(
+        self, window: int, floor: float = 0.0, filtered: bool = True
+    ) -> Iterator[FrameWindow]:
+        if not filtered:
+            yield from super().windows(window, floor, filtered)
+            return
+        self.frames_read = 0
+        self.bytes_read = 0
+        frames_read = 0
+        bytes_read = 0
+        try:
+            for win in iter_pcap_windows(self.path, window, floor):
+                frames_read += win.frames
+                bytes_read += win.bytes
+                yield win
         finally:
             self.frames_read = frames_read
             self.bytes_read = bytes_read

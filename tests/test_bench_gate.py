@@ -38,7 +38,12 @@ CAMPUS = {
     "campus_churn_sharded_deliveries",
     "campus_churn_10k_deliveries",
 }
-REPLAY = {"replay_source_fps", "replay_engine_fps", "replay_arpwatch_fps"}
+REPLAY = {
+    "replay_source_fps",
+    "replay_engine_fps",
+    "replay_arpwatch_fps",
+    "replay_pcap_arpwatch_fps",
+}
 PER_FRAME = WIRE_MICRO | {"broadcast_flood_unbatched"} | REPLAY
 ALL_KEYS = PER_FRAME | {"broadcast_flood_deliveries"} | CAMPUS
 
@@ -49,7 +54,7 @@ MODES = {
     (False, False): PER_FRAME,
     (True, False): PER_FRAME,
 }
-SIZES = {(False, True): 17, (True, True): 16, (False, False): 12, (True, False): 12}
+SIZES = {(False, True): 18, (True, True): 17, (False, False): 13, (True, False): 13}
 
 
 class TestCommittedBaseline:
