@@ -3,10 +3,11 @@
 
 A mirror-port monitor recorded everything while (a) legitimate DHCP
 churn and (b) an ARP-poisoning MITM both happened.  Long after the
-attacker logged off, the analyst feeds the capture to the offline
-analyzer, which separates the benign rebinding (explained by a DHCP
-lease it also saw in the capture) from the hostile one (a reply storm
-contradicting the asset database).
+attacker logged off, the analyst replays the capture through the
+paper's passive detectors (what ``repro analyze`` does): the hybrid
+detector explains the benign rebinding by a DHCP lease it also saw in
+the capture, while Snort's arpspoof rules and the reply-storm
+heuristic point at the hostile one.
 
 Run:  python examples/capture_forensics.py
 """
@@ -14,8 +15,9 @@ Run:  python examples/capture_forensics.py
 from __future__ import annotations
 
 from repro import Lan, Simulator
-from repro.analysis.forensics import OfflineArpAnalyzer
 from repro.attacks import MitmAttack
+from repro.replay import MemorySource
+from repro.replay.analyze import analyze
 from repro.stack import DhcpClient, WINDOWS_XP
 
 
@@ -53,31 +55,22 @@ def main() -> None:
     print(f"capture: {len(capture)} frames over {sim.now:.0f}s of simulated time")
     print()
 
-    analyzer = OfflineArpAnalyzer(
-        known_bindings={victim.ip: victim.mac, lan.gateway.ip: lan.gateway.mac},
+    report = analyze(
+        MemorySource.from_records(capture),
+        inventory={victim.ip: victim.mac, lan.gateway.ip: lan.gateway.mac},
         storm_threshold=8,
     )
-    summary = analyzer.analyze(capture)
-    print(
-        f"ARP packets: {summary.arp_packets} "
-        f"({summary.arp_requests} requests / {summary.arp_replies} replies, "
-        f"{summary.gratuitous} gratuitous); DHCP messages: {summary.dhcp_messages}"
-    )
-    print(f"stations seen: {summary.stations}; rebinding events: {summary.rebindings}")
-    print()
-    print("findings:")
-    for finding in summary.findings:
-        print(f"  {finding}")
+    print(report.render())
     print()
 
-    benign = summary.findings_of("dhcp-explained-rebinding")
-    hostile = summary.findings_of("known-binding-violation")
-    storms = summary.findings_of("arp-reply-storm")
+    benign = report.dhcp_explained
+    hostile = report.of("arpspoof-mapping-violation")
+    storms = report.of("arp-reply-storm")
     assert benign, "the phone->tablet IP reuse should be DHCP-explained"
-    assert hostile and all(f.mac == mallory.mac for f in hostile)
+    assert hostile and all(a.mac == mallory.mac for a in hostile)
     assert storms, "the re-poisoning loop should register as a reply storm"
     print(
-        f"verdict: {len(benign)} rebinding(s) explained by DHCP; "
+        f"verdict: {benign} rebinding(s) explained by DHCP; "
         f"{len(hostile)} binding violation(s) and {len(storms)} reply storm(s) "
         f"all pointing at {mallory.mac} (mallory)"
     )

@@ -1,6 +1,5 @@
-"""Rendering helpers and offline capture forensics."""
+"""Rendering helpers, pcap I/O and multi-seed statistics."""
 
-from repro.analysis.forensics import CaptureSummary, Finding, OfflineArpAnalyzer
 from repro.analysis.pcap import PcapWriter, iter_pcap, iter_pcap_frames
 from repro.analysis.stats import Summary, replicate, summarize
 from repro.analysis.tables import render_series, render_table, to_csv
@@ -9,9 +8,6 @@ __all__ = [
     "render_table",
     "to_csv",
     "render_series",
-    "OfflineArpAnalyzer",
-    "CaptureSummary",
-    "Finding",
     "PcapWriter",
     "iter_pcap",
     "iter_pcap_frames",

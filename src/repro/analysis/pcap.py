@@ -3,7 +3,7 @@
 Writes classic libpcap format (magic ``0xa1b2c3d4``, microsecond
 timestamps, LINKTYPE_ETHERNET), so a simulated capture opens directly in
 Wireshark/tcpdump — and real captures of Ethernet traffic can be pulled
-back in and fed to the offline analyzer or the replay engine.
+back in and fed to the replay engine (``repro replay``/``repro analyze``).
 
 Both directions stream.  One record walk parses the capture in
 fixed-size blocks (a multi-GB capture is never materialized) and serves

@@ -3,7 +3,7 @@
 Before poisoning anyone, real tools enumerate the LAN: a burst of ARP
 requests walking the whole subnet, harvesting who answers.  The sweep
 itself is harmless but extremely loud — a distinctive pre-attack
-signature that scan-aware detectors (and the offline analyzer) flag.
+signature that scan-aware detectors (hybrid, live or replayed) flag.
 """
 
 from __future__ import annotations

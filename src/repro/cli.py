@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="require prevention, not just detection")
 
     analyze = sub.add_parser(
-        "analyze", help="run the offline detection battery over a pcap file"
+        "analyze",
+        help="replay a pcap frame by frame through the passive hybrid "
+             "detector and snort-arpspoof, and summarize what they found",
     )
     analyze.add_argument("pcap", help="path to an Ethernet pcap")
     analyze.add_argument(
@@ -1052,17 +1054,14 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     if args.command == "replay":
         return _cmd_replay(args, out)
     if args.command == "analyze":
-        from repro.analysis.forensics import OfflineArpAnalyzer
-        from repro.analysis.pcap import iter_pcap
         from repro.errors import PcapError
+        from repro.replay.analyze import analyze
 
-        analyzer = OfflineArpAnalyzer()
-        analyzer.scan_threshold = args.scan_threshold
         try:
-            summary = analyzer.analyze(iter_pcap(args.pcap))
+            report = analyze(f"pcap:{args.pcap}", scan_threshold=args.scan_threshold)
         except PcapError as exc:
             raise SystemExit(f"analyze: {exc}") from None
-        out.write(summary.render() + "\n")
+        out.write(report.render() + "\n")
         return 0
     if args.command == "recommend":
         from repro.core.recommend import Deployment, recommend

@@ -51,6 +51,7 @@ from repro.obs.registry import REGISTRY, alerts_in
 from repro.obs.trace import TRACER
 from repro.packets.ethernet import EtherType
 from repro.replay.sources import FrameSource, open_source
+from repro.schemes.active_probe import ActiveProbe
 from repro.schemes.base import Scheme
 from repro.schemes.monitor_base import MonitorScheme
 from repro.sim import Simulator
@@ -164,15 +165,18 @@ class ReplayResult(SerializableResult):
         return self.frames / self.wall_seconds
 
 
+def _leaves(scheme: Scheme) -> List[Scheme]:
+    """A stack's members, or the scheme itself."""
+    return getattr(scheme, "schemes", None) or [scheme]
+
+
 def _overrides_on_any_frame(scheme: Scheme) -> bool:
     """Does any installed (leaf) scheme inspect every frame?"""
-    leaves = getattr(scheme, "schemes", None) or [scheme]
-    for leaf in leaves:
-        if not isinstance(leaf, MonitorScheme):
-            continue
-        if type(leaf).on_any_frame is not MonitorScheme.on_any_frame:
-            return True
-    return False
+    return any(
+        isinstance(leaf, MonitorScheme)
+        and type(leaf).on_any_frame is not MonitorScheme.on_any_frame
+        for leaf in _leaves(scheme)
+    )
 
 
 class ReplayEngine:
@@ -224,7 +228,9 @@ class ReplayEngine:
         """Install a scheme onto the replay station.
 
         Only monitor-placed schemes make sense here (there is no switch
-        fabric or host population to protect); anything else fails with
+        fabric or host population to protect), and of those not
+        ``active-probe``, whose only verdict path is a probe that a
+        capture cannot answer; anything else fails with
         :class:`~repro.errors.SchemeError` before touching the LAN.
         """
         placement = scheme.profile.placement
@@ -233,6 +239,11 @@ class ReplayEngine:
                 f"replay only supports monitor-placement schemes "
                 f"(a trace has no switch fabric or protected hosts); "
                 f"{scheme.profile.key!r} is {placement!r}-placed"
+            )
+        if any(isinstance(leaf, ActiveProbe) for leaf in _leaves(scheme)):
+            raise SchemeError(
+                "replay cannot run 'active-probe': its only verdict is a "
+                "probe of the previous owner, which a capture cannot answer"
             )
         scheme.install(self.lan)
         self.schemes.append(scheme)

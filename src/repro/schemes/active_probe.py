@@ -14,24 +14,13 @@ attacker who first silences the victim (DoS, unplug) passes the probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
-from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.addresses import Ipv4Address
 from repro.packets.arp import ArpPacket
 from repro.packets.ethernet import EthernetFrame
 from repro.schemes.base import Coverage, SchemeProfile, Severity
-from repro.schemes.monitor_base import BindingDatabase, MonitorScheme
+from repro.schemes.monitor_base import BindingDatabase, MonitorScheme, Verification
 
 __all__ = ["ActiveProbe"]
-
-
-@dataclass
-class _ProbeState:
-    old_mac: MacAddress
-    new_mac: MacAddress
-    started: float
-    answered: bool = False
 
 
 class ActiveProbe(MonitorScheme):
@@ -67,10 +56,8 @@ class ActiveProbe(MonitorScheme):
         self.db = BindingDatabase()
         self.probe_timeout = probe_timeout
         self.probe_retries = probe_retries
-        self.probes_sent = 0
         self.confirmed_attacks = 0
         self.benign_rebinds = 0
-        self._pending: Dict[Ipv4Address, _ProbeState] = {}
 
     def on_arp(self, arp: ArpPacket, frame: EthernetFrame, now: float) -> None:
         if arp.spa.is_unspecified:
@@ -84,38 +71,12 @@ class ActiveProbe(MonitorScheme):
         if station is None or station.mac == arp.sha:
             self.db.observe(arp.spa, arp.sha, now)
             return
-        self._verify(arp.spa, station.mac, arp.sha, now)
-
-    # ------------------------------------------------------------------
-    def _verify(
-        self, ip: Ipv4Address, old_mac: MacAddress, new_mac: MacAddress, now: float
-    ) -> None:
-        self._pending[ip] = _ProbeState(old_mac=old_mac, new_mac=new_mac, started=now)
-        self.probe_previous_owner(
-            ip,
-            old_mac,
-            timeout=self.probe_timeout,
-            retries=self.probe_retries,
-            on_reply=lambda src, rtt: self._on_probe_reply(ip),
-            answered=lambda: self._answered(ip),
-            on_conclude=lambda: self._conclude(ip),
-            name="active-probe",
+        self.verify_rebinding(
+            arp.spa, station.mac, arp.sha, now, timeout=self.probe_timeout,
+            retries=self.probe_retries, name="active-probe",
         )
 
-    def _on_probe_reply(self, ip: Ipv4Address) -> None:
-        pending = self._pending.get(ip)
-        if pending is not None:
-            pending.answered = True
-
-    def _answered(self, ip: Ipv4Address) -> bool:
-        pending = self._pending.get(ip)
-        return pending is None or pending.answered
-
-    def _conclude(self, ip: Ipv4Address) -> None:
-        pending = self._pending.pop(ip, None)
-        if pending is None:
-            return
-        now = self.monitor.sim.now
+    def on_verdict(self, ip: Ipv4Address, pending: Verification, now: float) -> None:
         if pending.answered:
             self.confirmed_attacks += 1
             self.raise_alert(

@@ -17,30 +17,25 @@ mismatch, reply storms), because they catch lazy tools at zero cost.
 The result, quantified in Tables 2–3 and Figure 1: detection coverage of
 a passive monitor, false-positive behaviour close to zero under churn,
 at the price of a small probe budget and a verification delay.
+
+A station with no IP (a replay, ``add_monitor(with_ip=False)``) cannot
+probe, so there an unexplained rebinding is recorded and alerted as the
+``changed``/``flip-flop`` event the database reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Tuple
 
-from repro.l2.topology import Lan
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.packets.arp import ArpPacket
 from repro.packets.dhcp import DhcpMessage, DhcpMessageType
 from repro.packets.ethernet import EthernetFrame
 from repro.schemes.base import Coverage, SchemeProfile, Severity
-from repro.schemes.monitor_base import BindingDatabase, MonitorScheme
+from repro.schemes.monitor_base import BindingDatabase, MonitorScheme, Verification
 
 __all__ = ["HybridDetector"]
-
-
-@dataclass
-class _Verification:
-    old_mac: MacAddress
-    new_mac: MacAddress
-    started: float
-    answered: bool = False
 
 
 class HybridDetector(MonitorScheme):
@@ -90,16 +85,16 @@ class HybridDetector(MonitorScheme):
         self.scan_threshold = scan_threshold
         self.scan_window = scan_window
         #: source MAC -> [(time, distinct target)] for sweep detection
-        self._request_fanout: Dict[MacAddress, List[Tuple[float, Ipv4Address]]] = {}
+        self._request_fanout: Dict[MacAddress, Deque[Tuple[float, Ipv4Address]]] = {}
         #: ip -> (mac, time of last DHCP ACK)
         self.dhcp_recent: Dict[Ipv4Address, Tuple[MacAddress, float]] = {}
-        self._pending: Dict[Ipv4Address, _Verification] = {}
-        self._reply_times: Dict[Tuple[Ipv4Address, MacAddress], list] = {}
+        self._reply_times: Dict[Tuple[Ipv4Address, MacAddress], Deque[float]] = {}
         self._storm_alerted: Dict[Tuple[Ipv4Address, MacAddress], float] = {}
-        self.probes_sent = 0
         self.confirmed_attacks = 0
         self.dhcp_explained = 0
         self.benign_rebinds = 0
+        #: rebindings alerted without a probe (the station has no IP)
+        self.unverified_rebinds = 0
 
     # ------------------------------------------------------------------
     # DHCP awareness
@@ -155,19 +150,36 @@ class HybridDetector(MonitorScheme):
             self.dhcp_explained += 1
             self.db.observe(arp.spa, arp.sha, now)
             return
-        # DHCP cannot explain it: verify the old owner actively.
-        self._verify(arp.spa, station.mac, arp.sha, now)
+        # DHCP cannot explain it: verify the old owner actively, or,
+        # when the station has no IP to probe from, report the change.
+        if self.monitor.ip is not None:
+            self.verify_rebinding(
+                arp.spa, station.mac, arp.sha, now, timeout=self.probe_timeout,
+                retries=self.probe_retries, name="hybrid.verify",
+            )
+            return
+        self.unverified_rebinds += 1
+        event, previous = self.db.observe(arp.spa, arp.sha, now)
+        self.raise_alert(
+            time=now,
+            severity=Severity.WARNING,
+            kind=event,
+            ip=arp.spa,
+            mac=arp.sha,
+            message=f"was {previous}",
+            dedup_window=60.0,
+        )
 
     def _note_request(
         self, arp: ArpPacket, frame: EthernetFrame, now: float
     ) -> None:
         """Sweep heuristic: one source asking about many distinct targets
         in a short window is reconnaissance, not resolution."""
-        fanout = self._request_fanout.setdefault(frame.src, [])
+        fanout = self._request_fanout.setdefault(frame.src, deque())
         fanout.append((now, arp.tpa))
         cutoff = now - self.scan_window
         while fanout and fanout[0][0] < cutoff:
-            fanout.pop(0)
+            fanout.popleft()
         distinct = {target for _, target in fanout}
         if len(distinct) >= self.scan_threshold:
             self.raise_alert(
@@ -186,11 +198,11 @@ class HybridDetector(MonitorScheme):
     def _note_reply(self, arp: ArpPacket, now: float) -> None:
         """Reply-storm heuristic: re-poisoning tools repeat themselves."""
         key = (arp.spa, arp.sha)
-        times = self._reply_times.setdefault(key, [])
+        times = self._reply_times.setdefault(key, deque())
         times.append(now)
         cutoff = now - self.storm_window
         while times and times[0] < cutoff:
-            times.pop(0)
+            times.popleft()
         if len(times) >= self.storm_threshold:
             last = self._storm_alerted.get(key, -1e18)
             if now - last >= self.storm_window:
@@ -207,35 +219,7 @@ class HybridDetector(MonitorScheme):
     # ------------------------------------------------------------------
     # Active verification
     # ------------------------------------------------------------------
-    def _verify(
-        self, ip: Ipv4Address, old_mac: MacAddress, new_mac: MacAddress, now: float
-    ) -> None:
-        self._pending[ip] = _Verification(old_mac=old_mac, new_mac=new_mac, started=now)
-        self.probe_previous_owner(
-            ip,
-            old_mac,
-            timeout=self.probe_timeout,
-            retries=self.probe_retries,
-            on_reply=lambda src, rtt: self._on_probe_reply(ip),
-            answered=lambda: self._answered(ip),
-            on_conclude=lambda: self._conclude(ip),
-            name="hybrid.verify",
-        )
-
-    def _on_probe_reply(self, ip: Ipv4Address) -> None:
-        pending = self._pending.get(ip)
-        if pending is not None:
-            pending.answered = True
-
-    def _answered(self, ip: Ipv4Address) -> bool:
-        pending = self._pending.get(ip)
-        return pending is None or pending.answered
-
-    def _conclude(self, ip: Ipv4Address) -> None:
-        pending = self._pending.pop(ip, None)
-        if pending is None:
-            return
-        now = self.monitor.sim.now
+    def on_verdict(self, ip: Ipv4Address, pending: Verification, now: float) -> None:
         if pending.answered:
             self.confirmed_attacks += 1
             self.raise_alert(

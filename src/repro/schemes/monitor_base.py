@@ -10,18 +10,14 @@ arpwatch-style detectors keep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro.analysis.pcap import capture_filter
 from repro.errors import CodecError, SchemeError
 from repro.l2.topology import Lan
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.packets.arp import ArpPacket
-from repro.packets.dhcp import (
-    DHCP_CLIENT_PORT,
-    DHCP_SERVER_PORT,
-    DhcpMessage,
-    DhcpMessageType,
-)
+from repro.packets.dhcp import DHCP_CLIENT_PORT, DHCP_SERVER_PORT, DhcpMessage
 from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.packets.ipv4 import IpProto, Ipv4Packet
 from repro.packets.udp import UdpDatagram
@@ -30,10 +26,26 @@ from repro.stack.host import Host
 
 __all__ = [
     "MonitorScheme",
+    "Verification",
+    "decode_dhcp",
     "ObservedStation",
     "BindingDatabase",
     "probe_retries_counter",
 ]
+
+
+def decode_dhcp(ip_payload: bytes) -> Optional[DhcpMessage]:
+    """The DHCP message in an IPv4 packet sent to port 67 or 68, if any."""
+    try:
+        packet = Ipv4Packet.decode(ip_payload)
+        if packet.proto != IpProto.UDP:
+            return None
+        datagram = UdpDatagram.decode(packet.payload)
+        if datagram.dst_port not in (DHCP_CLIENT_PORT, DHCP_SERVER_PORT):
+            return None
+        return DhcpMessage.decode(datagram.payload)
+    except CodecError:
+        return None
 
 
 def probe_retries_counter():
@@ -113,8 +125,24 @@ class BindingDatabase:
         return list(self._stations.values())
 
 
+@dataclass
+class Verification:
+    """A rebinding under active verification: did the old owner answer?"""
+
+    old_mac: MacAddress
+    new_mac: MacAddress
+    started: float
+    answered: bool = False
+
+
 class MonitorScheme(Scheme):
     """Base class: attaches to the LAN's mirror-port monitor station."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: ip -> the rebinding being verified (see :meth:`verify_rebinding`)
+        self._pending: Dict[Ipv4Address, Verification] = {}
+        self.probes_sent = 0
 
     def _install(self, lan: Lan, protected: List[Host]) -> None:
         if lan.monitor is None:
@@ -129,26 +157,27 @@ class MonitorScheme(Scheme):
         """Extra scheme-specific initialization (optional)."""
 
     # ------------------------------------------------------------------
-    def probe_previous_owner(
+    def verify_rebinding(
         self,
-        ip,
-        old_mac,
+        ip: Ipv4Address,
+        old_mac: MacAddress,
+        new_mac: MacAddress,
+        now: float,
         *,
         timeout: float,
-        retries: int = 0,
-        on_reply: Callable[[object, float], None],
-        answered: Callable[[], bool],
-        on_conclude: Callable[[], None],
-        name: str = "monitor.verify",
+        retries: int,
+        name: str,
     ) -> None:
         """Actively verify a rebinding with a bounded retry/timeout loop.
 
-        Sends an echo request framed at ``old_mac`` (the previous owner)
-        and waits ``timeout`` simulated seconds; if the probe stays
-        unanswered (``answered()`` false — lost frame, downed link) it
-        is re-sent up to ``retries`` times before ``on_conclude`` runs.
-        The wait is therefore always bounded by
-        ``(retries + 1) * timeout``; there is no indefinite-wait path.
+        Records the claim in ``_pending`` and sends an echo request
+        framed at ``old_mac`` (the previous owner), then waits
+        ``timeout`` simulated seconds; if the probe stays unanswered
+        (lost frame, downed link) it is re-sent up to ``retries`` times
+        before :meth:`on_verdict` runs.  The wait is therefore always
+        bounded by ``(retries + 1) * timeout``; there is no
+        indefinite-wait path.  An ARP from ``old_mac`` for ``ip`` while
+        pending also counts as an answer (the subclass's ``on_arp``).
 
         Each re-send is counted in ``probe_retries_total{scheme}`` and in
         the scheme's ``probes_sent``/``messages_sent`` (kept equal, as
@@ -157,6 +186,16 @@ class MonitorScheme(Scheme):
         answered but conclusion waits for the attempt's timer, so
         detection latency remains ``timeout`` regardless of retries.
         """
+        self._pending[ip] = Verification(old_mac=old_mac, new_mac=new_mac, started=now)
+
+        def answered() -> bool:
+            pending = self._pending.get(ip)
+            return pending is None or pending.answered
+
+        def on_reply(src, rtt) -> None:
+            pending = self._pending.get(ip)
+            if pending is not None:
+                pending.answered = True
 
         def fire(remaining: int) -> None:
             self.probes_sent += 1
@@ -170,7 +209,9 @@ class MonitorScheme(Scheme):
 
         def step(remaining: int) -> None:
             if answered() or remaining <= 0:
-                on_conclude()
+                pending = self._pending.pop(ip, None)
+                if pending is not None:
+                    self.on_verdict(ip, pending, self.monitor.sim.now)
                 return
             probe_retries_counter().labels(scheme=self.profile.key).inc()
             fire(remaining - 1)
@@ -189,21 +230,11 @@ class MonitorScheme(Scheme):
             except CodecError:
                 return
             self.on_arp(arp, frame, now)
-        elif frame.ethertype == EtherType.IPV4:
-            self._maybe_dhcp(frame, now)
-
-    def _maybe_dhcp(self, frame: EthernetFrame, now: float) -> None:
-        try:
-            packet = Ipv4Packet.decode(frame.payload)
-            if packet.proto != IpProto.UDP:
-                return
-            datagram = UdpDatagram.decode(packet.payload)
-            if datagram.dst_port not in (DHCP_CLIENT_PORT, DHCP_SERVER_PORT):
-                return
-            message = DhcpMessage.decode(datagram.payload)
-        except CodecError:
-            return
-        self.on_dhcp(message, frame, now)
+        elif frame.ethertype == EtherType.IPV4 and capture_filter(raw, 0, len(raw)):
+            # Only udp port 67/68 can hold DHCP: skip the decode for the rest.
+            message = decode_dhcp(frame.payload)
+            if message is not None:
+                self.on_dhcp(message, frame, now)
 
     # -- subclass surface -------------------------------------------------
     def on_arp(self, arp: ArpPacket, frame: EthernetFrame, now: float) -> None:
@@ -214,3 +245,6 @@ class MonitorScheme(Scheme):
 
     def on_any_frame(self, frame: EthernetFrame, now: float) -> None:
         """Called for every frame (before protocol dispatch)."""
+
+    def on_verdict(self, ip: Ipv4Address, pending: Verification, now: float) -> None:
+        """Called once per :meth:`verify_rebinding`, when its probes conclude."""

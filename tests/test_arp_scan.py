@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.forensics import OfflineArpAnalyzer
 from repro.attacks.arp_scan import ArpScan
 from repro.errors import AttackError
 from repro.l2.topology import Lan
+from repro.replay import MemorySource
+from repro.replay.analyze import analyze
 from repro.schemes.hybrid import HybridDetector
 from repro.sim.simulator import Simulator
 
@@ -101,6 +102,6 @@ class TestScanDetection:
         scan = ArpScan(mallory, rate_per_second=100)
         scan.start()
         sim.run(until=10.0)
-        summary = OfflineArpAnalyzer().analyze(lan.monitor.recorder.records)
-        findings = summary.findings_of("arp-scan")
+        report = analyze(MemorySource.from_records(lan.monitor.recorder.records))
+        findings = report.of("arp-scan")
         assert findings and findings[0].mac == mallory.mac

@@ -1,14 +1,13 @@
-"""Tests for the offline capture analyzer."""
+"""Tests for ``repro analyze``: the passive schemes replayed over a capture."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.forensics import OfflineArpAnalyzer
-from repro.attacks.arp_poison import ArpPoisoner, PoisonTarget
 from repro.attacks.mitm import MitmAttack
 from repro.l2.topology import Lan
-from repro.net.addresses import MacAddress
+from repro.replay import MemorySource
+from repro.replay.analyze import analyze
 from repro.stack.dhcp_client import DhcpClient
 from repro.stack.os_profiles import WINDOWS_XP
 
@@ -31,31 +30,32 @@ def captured_attack(sim):
     return lan, victim, mallory, monitor.recorder.records
 
 
+def replay(records, **options):
+    return analyze(MemorySource.from_records(records), **options)
+
+
 class TestOfflineAnalysis:
     def test_attack_capture_yields_rebindings(self, sim, captured_attack):
         lan, victim, mallory, records = captured_attack
-        analyzer = OfflineArpAnalyzer()
-        summary = analyzer.analyze(records)
-        assert summary.frames > 50
-        assert summary.arp_packets > 10
-        assert summary.rebindings > 0
-        changed = summary.findings_of("changed") + summary.findings_of("flip-flop")
-        assert any(f.mac == mallory.mac for f in changed)
+        report = replay(records)
+        assert report.frames > 50
+        assert report.arp_packets > 10
+        assert report.rebindings > 0
+        changed = report.of("changed") + report.of("flip-flop")
+        assert any(a.mac == mallory.mac for a in changed)
 
     def test_reply_storm_detected(self, sim, captured_attack):
         lan, victim, mallory, records = captured_attack
-        analyzer = OfflineArpAnalyzer(storm_threshold=8, storm_window=15.0)
-        summary = analyzer.analyze(records)
-        storms = summary.findings_of("arp-reply-storm")
+        report = replay(records, storm_threshold=8, storm_window=15.0)
+        storms = report.of("arp-reply-storm")
         assert storms and storms[0].mac == mallory.mac
 
     def test_known_binding_violation(self, sim, captured_attack):
         lan, victim, mallory, records = captured_attack
-        analyzer = OfflineArpAnalyzer(known_bindings=lan.true_bindings())
-        summary = analyzer.analyze(records)
-        violations = summary.findings_of("known-binding-violation")
+        report = replay(records, inventory=lan.true_bindings())
+        violations = report.of("arpspoof-mapping-violation")
         assert violations
-        assert all(f.mac == mallory.mac for f in violations)
+        assert all(a.mac == mallory.mac for a in violations)
 
     def test_clean_capture_is_quiet(self, sim):
         lan = Lan(sim)
@@ -65,15 +65,9 @@ class TestOfflineAnalysis:
         a.ping(b.ip)
         b.ping(lan.gateway.ip)
         sim.run(until=5.0)
-        summary = OfflineArpAnalyzer(
-            known_bindings=lan.true_bindings()
-        ).analyze(monitor.recorder.records)
-        assert summary.arp_packets > 0
-        suspicious = [
-            f for f in summary.findings
-            if f.kind not in ("dhcp-explained-rebinding",)
-        ]
-        assert suspicious == []
+        report = replay(monitor.recorder.records, inventory=lan.true_bindings())
+        assert report.arp_packets > 0
+        assert report.alerts == []
 
     def test_dhcp_reassignment_explained(self, sim):
         lan = Lan(sim, network="10.0.3.0/24")
@@ -89,21 +83,23 @@ class TestOfflineAnalysis:
         second = lan.add_dhcp_host("second")
         DhcpClient(second).start()
         sim.run(until=20.0)
-        summary = OfflineArpAnalyzer().analyze(monitor.recorder.records)
-        assert summary.dhcp_messages > 0
-        assert summary.findings_of("dhcp-explained-rebinding")
-        assert not summary.findings_of("changed")
+        report = replay(monitor.recorder.records)
+        assert report.dhcp_messages > 0
+        assert report.dhcp_explained > 0
+        assert not report.of("changed")
 
-    def test_time_ordering_is_restored(self, sim, captured_attack):
+    def test_reversed_capture_reports_skew(self, sim, captured_attack):
+        """Replay streams in capture order and clamps, it does not sort."""
         lan, victim, mallory, records = captured_attack
-        analyzer = OfflineArpAnalyzer()
-        shuffled = list(reversed(records))
-        summary = analyzer.analyze(shuffled)
-        assert summary.rebindings > 0  # sorted internally before replay
+        report = replay(list(reversed(records)))
+        assert report.skew > 0
+        assert f"out of order: {report.skew}" in report.render()
+        assert report.rebindings > 0
 
     def test_summary_counters(self, sim, captured_attack):
         lan, victim, mallory, records = captured_attack
-        summary = OfflineArpAnalyzer().analyze(records)
-        assert summary.arp_requests + summary.arp_replies == summary.arp_packets
-        assert summary.stations >= 2
-        assert str(summary.findings[0])  # findings render
+        report = replay(records)
+        assert report.arp_requests + report.arp_replies == report.arp_packets
+        assert report.stations >= 2
+        assert str(report.alerts[0])  # findings render
+        assert "findings:\n  " in report.render()

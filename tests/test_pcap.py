@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.forensics import OfflineArpAnalyzer
 from repro.analysis.pcap import (
     MAX_CAPLEN,
     PCAP_MAGIC,
@@ -22,6 +21,7 @@ from repro.analysis.pcap import (
 from repro.attacks.mitm import MitmAttack
 from repro.errors import CodecError, PcapError
 from repro.l2.topology import Lan
+from repro.replay.analyze import analyze
 from repro.sim.trace import Direction, TraceRecord
 from repro.stack.os_profiles import WINDOWS_XP
 
@@ -380,9 +380,6 @@ class TestEndToEnd:
         path = tmp_path / "incident.pcap"
         count = write_records(monitor.recorder.records, path)
         assert count == len(monitor.recorder.records)
-        replayed = read_records(path)
-        summary = OfflineArpAnalyzer(
-            known_bindings=lan.true_bindings()
-        ).analyze(replayed)
-        violations = summary.findings_of("known-binding-violation")
+        report = analyze(f"pcap:{path}", inventory=lan.true_bindings())
+        violations = report.of("arpspoof-mapping-violation")
         assert violations and all(f.mac == mallory.mac for f in violations)

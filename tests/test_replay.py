@@ -19,6 +19,7 @@ from repro.errors import ExperimentError, ReplayError, SchemeError
 from repro.l2.topology import Lan
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACER
+from repro.packets.arp import ArpPacket
 from repro.replay import (
     DEFAULT_WINDOW,
     MemorySource,
@@ -197,25 +198,48 @@ class TestReplayEngine:
         with pytest.raises(SchemeError, match="monitor-placement"):
             engine.install(make_defense("dai"))
 
+    @pytest.mark.parametrize("key", ("active-probe", "arpwatch+active-probe"))
+    def test_rejects_active_probe(self, key):
+        """A capture cannot answer active-probe's only verdict path."""
+        engine = ReplayEngine(Simulator(seed=1))
+        with pytest.raises(SchemeError, match="active-probe"):
+            engine.install(make_defense(key))
+        assert engine.schemes == []
+
     def test_rejects_bad_window(self):
         with pytest.raises(ReplayError, match="window"):
             ReplayEngine(Simulator(seed=1), window=0)
 
-    def test_batched_and_per_frame_agree_on_alerts(self):
+    @pytest.mark.parametrize(
+        "key", ("arpwatch", "hybrid", "snort-arpspoof", "hybrid+snort-arpspoof")
+    )
+    def test_batched_and_per_frame_agree_on_alerts(self, key):
         """The throughput path (prefilter + deliver_batch) and the
-        fidelity path raise identical alerts on the same trace."""
+        fidelity path raise identical alerts on the same trace, member
+        by member for a stack (batched alerts share their window's
+        timestamp, so the merged time order may interleave differently).
+        Snort defends each IP's first binding in the trace, so churn
+        violates it."""
         spec = "synthetic:frames=20000,churn=0.4,seed=5"
+        inventory = {}
+        for _, raw in open_source(spec):
+            if raw[12:14] == b"\x08\x06":
+                arp = ArpPacket.decode(raw[14:])
+                inventory.setdefault(arp.spa, arp.sha)
 
         def alerts(window):
-            engine = ReplayEngine(Simulator(seed=1), window=window)
-            scheme = engine.install(make_defense("arpwatch"))
+            engine = ReplayEngine(
+                Simulator(seed=1), window=window, inventory=inventory
+            )
+            scheme = engine.install(make_defense(key))
             engine.run(spec)
-            return [(a.kind, a.ip, a.mac) for a in scheme.alerts]
+            members = getattr(scheme, "schemes", [scheme])
+            return [[(a.kind, a.ip, a.mac) for a in m.alerts] for m in members]
 
         batched = alerts(DEFAULT_WINDOW)
         per_frame = alerts(1)
         assert batched == per_frame
-        assert len(batched) > 0
+        assert all(batched)
 
 
 class TestReplayVsLive:
@@ -301,6 +325,41 @@ class TestReplayVsLive:
         # Alert times match to pcap's microsecond quantization.
         for live, replayed in zip(live_scheme.alerts, replay_scheme.alerts):
             assert replayed.time == pytest.approx(live.time, abs=1e-5)
+
+
+    def test_hybrid_replays_recorded_mitm_passively(self, tmp_path):
+        """The replay station has no IP, so hybrid cannot probe: it must
+        alert the rebindings itself instead of failing in its probe."""
+        from repro.attacks.mitm import MitmAttack
+        from repro.stack.os_profiles import WINDOWS_XP
+
+        sim = Simulator(seed=21)
+        lan = Lan(sim)
+        monitor = lan.add_monitor()
+        victim = lan.add_host("victim", profile=WINDOWS_XP)
+        mallory = lan.add_host("mallory")
+        victim.ping(lan.gateway.ip)
+        sim.run(until=2.0)
+        mitm = MitmAttack(mallory, victim, lan.gateway)
+        mitm.start()
+        sim.run(until=10.0)
+        mitm.stop()
+        path = tmp_path / "incident.pcap"
+        with PcapWriter(path) as writer:
+            for record in monitor.recorder.records:
+                writer.append(record)
+
+        before = REGISTRY.snapshot()
+        engine = ReplayEngine(Simulator(seed=99), window=1)
+        hybrid = engine.install(make_defense("hybrid"))
+        stats = engine.run(f"pcap:{path}")
+        errors = REGISTRY.delta(before)["metrics"].get("hook_errors_total")
+
+        assert stats["mode"] == "per-frame"
+        assert not errors or sum(s["value"] for s in errors["samples"]) == 0
+        assert hybrid.probes_sent == 0 and not hybrid._pending
+        changed = [a for a in hybrid.alerts if a.kind in ("changed", "flip-flop")]
+        assert any(a.mac == mallory.mac for a in changed)
 
 
 class TestApiIntegration:

@@ -328,6 +328,22 @@ class TestHybridDetector:
         station_changed = [a for a in scheme.alerts if a.kind == "station-changed"]
         assert station_changed and all(a.severity == "info" for a in station_changed)
 
+    def test_monitor_without_ip_runs_passive(self, sim):
+        """No IP, no probe: the rebinding is alerted from the database."""
+        lan = Lan(sim)
+        lan.add_monitor(with_ip=False)
+        victim = lan.add_host("victim", profile=WINDOWS_XP)
+        peer = lan.add_host("peer")
+        mallory = lan.add_host("mallory")
+        scheme = HybridDetector()
+        scheme.install(lan, protected=[victim, peer, lan.gateway])
+        warm(sim, victim, peer)
+        poison(sim, mallory, victim, peer.ip)
+        assert scheme.probes_sent == 0 and scheme.confirmed_attacks == 0
+        changed = [a for a in scheme.alerts if a.kind == "changed"]
+        assert [(a.ip, a.mac) for a in changed] == [(peer.ip, mallory.mac)]
+        assert scheme.unverified_rebinds >= 1
+
     def test_probe_budget_smaller_than_naive_active(self, sim):
         """Under pure DHCP churn the hybrid sends no probes at all."""
         lan = Lan(sim, network="10.0.3.0/24")
