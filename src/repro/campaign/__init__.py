@@ -33,22 +33,18 @@ from repro.campaign.aggregate import (
 from repro.campaign.cache import ResultCache, code_fingerprint
 from repro.campaign.runner import CampaignResult, TaskFailure, run_campaign
 from repro.campaign.spec import (
-    EXPERIMENTS,
     CampaignSpec,
     CampaignTask,
-    ExperimentKind,
     canonical_params,
     derive_seed,
     execute_task,
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "CampaignResult",
     "CampaignSpec",
     "CampaignTask",
     "CellAggregate",
-    "ExperimentKind",
     "MetricStats",
     "ResultCache",
     "TaskFailure",

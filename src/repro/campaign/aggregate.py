@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
 from repro.campaign.runner import CampaignResult
-from repro.campaign.spec import EXPERIMENTS
+from repro.core.api import KINDS
 from repro.core.experiment import result_from_dict
 from repro.core.metrics import percentile
 from repro.core.report import Artifact
@@ -81,7 +81,7 @@ class CellAggregate:
 
 def aggregate(campaign: CampaignResult) -> List[CellAggregate]:
     """Fold per-trial results into one :class:`CellAggregate` per cell."""
-    kind = EXPERIMENTS[campaign.spec.experiment]
+    kind = KINDS[campaign.spec.experiment]
     by_cell: Dict[Tuple[str, str], List[object]] = {}
     for task, payload in campaign.completed_in_order():
         by_cell.setdefault(task.cell, []).append(result_from_dict(payload))
@@ -172,7 +172,7 @@ def publish_metrics(campaign: CampaignResult) -> int:
 def to_artifact(campaign: CampaignResult) -> Artifact:
     """Render a campaign as a multi-trial statistics table."""
     spec = campaign.spec
-    kind = EXPERIMENTS[spec.experiment]
+    kind = KINDS[spec.experiment]
     cells = aggregate(campaign)
     header = ["Scheme", "variant", "n"] + list(kind.metrics)
     rows: List[List[object]] = []

@@ -21,10 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core import api
-from repro.core.experiment import ScenarioConfig, SerializableResult
+from repro.core.experiment import ScenarioConfig
 from repro.errors import CampaignError, FaultError
 from repro.faults import parse_fault_spec
 from repro.schemes.registry import SCHEME_FACTORIES, validate_scheme_spec
@@ -34,8 +34,6 @@ __all__ = [
     "canonical_params",
     "CampaignTask",
     "CampaignSpec",
-    "ExperimentKind",
-    "EXPERIMENTS",
     "execute_task",
 ]
 
@@ -142,11 +140,11 @@ class CampaignSpec:
     traces: Tuple[Optional[str], ...] = (None,)
 
     def __post_init__(self) -> None:
-        kind = EXPERIMENTS.get(self.experiment)
+        kind = api.KINDS.get(self.experiment)
         if kind is None:
             raise CampaignError(
                 f"unknown experiment {self.experiment!r}; "
-                f"known: {sorted(EXPERIMENTS)}"
+                f"known: {sorted(api.KINDS)}"
             )
         if self.seeds < 1:
             raise CampaignError(f"seeds must be >= 1, got {self.seeds}")
@@ -174,6 +172,20 @@ class CampaignSpec:
                     f"{self.experiment!r}; allowed: "
                     f"{sorted(kind.variant_keys)} (+ 'faults')"
                 )
+            # A value the task could not cast to its declared type fails
+            # here, not inside a worker process.  The variant itself stays
+            # as given, so derived seeds and cache keys do not move.
+            for key, value in variant.items():
+                if key == "faults":
+                    continue
+                try:
+                    _variant_value(kind, key, value)
+                except (TypeError, ValueError):
+                    cast = kind.variant_keys[key][0].__name__
+                    raise CampaignError(
+                        f"{self.experiment!r}: variant {key}={value!r} "
+                        f"is not a valid {cast}"
+                    ) from None
         if not self.faults:
             raise CampaignError(
                 "faults must be non-empty; use (None,) for a clean LAN"
@@ -236,8 +248,8 @@ class CampaignSpec:
         ScenarioConfig.from_dict(dict(self.scenario))
 
     @property
-    def kind(self) -> "ExperimentKind":
-        return EXPERIMENTS[self.experiment]
+    def kind(self) -> api.Kind:
+        return api.KINDS[self.experiment]
 
     def effective_variants(self) -> Tuple[Mapping[str, object], ...]:
         return self.variants if self.variants else self.kind.default_variants
@@ -309,13 +321,8 @@ class CampaignSpec:
         return cls(**payload)
 
 
-# ======================================================================
-# Experiment kinds: how one task maps onto an api.run call
-# ======================================================================
 def _scenario_config(
-    task: CampaignTask,
-    defaults: Optional[Mapping[str, object]] = None,
-    **extra: object,
+    task: CampaignTask, defaults: Mapping[str, object]
 ) -> ScenarioConfig:
     """Task scenario -> config; ``defaults`` yield to the task's scenario.
 
@@ -323,9 +330,8 @@ def _scenario_config(
     ``fault_spec`` (verbatim), which is how the campaign fault sweep
     reaches the scenario builder.
     """
-    payload = dict(defaults or {})
+    payload = dict(defaults)
     payload.update(task.scenario)
-    payload.update(extra)
     payload["seed"] = task.seed
     fault = task.variant.get("faults")
     if fault is not None:
@@ -333,264 +339,16 @@ def _scenario_config(
     return ScenarioConfig.from_dict(payload)
 
 
-#: Scenario defaults of the historical no-attack measurements
-#: (overhead / resolution-latency / footprint built their own config
-#: with a Linux victim); an explicit scenario override still wins.
-_QUIET_DEFAULTS = {"victim_profile": "linux"}
+def _variant_value(kind: api.Kind, key: str, value: object) -> object:
+    """``value`` cast to the type ``kind`` declares for variant ``key``.
 
-
-def _execute_effectiveness(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "effectiveness",
-        _scenario_config(task),
-        scheme=task.scheme,
-        technique=str(task.variant.get("technique", "reply")),
-    )
-
-
-def _execute_false_positives(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "false-positives",
-        _scenario_config(task, with_dhcp=True),
-        scheme=task.scheme,
-        duration=float(task.variant.get("duration", 600.0)),
-    )
-
-
-def _execute_detection_latency(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "detection-latency",
-        _scenario_config(task),
-        scheme=task.scheme,
-        poison_rate=float(task.variant.get("poison_rate", 1.0)),
-    )
-
-
-def _execute_overhead(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "overhead",
-        _scenario_config(task, defaults=_QUIET_DEFAULTS),
-        scheme=task.scheme,
-        n_hosts=int(task.variant.get("n_hosts", 8)),
-        resolutions_per_host=int(task.variant.get("resolutions_per_host", 4)),
-    )
-
-
-def _execute_resolution_latency(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "resolution-latency",
-        # Historical shape: a small 4-host LAN unless the scenario says more.
-        _scenario_config(task, defaults={**_QUIET_DEFAULTS, "n_hosts": 4}),
-        scheme=task.scheme,
-        n_resolutions=int(task.variant.get("n_resolutions", 20)),
-    )
-
-
-def _execute_interception_timeline(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "interception-timeline",
-        _scenario_config(task),
-        scheme=task.scheme,
-        duration=float(task.variant.get("duration", 120.0)),
-        attack_at=float(task.variant.get("attack_at", 30.0)),
-        ping_rate=float(task.variant.get("ping_rate", 2.0)),
-        bin_seconds=float(task.variant.get("bin_seconds", 10.0)),
-    )
-
-
-def _execute_footprint(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "footprint",
-        _scenario_config(task, defaults=_QUIET_DEFAULTS),
-        scheme=task.scheme,
-        n_hosts=int(task.variant.get("n_hosts", 8)),
-        settle=float(task.variant.get("settle", 30.0)),
-    )
-
-
-def _execute_controller_failover(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "controller-failover",
-        _scenario_config(task),
-        scheme=task.scheme,
-        fail_mode=str(task.variant.get("fail_mode", "open")),
-        poison_interval=float(task.variant.get("poison_interval", 0.5)),
-    )
-
-
-def _execute_dhcp_starvation(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "dhcp-starvation",
-        _scenario_config(task, with_dhcp=True),
-        scheme=task.scheme,
-        duration=float(task.variant.get("duration", 30.0)),
-        rate_per_second=float(task.variant.get("rate_per_second", 30.0)),
-    )
-
-
-def _execute_campus_churn(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "campus-churn",
-        _scenario_config(task),
-        scheme=task.scheme,
-        buildings=int(task.variant.get("buildings", 4)),
-        leaves_per_building=int(task.variant.get("leaves_per_building", 2)),
-        hosts_per_leaf=int(task.variant.get("hosts_per_leaf", 24)),
-        talkers=(
-            int(task.variant["talkers"]) if "talkers" in task.variant else None
-        ),
-        duration=float(task.variant.get("duration", 2.0)),
-        shards=int(task.variant.get("shards", 0)),
-    )
-
-
-def _execute_replay(task: CampaignTask) -> SerializableResult:
-    return api.run(
-        "replay",
-        _scenario_config(task),
-        scheme=task.scheme,
-        source=str(task.variant.get("trace", "synthetic:")),
-        window=int(task.variant.get("window", 1024)),
-        drain=float(task.variant.get("drain", 0.0)),
-    )
-
-
-@dataclass(frozen=True)
-class ExperimentKind:
-    """Binding between a campaign experiment name and its ``run_*`` call."""
-
-    name: str
-    execute: Callable[[CampaignTask], SerializableResult]
-    metrics: Tuple[str, ...]
-    variant_keys: Tuple[str, ...]
-    default_variants: Tuple[Mapping[str, object], ...]
-    requires_scheme: bool = False
-
-
-#: All campaign-runnable experiment kinds.
-EXPERIMENTS: Dict[str, ExperimentKind] = {
-    kind.name: kind
-    for kind in (
-        ExperimentKind(
-            name="effectiveness",
-            execute=_execute_effectiveness,
-            metrics=(
-                "prevented",
-                "detected",
-                "detection_latency",
-                "tp_alerts",
-                "fp_alerts",
-                "victim_poisoned_seconds",
-                "packets_intercepted",
-            ),
-            variant_keys=("technique",),
-            default_variants=({"technique": "reply"},),
-        ),
-        ExperimentKind(
-            name="false-positives",
-            execute=_execute_false_positives,
-            metrics=("fp_alerts", "fp_per_hour", "info_alerts"),
-            variant_keys=("duration",),
-            default_variants=({"duration": 600.0},),
-        ),
-        ExperimentKind(
-            name="detection-latency",
-            execute=_execute_detection_latency,
-            metrics=("detected", "detection_latency"),
-            variant_keys=("poison_rate",),
-            default_variants=({"poison_rate": 1.0},),
-            requires_scheme=True,
-        ),
-        ExperimentKind(
-            name="overhead",
-            execute=_execute_overhead,
-            metrics=(
-                "frames_per_resolution",
-                "bytes_per_resolution",
-                "arp_frames",
-                "scheme_messages",
-            ),
-            variant_keys=("n_hosts", "resolutions_per_host"),
-            default_variants=({"n_hosts": 8},),
-        ),
-        ExperimentKind(
-            name="resolution-latency",
-            execute=_execute_resolution_latency,
-            metrics=("mean_latency", "max_latency"),
-            variant_keys=("n_resolutions",),
-            default_variants=({"n_resolutions": 20},),
-        ),
-        ExperimentKind(
-            name="interception-timeline",
-            execute=_execute_interception_timeline,
-            metrics=("peak_ratio", "mean_ratio"),
-            variant_keys=("duration", "attack_at", "ping_rate", "bin_seconds"),
-            default_variants=({"duration": 120.0},),
-        ),
-        ExperimentKind(
-            name="footprint",
-            execute=_execute_footprint,
-            metrics=("state_entries", "scheme_messages", "switch_cam_entries"),
-            variant_keys=("n_hosts", "settle"),
-            default_variants=({"n_hosts": 8},),
-        ),
-        ExperimentKind(
-            name="controller-failover",
-            execute=_execute_controller_failover,
-            metrics=(
-                "guard_drops",
-                "fallback_entered",
-                "recovered",
-                "poisoned_during_flap",
-                "poisoned_outside_flap",
-                "evictions",
-            ),
-            variant_keys=("fail_mode", "poison_interval"),
-            default_variants=({"fail_mode": "open"}, {"fail_mode": "closed"}),
-            requires_scheme=True,
-        ),
-        ExperimentKind(
-            name="dhcp-starvation",
-            execute=_execute_dhcp_starvation,
-            metrics=("leases_captured", "pool_free", "exhausted"),
-            variant_keys=("duration", "rate_per_second"),
-            default_variants=({"duration": 30.0},),
-        ),
-        ExperimentKind(
-            name="campus-churn",
-            execute=_execute_campus_churn,
-            metrics=(
-                "deliveries",
-                "deliveries_per_sec",
-                "events",
-                "alerts",
-                "wall_seconds",
-            ),
-            variant_keys=(
-                "buildings",
-                "leaves_per_building",
-                "hosts_per_leaf",
-                "talkers",
-                "duration",
-                "shards",
-            ),
-            default_variants=({"shards": 0}, {"shards": 2}),
-        ),
-        ExperimentKind(
-            name="replay",
-            execute=_execute_replay,
-            metrics=(
-                "frames",
-                "delivered",
-                "alerts",
-                "frames_per_sec",
-                "wall_seconds",
-            ),
-            variant_keys=("trace", "window", "drain"),
-            default_variants=({"trace": "synthetic:"},),
-        ),
-    )
-}
+    ``None`` passes through only where the key's fallback is ``None``
+    (campus-churn's ``talkers``: the runner picks its own default).
+    """
+    cast, fallback = kind.variant_keys[key]
+    if value is None and fallback is None:
+        return None
+    return cast(value)
 
 
 def execute_task(task: CampaignTask) -> Dict[str, object]:
@@ -607,12 +365,21 @@ def execute_task(task: CampaignTask) -> Dict[str, object]:
     result is stored or cached, and merges it into the parent registry
     when the task ran in a separate process.
     """
-    kind = EXPERIMENTS.get(task.experiment)
+    kind = api.KINDS.get(task.experiment)
     if kind is None:
         raise CampaignError(f"unknown experiment {task.experiment!r}")
+    # Every variant key reaches the runner, the trace axis as its
+    # ``source``; ``faults`` is no parameter but the config's fault_spec.
+    params = {
+        "source" if key == "trace" else key: _variant_value(
+            kind, key, task.variant.get(key, fallback)
+        )
+        for key, (_, fallback) in kind.variant_keys.items()
+    }
+    config = _scenario_config(task, kind.scenario_defaults)
     from repro.obs import REGISTRY
 
     before = REGISTRY.snapshot()
-    payload = kind.execute(task).to_dict()
+    payload = api.run(kind.name, config, scheme=task.scheme, **params).to_dict()
     payload["_obs"] = REGISTRY.delta(before)
     return payload

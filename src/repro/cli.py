@@ -136,14 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: clean LAN)",
     )
 
-    from repro.campaign.spec import EXPERIMENTS
-
     camp = sub.add_parser(
         "campaign",
         help="run a parallel multi-seed experiment sweep with caching",
     )
     camp.add_argument(
-        "--experiment", default="effectiveness", choices=sorted(EXPERIMENTS),
+        "--experiment", default="effectiveness", choices=sorted(api.KINDS),
         help="which measurement to sweep (default: effectiveness)",
     )
     camp.add_argument(
@@ -444,9 +442,7 @@ def _cmd_artifact(args, out) -> int:
 
 def _campaign_grid(args):
     """Translate CLI flags into (schemes, variants, scenario overrides)."""
-    from repro.campaign.spec import EXPERIMENTS
-
-    kind = EXPERIMENTS[args.experiment]
+    kind = api.KINDS[args.experiment]
     if args.schemes == "all":
         keys = list(SCHEME_FACTORIES)
         schemes = keys if kind.requires_scheme else [None] + keys

@@ -14,14 +14,16 @@ an eight-file change.  :func:`run` collapses them behind one call:
 same names the campaign layer uses; underscores are normalised).  Per-
 kind parameters are validated against the registry before anything is
 built, so a typo'd parameter fails fast with the allowed set in the
-message.  ``faults`` (a compact spec string or a
+message.  Each entry also carries what a campaign sweeps (variant keys
+with their types and fallbacks, default variants, scenario defaults)
+and aggregates (metrics), so adding a kind is one :class:`Kind` entry.  ``faults`` (a compact spec string or a
 :class:`~repro.faults.FaultSpec`) is folded into the scenario config's
 ``fault_spec`` field, serialized verbatim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core import experiment as _exp
@@ -38,18 +40,35 @@ __all__ = ["Kind", "KINDS", "run", "normalize_kind"]
 
 @dataclass(frozen=True)
 class Kind:
-    """One runnable experiment kind: its implementation and parameter set."""
+    """One runnable experiment kind: its implementation, parameter set
+    and what a campaign sweeps and aggregates of it."""
 
     name: str
     runner: Callable[..., SerializableResult]
     result_type: type
     #: Keyword parameters the kind accepts (beyond config/scheme/faults).
     params: Tuple[str, ...]
+    #: Result fields a campaign aggregates, in table-column order.
+    metrics: Tuple[str, ...]
+    #: Campaign variant keys, each ``key -> (type, fallback)``: a task
+    #: passes every key to the runner, cast to its type, with the
+    #: fallback where the task's variant omits it.  ``trace`` feeds the
+    #: ``source`` parameter.
+    variant_keys: Mapping[str, Tuple[type, object]]
+    #: The variants a campaign sweeps when its spec names none.
+    default_variants: Tuple[Mapping[str, object], ...]
     #: Parameters that must be supplied (no sensible default exists).
     required: Tuple[str, ...] = ()
     #: Does the kind need a scheme (baseline ``None`` not meaningful)?
     requires_scheme: bool = False
+    #: Campaign scenario defaults; a task's own scenario overrides them.
+    scenario_defaults: Mapping[str, object] = field(default_factory=dict)
 
+
+#: Scenario defaults of the historical no-attack measurements (overhead,
+#: resolution-latency and footprint built their own config with a Linux
+#: victim).
+_QUIET = {"victim_profile": "linux"}
 
 #: Every runnable experiment, by its hyphenated campaign-layer name.
 KINDS: Dict[str, Kind] = {
@@ -60,6 +79,17 @@ KINDS: Dict[str, Kind] = {
             runner=_exp._run_effectiveness,
             result_type=_exp.EffectivenessResult,
             params=("technique",),
+            metrics=(
+                "prevented",
+                "detected",
+                "detection_latency",
+                "tp_alerts",
+                "fp_alerts",
+                "victim_poisoned_seconds",
+                "packets_intercepted",
+            ),
+            variant_keys={"technique": (str, "reply")},
+            default_variants=({"technique": "reply"},),
         ),
         Kind(
             name="false-positives",
@@ -72,12 +102,18 @@ KINDS: Dict[str, Kind] = {
                 "reannounce_rate",
                 "max_dhcp_hosts",
             ),
+            metrics=("fp_alerts", "fp_per_hour", "info_alerts"),
+            variant_keys={"duration": (float, 600.0)},
+            default_variants=({"duration": 600.0},),
         ),
         Kind(
             name="detection-latency",
             runner=_exp._run_detection_latency,
             result_type=_exp.LatencyResult,
             params=("poison_rate",),
+            metrics=("detected", "detection_latency"),
+            variant_keys={"poison_rate": (float, 1.0)},
+            default_variants=({"poison_rate": 1.0},),
             required=("poison_rate",),
             requires_scheme=True,
         ),
@@ -86,30 +122,72 @@ KINDS: Dict[str, Kind] = {
             runner=_exp._run_overhead,
             result_type=_exp.OverheadResult,
             params=("n_hosts", "resolutions_per_host", "seed"),
+            metrics=(
+                "frames_per_resolution",
+                "bytes_per_resolution",
+                "arp_frames",
+                "scheme_messages",
+            ),
+            variant_keys={
+                "n_hosts": (int, 8),
+                "resolutions_per_host": (int, 4),
+            },
+            default_variants=({"n_hosts": 8},),
+            scenario_defaults=_QUIET,
         ),
         Kind(
             name="resolution-latency",
             runner=_exp._run_resolution_latency,
             result_type=_exp.ResolutionLatencyResult,
             params=("n_resolutions", "seed"),
+            metrics=("mean_latency", "max_latency"),
+            variant_keys={"n_resolutions": (int, 20)},
+            default_variants=({"n_resolutions": 20},),
+            # Historical shape: a small 4-host LAN.
+            scenario_defaults={**_QUIET, "n_hosts": 4},
         ),
         Kind(
             name="interception-timeline",
             runner=_exp._run_interception_timeline,
             result_type=_exp.InterceptionTimeline,
             params=("duration", "attack_at", "ping_rate", "bin_seconds"),
+            metrics=("peak_ratio", "mean_ratio"),
+            variant_keys={
+                "duration": (float, 120.0),
+                "attack_at": (float, 30.0),
+                "ping_rate": (float, 2.0),
+                "bin_seconds": (float, 10.0),
+            },
+            default_variants=({"duration": 120.0},),
         ),
         Kind(
             name="footprint",
             runner=_exp._run_footprint,
             result_type=_exp.FootprintResult,
             params=("n_hosts", "settle", "seed"),
+            metrics=("state_entries", "scheme_messages", "switch_cam_entries"),
+            variant_keys={"n_hosts": (int, 8), "settle": (float, 30.0)},
+            default_variants=({"n_hosts": 8},),
+            scenario_defaults=_QUIET,
         ),
         Kind(
             name="controller-failover",
             runner=_exp._run_controller_failover,
             result_type=_exp.FailoverResult,
             params=("fail_mode", "poison_interval"),
+            metrics=(
+                "guard_drops",
+                "fallback_entered",
+                "recovered",
+                "poisoned_during_flap",
+                "poisoned_outside_flap",
+                "evictions",
+            ),
+            variant_keys={
+                "fail_mode": (str, "open"),
+                "poison_interval": (float, 0.5),
+            },
+            default_variants=({"fail_mode": "open"}, {"fail_mode": "closed"}),
             requires_scheme=True,
         ),
         Kind(
@@ -117,6 +195,12 @@ KINDS: Dict[str, Kind] = {
             runner=_exp._run_dhcp_starvation,
             result_type=_exp.StarvationResult,
             params=("duration", "rate_per_second", "greedy"),
+            metrics=("leases_captured", "pool_free", "exhausted"),
+            variant_keys={
+                "duration": (float, 30.0),
+                "rate_per_second": (float, 30.0),
+            },
+            default_variants=({"duration": 30.0},),
         ),
         Kind(
             name="campus-churn",
@@ -130,12 +214,41 @@ KINDS: Dict[str, Kind] = {
                 "duration",
                 "shards",
             ),
+            metrics=(
+                "deliveries",
+                "deliveries_per_sec",
+                "events",
+                "alerts",
+                "wall_seconds",
+            ),
+            variant_keys={
+                "buildings": (int, 4),
+                "leaves_per_building": (int, 2),
+                "hosts_per_leaf": (int, 24),
+                "talkers": (int, None),
+                "duration": (float, 2.0),
+                "shards": (int, 0),
+            },
+            default_variants=({"shards": 0}, {"shards": 2}),
         ),
         Kind(
             name="replay",
             runner=_replay._run_replay,
             result_type=_replay.ReplayResult,
             params=("source", "window", "drain"),
+            metrics=(
+                "frames",
+                "delivered",
+                "alerts",
+                "frames_per_sec",
+                "wall_seconds",
+            ),
+            variant_keys={
+                "trace": (str, "synthetic:"),
+                "window": (int, _replay.DEFAULT_WINDOW),
+                "drain": (float, 0.0),
+            },
+            default_variants=({"trace": "synthetic:"},),
             required=("source",),
         ),
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import api
@@ -31,10 +33,20 @@ class TestRegistry:
             "resolution-latency",
         ]
 
-    def test_kind_names_match_campaign_experiments(self):
-        from repro.campaign.spec import EXPERIMENTS
-
-        assert set(EXPERIMENTS) <= set(KINDS)
+    def test_campaign_data_matches_runner(self):
+        for kind in KINDS.values():
+            # The campaign's trace axis is the runner's source parameter.
+            params = {
+                "source" if key == "trace" else key for key in kind.variant_keys
+            }
+            assert params <= set(kind.params), kind.name
+            for variant in kind.default_variants:
+                assert set(variant) <= set(kind.variant_keys), kind.name
+            names = {f.name for f in dataclasses.fields(kind.result_type)}
+            for metric in kind.metrics:
+                assert metric in names or isinstance(
+                    getattr(kind.result_type, metric, None), property
+                ), (kind.name, metric)
 
     def test_result_types_in_serialization_registry(self):
         for kind in KINDS.values():

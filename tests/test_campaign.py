@@ -87,6 +87,29 @@ class TestCampaignSpec:
         with pytest.raises(CampaignError, match="variant keys"):
             CampaignSpec(variants=({"frequency": 3},))
 
+    def test_rejects_bad_variant_value(self):
+        with pytest.raises(
+            CampaignError, match=r"'overhead': variant n_hosts='eight' .* int"
+        ):
+            CampaignSpec(experiment="overhead", variants=({"n_hosts": "eight"},))
+        with pytest.raises(CampaignError, match=r"poison_rate=None .* float"):
+            CampaignSpec(
+                experiment="detection-latency",
+                schemes=("arpwatch",),
+                variants=({"poison_rate": None},),
+            )
+
+    def test_castable_variant_value_kept_as_given(self):
+        spec = CampaignSpec(experiment="overhead", variants=({"n_hosts": "6"},))
+        assert {dict(t.variant)["n_hosts"] for t in spec.tasks()} == {"6"}
+        # talkers falls back to None (the runner's own default), so an
+        # explicit None is valid; anything else must cast to int.
+        CampaignSpec(experiment="campus-churn", variants=({"talkers": None},))
+        with pytest.raises(CampaignError, match="talkers='many'"):
+            CampaignSpec(
+                experiment="campus-churn", variants=({"talkers": "many"},)
+            )
+
     def test_rejects_zero_seeds(self):
         with pytest.raises(CampaignError, match="seeds"):
             CampaignSpec(seeds=0)

@@ -439,7 +439,8 @@ class TestCampaignIntegration:
             )
 
     def test_execute_replay_task(self):
-        from repro.campaign.spec import EXPERIMENTS, CampaignSpec
+        from repro.campaign.spec import CampaignSpec, execute_task
+        from repro.core.experiment import result_from_dict
 
         spec = CampaignSpec(
             experiment="replay",
@@ -448,7 +449,7 @@ class TestCampaignIntegration:
             seeds=1,
         )
         (task,) = spec.tasks()
-        result = EXPERIMENTS["replay"].execute(task)
+        result = result_from_dict(execute_task(task))
         assert isinstance(result, ReplayResult)
         assert result.frames == 2_000
         assert result.alerts > 0

@@ -55,9 +55,9 @@ class TestCampusChurnKind:
             _run_campus_churn(None, shards=-1, **_SMALL)
 
     def test_campaign_kind_registered(self):
-        from repro.campaign.spec import EXPERIMENTS
+        from repro.core.api import KINDS
 
-        kind = EXPERIMENTS["campus-churn"]
+        kind = KINDS["campus-churn"]
         assert "deliveries_per_sec" in kind.metrics
         assert set(kind.variant_keys) >= {"buildings", "shards", "duration"}
 
