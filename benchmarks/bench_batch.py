@@ -22,6 +22,7 @@ from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.packets.ipv4 import IpProto, Ipv4Packet
 from repro.perf import PERF
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
 
 
 def _flood_lan(batching: bool, n_hosts: int = 8):
@@ -88,6 +89,8 @@ def test_bench_batched_matches_unbatched():
 
     def run(batching: bool):
         sim, lan, hosts, sender, frame = _flood_lan(batching=batching)
+        for host in hosts:
+            host.recorder = TraceRecorder()
         for _ in range(50):
             sender.transmit_frame(frame)
         sim.run(until=sim.now + 5.0)
@@ -120,6 +123,7 @@ def test_bench_nic_batch_filter(benchmark):
     from repro.stack.host import Host
 
     host = Host(sim, "bench-host", mac=MacAddress("02:bb:00:00:00:01"))
+    host.recorder = TraceRecorder()
     wire = EthernetFrame(
         dst=MacAddress("02:cc:00:00:00:99"),  # not ours, unicast
         src=MacAddress("02:cc:00:00:00:01"),

@@ -18,6 +18,7 @@ from repro import Lan, Simulator
 from repro.attacks import MitmAttack
 from repro.replay import MemorySource
 from repro.replay.analyze import analyze
+from repro.sim.trace import TraceRecorder
 from repro.stack import DhcpClient, WINDOWS_XP
 
 
@@ -25,6 +26,7 @@ def main() -> None:
     sim = Simulator(seed=31337)
     lan = Lan(sim, network="10.0.3.0/24")
     monitor = lan.add_monitor()
+    monitor.recorder = TraceRecorder()  # capture what the mirror port sees
     lan.enable_dhcp(pool_start=100, pool_end=100)  # one-address pool
     victim = lan.add_host("victim", profile=WINDOWS_XP)
     mallory = lan.add_host("mallory")

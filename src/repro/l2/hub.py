@@ -7,6 +7,8 @@ effectively degrades into under MAC flooding.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.errors import TopologyError
 from repro.l2.device import Device, Port
 from repro.sim.simulator import Simulator
@@ -24,11 +26,14 @@ class Hub(Device):
             raise TopologyError("a hub needs at least two ports")
         for _ in range(num_ports):
             self.add_port()
-        self.recorder = TraceRecorder()
+        #: Ingress capture, or ``None`` (nothing is recorded).
+        self.recorder: Optional[TraceRecorder] = None
         self.repeated_frames = 0
 
     def on_frame(self, port: Port, data: bytes) -> None:
-        self.recorder.record(self.sim.now, port.name, Direction.RX, data)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(self.sim.now, port.name, Direction.RX, data)
         self.repeated_frames += 1
         for other in self.ports:
             if other.index != port.index:

@@ -59,7 +59,9 @@ class Switch(Device):
         )
         self._mirror_sources: Set[int] = set()
         self._mirror_target: Optional[int] = None
-        self.recorder = TraceRecorder()
+        #: Ingress capture of every port, or ``None`` (nothing is
+        #: recorded).  A reader assigns a recorder before the run.
+        self.recorder: Optional[TraceRecorder] = None
         self.flooded_frames = 0
         self.forwarded_frames = 0
         self.dropped_frames = 0
@@ -165,7 +167,9 @@ class Switch(Device):
             self._data_plane(port, data)
 
     def _data_plane(self, port: Port, data: bytes) -> None:
-        self.recorder.record(self.sim.now, port.name, Direction.RX, data)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(self.sim.now, port.name, Direction.RX, data)
         try:
             # Lazy view: forwarding decisions need only the 14-byte header;
             # the payload is materialized only if a filter/monitor reads it.
@@ -243,10 +247,12 @@ class Switch(Device):
         and handed to each link as one batch, in wire order.
         """
         now = self.sim.now
-        record = self.recorder.record
-        port_name = port.name
-        for data in datas:
-            record(now, port_name, Direction.RX, data)
+        recorder = self.recorder
+        if recorder is not None:
+            record = recorder.record
+            port_name = port.name
+            for data in datas:
+                record(now, port_name, Direction.RX, data)
 
         cam = self.cam
         cam.expire(now)  # the batch's one aging sweep

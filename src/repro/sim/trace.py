@@ -5,6 +5,16 @@ A :class:`TraceRecorder` is attached wherever frames should be observable
 the capture location, direction, and the raw frame bytes, so a detector
 operating on a capture sees exactly what a sniffer on a mirror port would.
 
+Nothing captures by default: every ``Link``, ``Host``, ``Switch`` and
+``Hub`` starts with ``recorder = None``, and each record site is one
+``is not None`` test (hoisted once per batch on the batched paths).  A
+reader that wants a capture assigns a recorder before the run::
+
+    lan.monitor.recorder = TraceRecorder()
+
+The Figure 2 overhead runner is the one reader in the package: it
+attaches an unbounded recorder to the switch after its quiesce.
+
 Storage is a bounded ring: once ``capacity`` records are held, each new
 capture evicts the oldest (like a sniffer's ring buffer) and bumps
 :attr:`TraceRecorder.dropped`.  The default capacity (:data:`DEFAULT_CAPACITY`,
@@ -122,13 +132,6 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
-
-    def since(self, index: int) -> Iterator[TraceRecord]:
-        """Records from position ``index`` onward (deques don't slice)."""
-        it = iter(self.records)
-        for _ in range(index):
-            next(it, None)
-        return it
 
     def between(self, start: float, end: float) -> Iterable[TraceRecord]:
         """Records with ``start <= time < end``."""

@@ -11,12 +11,13 @@ from repro.replay import MemorySource
 from repro.replay.analyze import analyze
 from repro.schemes.hybrid import HybridDetector
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
 
 
 @pytest.fixture
 def scan_lan(sim):
     lan = Lan(sim, network="192.168.88.0/26")  # /26: 62 hosts to sweep
-    lan.add_monitor()
+    lan.add_monitor().recorder = TraceRecorder()
     hosts = [lan.add_host(f"h{i}") for i in range(5)]
     mallory = lan.add_host("mallory")
     return lan, hosts, mallory

@@ -22,6 +22,7 @@ from repro.obs.registry import REGISTRY
 from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.packets.ipv4 import IpProto, Ipv4Packet
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
 
 MODES = ("plain", "vlan", "faults")
 
@@ -39,6 +40,8 @@ def _run_scenario(
     sim = Simulator(seed=seed, batching=batching)
     lan = Lan(sim)
     hosts = [lan.add_host(f"h{i}") for i in range(n_hosts)]
+    for device in hosts + [lan.switch]:
+        device.recorder = TraceRecorder()
     if mode == "vlan":
         for host in hosts:
             lan.switch.set_access_port(

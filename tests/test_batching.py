@@ -14,6 +14,7 @@ from repro.obs.trace import TRACER
 from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.perf import PERF
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.stack.host import Host
 
 
@@ -331,6 +332,7 @@ class TestHostNicBatchFilter:
     def test_foreign_unicast_filtered_without_frame_views(self):
         sim = Simulator(seed=2)
         host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
+        host.recorder = TraceRecorder()
         batch = [_foreign_unicast_wire()] * 5
         lazy, filtered = PERF.lazy_frames, PERF.nic_batch_filtered
         host.on_frame_batch(host.nic, batch)
@@ -341,6 +343,7 @@ class TestHostNicBatchFilter:
     def test_addressed_and_broadcast_frames_survive(self):
         sim = Simulator(seed=2)
         host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
+        host.recorder = TraceRecorder()
         mine = EthernetFrame(
             dst=host.mac,
             src=MacAddress("02:cc:00:00:00:01"),
@@ -359,6 +362,7 @@ class TestHostNicBatchFilter:
     def test_promiscuous_mode_disables_the_batch_filter(self):
         sim = Simulator(seed=2)
         host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
+        host.recorder = TraceRecorder()
         host.promiscuous = True
         filtered = PERF.nic_batch_filtered
         host.on_frame_batch(host.nic, [_foreign_unicast_wire()] * 3)

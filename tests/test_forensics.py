@@ -8,6 +8,7 @@ from repro.attacks.mitm import MitmAttack
 from repro.l2.topology import Lan
 from repro.replay import MemorySource
 from repro.replay.analyze import analyze
+from repro.sim.trace import TraceRecorder
 from repro.stack.dhcp_client import DhcpClient
 from repro.stack.os_profiles import WINDOWS_XP
 
@@ -17,6 +18,7 @@ def captured_attack(sim):
     """Run an attack behind a mirror port and hand back the capture."""
     lan = Lan(sim)
     monitor = lan.add_monitor()
+    monitor.recorder = TraceRecorder()
     victim = lan.add_host("victim", profile=WINDOWS_XP)
     mallory = lan.add_host("mallory")
     victim.ping(lan.gateway.ip)
@@ -60,6 +62,7 @@ class TestOfflineAnalysis:
     def test_clean_capture_is_quiet(self, sim):
         lan = Lan(sim)
         monitor = lan.add_monitor()
+        monitor.recorder = TraceRecorder()
         a = lan.add_host("a")
         b = lan.add_host("b")
         a.ping(b.ip)
@@ -72,6 +75,7 @@ class TestOfflineAnalysis:
     def test_dhcp_reassignment_explained(self, sim):
         lan = Lan(sim, network="10.0.3.0/24")
         monitor = lan.add_monitor()
+        monitor.recorder = TraceRecorder()
         lan.enable_dhcp(pool_start=100, pool_end=100)  # single-address pool
         first = lan.add_dhcp_host("first")
         c1 = DhcpClient(first)

@@ -332,6 +332,8 @@ class TestTelemetryIsReadOnly:
             build(self, config)
             for link in self.lan.links:
                 link.recorder = TraceRecorder()
+            for device in [*self.lan.hosts.values(), self.lan.switch]:
+                device.recorder = TraceRecorder()
             scenarios.append(self)
 
         monkeypatch.setattr(experiment.Scenario, "__init__", capture)

@@ -15,6 +15,7 @@ from repro.errors import ClockError, SimulationError, TopologyError
 from repro.l2.device import Link
 from repro.net.addresses import Ipv4Address, Ipv4Network, MacAddress
 from repro.sim import Partition, ShardedSimulator, Simulator
+from repro.sim.trace import TraceRecorder
 from repro.stack.host import Host
 
 NET = Ipv4Network("10.9.0.0/24")
@@ -35,6 +36,7 @@ def _crossover_single(seed: int, latency: float):
     sim = Simulator(seed=seed)
     alice = _host(sim, "alice", 1)
     bob = _host(sim, "bob", 2)
+    alice.recorder, bob.recorder = TraceRecorder(), TraceRecorder()
     Link(sim, alice.nic, bob.nic, latency=latency)
     alice.ping(bob.ip)
     sim.run(until=1.0)
@@ -48,6 +50,7 @@ def _crossover_sharded(seed: int, latency: float):
     right = fabric.add_partition("right")
     alice = left.register(_host(left, "alice", 1))
     bob = right.register(_host(right, "bob", 2))
+    alice.recorder, bob.recorder = TraceRecorder(), TraceRecorder()
     fabric.connect(alice.nic, bob.nic, latency=latency)
     alice.ping(bob.ip)
     fabric.run(until=1.0)

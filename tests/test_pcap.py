@@ -22,7 +22,7 @@ from repro.attacks.mitm import MitmAttack
 from repro.errors import CodecError, PcapError
 from repro.l2.topology import Lan
 from repro.replay.analyze import analyze
-from repro.sim.trace import Direction, TraceRecord
+from repro.sim.trace import Direction, TraceRecord, TraceRecorder
 from repro.stack.os_profiles import WINDOWS_XP
 
 
@@ -368,6 +368,7 @@ class TestEndToEnd:
         back, and find the attack offline — the full forensics loop."""
         lan = Lan(sim)
         monitor = lan.add_monitor()
+        monitor.recorder = TraceRecorder()
         victim = lan.add_host("victim", profile=WINDOWS_XP)
         mallory = lan.add_host("mallory")
         victim.ping(lan.gateway.ip)

@@ -33,7 +33,7 @@ from repro.replay import (
 from repro.replay.engine import _run_replay
 from repro.schemes import make_defense
 from repro.sim import Simulator
-from repro.sim.trace import Direction
+from repro.sim.trace import Direction, TraceRecorder
 
 
 class TestParseRate:
@@ -257,6 +257,7 @@ class TestReplayVsLive:
             sim = Simulator(seed=21)
             lan = Lan(sim)
             monitor = lan.add_monitor()
+            monitor.recorder = TraceRecorder()
             victim = lan.add_host("victim", profile=WINDOWS_XP)
             mallory = lan.add_host("mallory")
             live_scheme = make_defense("arpwatch")
@@ -336,6 +337,7 @@ class TestReplayVsLive:
         sim = Simulator(seed=21)
         lan = Lan(sim)
         monitor = lan.add_monitor()
+        monitor.recorder = TraceRecorder()
         victim = lan.add_host("victim", profile=WINDOWS_XP)
         mallory = lan.add_host("mallory")
         victim.ping(lan.gateway.ip)

@@ -9,6 +9,7 @@ from repro.l2.topology import Lan
 from repro.net.addresses import Ipv4Address
 from repro.packets.ipv4 import IpProto, Ipv4Packet
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.stack.os_profiles import WINDOWS_XP
 
 
@@ -79,6 +80,7 @@ def _attack_trace(seed: int) -> tuple[list, list]:
     sim = Simulator(seed=seed)
     lan = Lan(sim)
     monitor = lan.add_monitor()
+    monitor.recorder = TraceRecorder()
     victim = lan.add_host("victim", profile=WINDOWS_XP)
     mallory = lan.add_host("mallory")
     from repro.schemes import make_scheme

@@ -18,6 +18,7 @@ from repro.l2.device import Link
 from repro.l2.switch import Switch
 from repro.net.addresses import Ipv4Network, MacAddress
 from repro.sim import ShardedSimulator, Simulator
+from repro.sim.trace import TraceRecorder
 from repro.stack.host import Host
 
 NET = Ipv4Network("10.77.0.0/24")
@@ -95,6 +96,8 @@ def _run_chain(
     else:
         engine = Simulator(seed=seed, batching=batching)
     hosts, switches = _build_chain(engine, hosts_per_switch, sharded)
+    for device in hosts + switches:
+        device.recorder = TraceRecorder()
     n = len(hosts)
     for step, (a, b) in enumerate(pings):
         src, dst = hosts[a % n], hosts[b % n]
