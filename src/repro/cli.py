@@ -63,6 +63,17 @@ def _scheme_spec(value: str) -> str:
     return value
 
 
+def _positive_int(value: str) -> int:
+    """argparse type for counts that must be at least 1 (hosts, seeds, jobs)."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
 def _fault_spec(value: str) -> Optional[str]:
     """argparse type for ``--faults``: a compact impairment spec or 'none'."""
     try:
@@ -163,12 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated controller fail modes to sweep "
              "(controller-failover only; default: open,closed)",
     )
-    camp.add_argument("--seeds", type=int, default=5,
+    camp.add_argument("--seeds", type=_positive_int, default=5,
                       help="independent trials per grid cell")
     camp.add_argument("--root-seed", type=int, default=7)
-    camp.add_argument("--jobs", type=int, default=1,
+    camp.add_argument("--jobs", type=_positive_int, default=1,
                       help="worker processes (1 = in-process serial)")
-    camp.add_argument("--hosts", type=int, default=4,
+    camp.add_argument("--hosts", type=_positive_int, default=4,
                       help="LAN size of the sweep scenario")
     camp.add_argument("--duration", type=float, default=12.0,
                       help="attack/observation duration per trial (seconds)")
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="poisoning technique (default: reply)",
         )
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--hosts", type=int, default=4)
+        p.add_argument("--hosts", type=_positive_int, default=4)
         p.add_argument("--duration", type=float, default=12.0,
                        help="attack duration in simulated seconds")
         p.add_argument(

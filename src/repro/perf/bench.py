@@ -391,6 +391,11 @@ SUITE: Dict[str, Bench] = {
     "campus_churn_sharded_deliveries": Bench(
         partial(_bench_campus_churn, shards=1, cell=_CELL_1K), batched_only=True
     ),
+    "campus_churn_forked_deliveries": Bench(
+        partial(_bench_campus_churn, shards=2, cell=_CELL_1K),
+        batched_only=True,
+        full_only=True,
+    ),
     "campus_churn_10k_deliveries": Bench(
         partial(_bench_campus_churn, shards=1, cell=_CELL_10K),
         batched_only=True,

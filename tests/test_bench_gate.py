@@ -36,8 +36,10 @@ CAMPUS = {
     "campus_build_hosts_per_sec",
     "campus_churn_deliveries",
     "campus_churn_sharded_deliveries",
+    "campus_churn_forked_deliveries",
     "campus_churn_10k_deliveries",
 }
+FULL_ONLY = {"campus_churn_forked_deliveries", "campus_churn_10k_deliveries"}
 REPLAY = {
     "replay_source_fps",
     "replay_engine_fps",
@@ -50,11 +52,11 @@ ALL_KEYS = PER_FRAME | {"broadcast_flood_deliveries"} | CAMPUS
 #: (quick, batching) -> the exact key set that run is gated on.
 MODES = {
     (False, True): ALL_KEYS,
-    (True, True): ALL_KEYS - {"campus_churn_10k_deliveries"},
+    (True, True): ALL_KEYS - FULL_ONLY,
     (False, False): PER_FRAME,
     (True, False): PER_FRAME,
 }
-SIZES = {(False, True): 18, (True, True): 17, (False, False): 13, (True, False): 13}
+SIZES = {(False, True): 19, (True, True): 17, (False, False): 13, (True, False): 13}
 
 
 class TestCommittedBaseline:
@@ -78,7 +80,7 @@ class TestCommittedBaseline:
         batched_only = {name for name, b in SUITE.items() if b.batched_only}
         assert batched_only == {"broadcast_flood_deliveries"} | CAMPUS
         full_only = {name for name, b in SUITE.items() if b.full_only}
-        assert full_only == {"campus_churn_10k_deliveries"}
+        assert full_only == FULL_ONLY
 
     def test_headline_meets_the_batching_target(self):
         """The committed headline must reflect the batched plane: at

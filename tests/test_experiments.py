@@ -15,6 +15,13 @@ from repro.schemes.registry import SCHEME_FACTORIES, all_profiles
 FAST = ScenarioConfig(n_hosts=3, warmup=3.0, attack_duration=15.0, cooldown=2.0)
 
 
+class TestScenarioConfig:
+    @pytest.mark.parametrize("n_hosts", [0, -1])
+    def test_rejects_a_lan_without_users(self, n_hosts):
+        with pytest.raises(ExperimentError, match="n_hosts must be at least 1"):
+            ScenarioConfig(n_hosts=n_hosts)
+
+
 class TestEffectiveness:
     def test_baseline_is_missed(self):
         result = run("effectiveness", FAST, scheme=None, technique="reply")
