@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from repro.l2.cam import CamTable
 from repro.l2.topology import Lan
-from repro.net.addresses import MacAddress
+from repro.net.addresses import BROADCAST_MAC, MacAddress
+from repro.packets.arp import ArpPacket
 from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.packets.ipv4 import IpProto, Ipv4Packet
 from repro.perf import PERF
@@ -101,6 +102,45 @@ def test_bench_batched_matches_unbatched():
         )
 
     assert run(True) == run(False)
+
+
+def _foreign_request_flood(guarded: bool, n_hosts: int = 16, n_requests: int = 40):
+    """Broadcast requests for an address no station owns; returns the
+    settled count and each receiver's ARP receives."""
+    sim = Simulator(seed=13, batching=True)
+    lan = Lan(sim)
+    hosts = [lan.add_host(f"h{i}") for i in range(n_hosts)]
+    sender, watched = hosts[0], hosts[1]
+    if guarded:
+        watched.add_arp_guard(lambda *a: None)
+    receivers = [h for h in lan.hosts.values() if h is not sender]
+    request = ArpPacket.request(
+        sha=sender.mac, spa=sender.ip, tpa=lan.network.host(200)
+    )
+    before = {h.name: h.counters["arp_rx"] for h in receivers}
+    settled = PERF.arp_settled
+    for _ in range(n_requests):
+        sender.send_arp(request, dst_mac=BROADCAST_MAC)
+    sim.run(until=sim.now + 1.0)
+    received = {h.name: h.counters["arp_rx"] - before[h.name] for h in receivers}
+    assert all(n == n_requests for n in received.values())
+    return PERF.arp_settled - settled, received, watched.name
+
+
+def test_bench_foreign_requests_settled(benchmark):
+    """Every plain receiver settles a request for another address."""
+    settled, received, _ = benchmark.pedantic(
+        lambda: _foreign_request_flood(guarded=False), rounds=3, iterations=1
+    )
+    assert settled == sum(received.values())
+
+
+def test_bench_guard_forces_the_full_input_path(benchmark):
+    """An ARP guard must see every request, so its host settles none."""
+    settled, received, watched = benchmark.pedantic(
+        lambda: _foreign_request_flood(guarded=True), rounds=3, iterations=1
+    )
+    assert settled == sum(received.values()) - received[watched]
 
 
 def test_bench_cam_lookup_batch(benchmark):

@@ -82,8 +82,9 @@ class Port:
         link = self.link
         if link is None or not self.up or not datas:
             return
-        self.tx_frames += len(datas)
-        self.tx_bytes += sum(map(len, datas))
+        n = len(datas)
+        self.tx_frames += n
+        self.tx_bytes += len(datas[0]) if n == 1 else sum(map(len, datas))
         link.carry_batch(self, datas)
 
     def deliver(self, data: bytes) -> None:
@@ -103,8 +104,9 @@ class Port:
         """
         if not self.up:
             return
-        self.rx_frames += len(datas)
-        self.rx_bytes += sum(map(len, datas))
+        n = len(datas)
+        self.rx_frames += n
+        self.rx_bytes += len(datas[0]) if n == 1 else sum(map(len, datas))
         self.device.on_frame_batch(self, datas)
 
     def shut(self) -> None:
@@ -204,8 +206,9 @@ class Link:
         if receiver is None:
             receiver = self.other_end(sender)
         sim = self.sim
-        self.frames_carried += len(datas)
-        self.bytes_carried += sum(map(len, datas))
+        n = len(datas)
+        self.frames_carried += n
+        self.bytes_carried += len(datas[0]) if n == 1 else sum(map(len, datas))
         if self.recorder is not None:
             record = self.recorder.record
             now = sim.now
@@ -226,8 +229,13 @@ class Link:
                         wire_delay(latency, len(payload), spb, extra), receiver, payload
                     )
             return
-        # Group by frame length (== by arrival time): the common flood
-        # batch is uniform, so this is one accumulator probe for the lot.
+        if n == 1:
+            # The common flood hop carries one frame: no grouping.
+            data = datas[0]
+            sim.coalesce(wire_delay(latency, len(data), spb), receiver, data)
+            return
+        # Group by frame length (== by arrival time): a flood batch is
+        # uniform, so this is one accumulator probe for the lot.
         by_len: dict = {}
         for data in datas:
             group = by_len.get(len(data))

@@ -274,7 +274,9 @@ class Switch(Device):
         forwarded = 0
         undecodable = 0
         for data in datas:
-            if len(data) < 14:
+            if len(data) < 14 or data[12] < 6:
+                # A runt, or an 802.3 length (< 0x0600) where the type
+                # goes: the per-frame plane's FrameView rejects both.
                 undecodable += 1
                 continue
             learn(data[6:12], ingress_index, now)

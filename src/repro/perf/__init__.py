@@ -49,6 +49,7 @@ class PerfCounters:
         "nic_batch_filtered",
         "cam_sweeps",
         "cam_sweep_skips",
+        "arp_settled",
     )
 
     #: Every count the registry's ``perf`` collector reports: the
@@ -83,6 +84,9 @@ class PerfCounters:
         self.cam_sweeps = 0
         #: CAM sweeps skipped by the next-expiry watermark.
         self.cam_sweep_skips = 0
+        #: Received ARP requests a host settled without the ARP input
+        #: path: RFC 826 leaves them nothing to do.
+        self.arp_settled = 0
         self._intern_hits_base = 0
         self._intern_misses_base = 0
 
@@ -148,6 +152,7 @@ def summary(counts: Mapping[str, int]) -> str:
         f"lazy-views={c['lazy_frames']} "
         f"payload-decodes-skipped={max(0, c['lazy_frames'] - c['payload_decodes'])}, "
         f"flood-buffer-reuses={c['flood_buffer_reuses']}, "
+        f"arp-settled={c['arp_settled']}, "
         f"intern-hit-rate={_ratio(c['intern_hits'], interns):.0%}" + batched + drops
     )
 

@@ -256,7 +256,8 @@ class Host(Device):
         """Vectorized NIC receive: filter the whole batch, then one loop.
 
         A non-promiscuous, untapped NIC compares destination MAC slices
-        across every frame in the batch in one comprehension — foreign
+        across every frame in the batch in one comprehension (a batch of
+        one, the common flood delivery, is tested in place) — foreign
         unicast never produces a frame view, a capture record, or even a
         per-frame Python call.  Every survivor is addressed to this host
         (its own MAC or a group address), so the loop records it, builds
@@ -272,12 +273,19 @@ class Host(Device):
                 on_frame(port, data)
             return
         mine = self.mac.packed
-        survivors = [
-            d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
-        ]
-        PERF.nic_batch_filtered += len(datas) - len(survivors)
-        if not survivors:
-            return
+        if len(datas) == 1:
+            data = datas[0]
+            if len(data) >= 14 and not data[0] & 1 and data[:6] != mine:
+                PERF.nic_batch_filtered += 1
+                return
+            survivors = datas
+        else:
+            survivors = [
+                d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
+            ]
+            PERF.nic_batch_filtered += len(datas) - len(survivors)
+            if not survivors:
+                return
         global _shared_data, _shared_view
         recorder = self.recorder
         now = self.sim.now
@@ -336,6 +344,35 @@ class Host(Device):
             self.counters["decode_errors"] += 1
             return
         self.counters["arp_rx"] += 1
+        ip = self.ip
+        if (
+            arp.op == ArpOp.REQUEST
+            and ip is not None
+            and self.arp_rx_cost is None
+            and not self.arp_guards.hooks
+        ):
+            # RFC 826 settle: a request for another address that is not
+            # gratuitous changes nothing unless this stack refreshes
+            # bindings from requests and its sender is cached or being
+            # resolved -- what _arp_request_in would conclude, decided
+            # here at wire cost.  Addresses compare as their ints, and
+            # each table is tested for emptiness before it is hashed
+            # into (most caches on a flooded LAN are empty).
+            spa, tpa = arp.spa._value, arp.tpa._value
+            entries, pending = self.arp_cache._entries, self._pending_arp
+            if (
+                tpa != ip._value
+                and spa != tpa
+                and (
+                    not self.profile.update_from_request
+                    or not (
+                        (entries and arp.spa in entries)
+                        or (pending and arp.spa in pending)
+                    )
+                )
+            ):
+                PERF.arp_settled += 1
+                return
         cost = self.arp_rx_cost(arp) if self.arp_rx_cost is not None else 0.0
         if cost > 0:
             # Crypto schemes defer processing past the verification cost;

@@ -359,6 +359,24 @@ class TestHostNicBatchFilter:
         host.on_frame_batch(host.nic, [_foreign_unicast_wire(), mine, bcast])
         assert len(host.recorder) == 2  # the foreign unicast died unseen
 
+    def test_one_frame_batch_is_filtered_like_a_wide_one(self):
+        sim = Simulator(seed=2)
+        host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
+        host.recorder = TraceRecorder()
+        lazy, filtered = PERF.lazy_frames, PERF.nic_batch_filtered
+        host.on_frame_batch(host.nic, [_foreign_unicast_wire()])
+        assert PERF.nic_batch_filtered - filtered == 1
+        assert PERF.lazy_frames == lazy
+        bcast = EthernetFrame(
+            dst=MacAddress("ff:ff:ff:ff:ff:ff"),
+            src=MacAddress("02:cc:00:00:00:01"),
+            ethertype=EtherType.IPV4,
+            payload=b"z" * 50,
+        ).encode()
+        host.on_frame_batch(host.nic, [bcast])
+        assert PERF.nic_batch_filtered - filtered == 1
+        assert [r.frame for r in host.recorder] == [bcast]
+
     def test_promiscuous_mode_disables_the_batch_filter(self):
         sim = Simulator(seed=2)
         host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
@@ -400,3 +418,35 @@ class TestSwitchBatchPath:
         hosts[0].ping(hosts[1].ip)
         sim.run(until=2.0)
         assert monitor.nic.rx_frames > 0
+
+    @staticmethod
+    def _llc_broadcast(batching: bool):
+        """A 60-byte 802.3/LLC broadcast (type field 0x002e, a length)
+        sent by one host of a 2-host LAN; returns what it left behind."""
+        sim = Simulator(seed=4, batching=batching)
+        lan = Lan(sim)
+        h0, h1 = lan.add_host("h0"), lan.add_host("h1")
+        llc = b"\xff" * 6 + h0.mac.packed + b"\x00\x2e" + b"\x42\x42\x03" + bytes(43)
+        assert len(llc) == 60
+        h0.nic.transmit(llc)
+        sim.run(until=1.0)
+        switch = lan.switch
+        return (
+            (
+                switch.undecodable_frames,
+                switch.flooded_frames,
+                switch.forwarded_frames,
+                switch.dropped_frames,
+            ),
+            sorted((e.mac.packed, e.port_index) for e in switch.cam),
+            {h.name: dict(h.counters) for h in (h0, h1)},
+        )
+
+    def test_8023_frames_are_dropped_on_both_planes(self):
+        """An 802.3 length in the type field is undecodable on the
+        batched plane too: counted, never learned, never flooded."""
+        batched = self._llc_broadcast(batching=True)
+        assert batched == self._llc_broadcast(batching=False)
+        (undecodable, flooded, _, _), cam, counters = batched
+        assert (undecodable, flooded, cam) == (1, 0, [])
+        assert counters["h1"]["decode_errors"] == 0

@@ -403,6 +403,7 @@ class TestPerfCounters:
 
         text = summary(REGISTRY.collect("perf"))
         assert "memoized" in text and "intern-hit-rate" in text
+        assert "arp-settled=3," in summary({"arp_settled": 3})
 
 
 # ======================================================================
