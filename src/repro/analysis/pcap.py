@@ -130,12 +130,13 @@ def _open_reader(source: Union[str, Path, BinaryIO]) -> tuple:
 class FrameWindow(NamedTuple):
     """One window of a frame stream, as a replay source hands it over.
 
-    ``frames`` consecutive frames of the stream, of which ``kept`` are
-    the ones the consumer asked for, in order.  ``skew`` counts the
-    window's frames whose timestamp ran below the running maximum, and
-    ``max_ts`` is that running maximum once the window is through; both
-    start from the stream's ``floor``, so they carry over from window
-    to window.
+    ``frames`` consecutive frames of the stream, of which ``kept`` holds
+    the ones the consumer asked for, in order, as ``(timestamp, frame)``
+    pairs.  Each timestamp is clamped to the running maximum of the
+    stream's timestamps, dropped frames included; ``skew`` counts the
+    window's frames that ran below it, and ``max_ts`` is the maximum
+    once the window is through.  The maximum starts from the stream's
+    ``floor``, so it carries over from window to window.
     """
 
     first_ts: float
@@ -196,7 +197,7 @@ def _walk(
     buffer_size: int,
     window: int,
     floor: float,
-    stamped: bool,
+    filtered: bool,
 ) -> Iterator[FrameWindow]:
     """The one record walk behind every pcap reader.
 
@@ -211,17 +212,17 @@ def _walk(
 
     Timestamps are compared as integer ``seconds * 10**6 + micros``
     keys, so a record becomes a float only when it is a window's first
-    or is kept ``stamped``.  For micros below 10**6 (every well-formed
-    capture) the keys order exactly as the float timestamps do.
+    or is kept.  For micros below 10**6 (every well-formed capture) the
+    keys order exactly as the float timestamps do.
 
-    A window is yielded every ``window`` records (never, for a
-    ``window`` below 1) and at the end of the capture; the records of
-    a window cut short by an error are dropped with it.  ``stamped``
-    keeps every record as a ``(timestamp, frame)`` pair and also yields
-    at the end of each block, so every record before an error reaches
-    the caller.  Otherwise the walk keeps only the frames
-    :func:`capture_filter` passes, and a dropped record is never copied
-    out of the buffer or given a float timestamp.
+    A window is yielded every ``window`` records and at the end of the
+    capture; the records of a window cut short by an error are dropped
+    with it.  A kept record's timestamp is clamped to the running
+    maximum.  ``filtered`` keeps only the frames :func:`capture_filter`
+    passes, and a dropped record is never copied out of the buffer.
+    A ``window`` below 1 is the raw view: every record, at its own
+    unclamped timestamp, yielded at the end of each block so every
+    record before an error reaches the caller.
     """
     if buffer_size < 1:
         raise ValueError(f"buffer_size must be positive, got {buffer_size!r}")
@@ -247,6 +248,7 @@ def _walk(
         hsize = _RECORD_HEADER.size
         read = reader.read
         keep = capture_filter
+        raw = window < 1
         top = _floor_key(floor)
         reached = False  # has any record reached the floor yet?
         buf = pad
@@ -272,13 +274,19 @@ def _walk(
                     skew += 1
                 else:
                     top = key
-                if stamped:
-                    kept.append((seconds + micros / 1_000_000, buf[pos + hsize : stop]))
-                elif (proto == 17 or kind == 0x06) and keep(buf, pos + hsize, stop):
-                    kept.append(buf[pos + hsize : stop])
+                if not filtered or (
+                    (proto == 17 or kind == 0x06) and keep(buf, pos + hsize, stop)
+                ):
+                    if key == top or raw:
+                        ts = seconds + micros / 1_000_000
+                    elif reached or n >= skew:  # an earlier record reached the floor
+                        ts = _stamp(top)
+                    else:
+                        ts = floor
+                    kept.append((ts, buf[pos + hsize : stop]))
                 pos = stop
                 n += 1
-            if n and (n == window or stamped or eof):
+            if n and (n == window or raw or eof):
                 reached = reached or n > skew
                 yield FrameWindow(
                     first_ts, _stamp(top) if reached else floor,
@@ -345,7 +353,7 @@ def iter_pcap_frames(
     index instead of silently truncating; every record before it is
     yielded first.
     """
-    for block in _walk(source, buffer_size, -1, 0.0, stamped=True):
+    for block in _walk(source, buffer_size, -1, 0.0, filtered=False):
         yield from block.kept
 
 
@@ -354,21 +362,23 @@ def iter_pcap_windows(
     window: int,
     floor: float = 0.0,
     buffer_size: int = READ_BUFFER,
+    filtered: bool = True,
 ) -> Iterator[FrameWindow]:
     """Stream an Ethernet pcap as :class:`FrameWindow` records.
 
-    A view over the one record walk, with arpwatch's capture filter
-    (:func:`capture_filter`) run inside it: each window covers
-    ``window`` records and keeps only the ARP and DHCP frames, so a
+    A view over the one record walk: each window covers ``window``
+    records and keeps them as ``(timestamp, frame)`` pairs, timestamps
+    clamped to the running maximum, which starts at ``floor``.
+    ``filtered`` runs arpwatch's capture filter (:func:`capture_filter`)
+    inside the walk and keeps only the ARP and DHCP frames, so a
     dropped record costs one header unpack and a few integer compares.
-    ``floor`` is the timestamp the skew count and ``max_ts`` start
-    from.  Same checks and same :class:`~repro.errors.PcapError` text
-    as :func:`iter_pcap_frames`; the records of a window cut short by
-    an error are not yielded.
+    Same checks and same :class:`~repro.errors.PcapError` text as
+    :func:`iter_pcap_frames`; the records of a window cut short by an
+    error are not yielded.
     """
     if window < 1:
         raise ValueError(f"window must be positive, got {window!r}")
-    return _walk(source, buffer_size, window, floor, stamped=False)
+    return _walk(source, buffer_size, window, floor, filtered)
 
 
 def iter_pcap(

@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import json
 import os
+import sys
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -30,7 +31,9 @@ def code_fingerprint() -> str:
     """Hash of the code that produces results, for cache invalidation.
 
     Covers the package version plus the source of the experiment and
-    campaign-spec modules: editing either changes every cache key.  In
+    campaign-spec modules and of every module that defines a result
+    type: editing any of them changes every cache key, so a cached
+    payload always matches the fields its result type has.  In
     environments where source is unavailable (zipped installs), falls
     back to the version string alone.
     """
@@ -39,7 +42,11 @@ def code_fingerprint() -> str:
         import repro.campaign.spec as spec_module
         import repro.core.experiment as experiment_module
 
-        for module in (experiment_module, spec_module):
+        result_modules = sorted(
+            {cls.__module__ for cls in experiment_module.RESULT_TYPES.values()}
+            - {experiment_module.__name__}
+        )
+        for module in (experiment_module, spec_module, *map(sys.modules.get, result_modules)):
             hasher.update(inspect.getsource(module).encode("utf-8"))
     except (OSError, TypeError):  # pragma: no cover - zipped/frozen installs
         pass

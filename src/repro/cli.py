@@ -380,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--window", type=int, default=1024, metavar="N",
         help="bounded in-flight window in frames; memory stays O(N) "
-             "regardless of trace size (default: 1024; 1 forces the "
-             "per-frame fidelity path)",
+             "regardless of trace size.  It bounds memory only: every "
+             "frame is delivered at its own timestamp (default: 1024)",
     )
     replay.add_argument(
         "--drain", type=float, default=0.0, metavar="SECS",
@@ -917,7 +917,7 @@ def _cmd_replay(args, out) -> int:
         f"replay: {result.frames} frames ({result.bytes} bytes) "
         f"from {result.source}\n"
         f"  scheme={label} alerts={result.alerts} "
-        f"delivered={result.delivered} mode={result.mode} "
+        f"delivered={result.delivered} "
         f"window={result.window} peak_in_flight={result.peak_in_flight}\n"
         f"  {result.frames_per_sec:,.0f} frames/sec "
         f"(wall {result.wall_seconds:.3f}s, "

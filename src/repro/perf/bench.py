@@ -311,7 +311,7 @@ def _bench_replay_source(quick: bool) -> float:
 
 
 def _bench_replay_engine(quick: bool, scheme: Optional[str]) -> float:
-    """Batched replay ingest rate (frames/sec), optionally under a scheme.
+    """Replay ingest rate (frames/sec), optionally under a scheme.
 
     The replay engine delivers straight into the monitor RX path, not
     through coalesced event dispatch, so these keys run on both planes.

@@ -4,7 +4,8 @@ The capture runs through :class:`~repro.replay.engine.ReplayEngine` into
 the hybrid detector (passive: the replay station has no IP to probe
 from) stacked with Snort's arpspoof rules.  :class:`CaptureAnalysis` is
 the engine's per-frame observer: it tallies protocol counts from the
-frame bytes, and its presence keeps every alert at its frame's timestamp.
+frame bytes, so the engine hands it every frame, the ones the capture
+filter would drop included.
 """
 
 from __future__ import annotations

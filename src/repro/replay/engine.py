@@ -7,27 +7,22 @@ host with schemes attached to its frame taps) and drives it from any
 :class:`~repro.replay.sources.FrameSource` instead of a simulated
 switch mirror port.
 
-Two delivery modes, picked automatically per run:
+One delivery loop: the source hands over one
+:class:`~repro.analysis.pcap.FrameWindow` per bounded in-flight window
+(:meth:`FrameSource.windows`), and each kept frame goes through
+``Port.deliver`` → ``Host.on_frame`` at its own trace timestamp,
+clamped to the stream's running maximum.  The source runs arpwatch's
+capture filter (``arp or udp port 67 or 68``) while it builds the
+window — a pcap source inside its record walk — so the benign majority
+never reaches the engine.  The filter is off when a per-frame
+``observer`` is attached, when ``TRACER`` is enabled (so frame
+provenance ids number every capture position), and when an installed
+scheme overrides ``on_any_frame`` and therefore inspects
+non-ARP/DHCP traffic.
 
-* **per-frame** — exact fidelity: every frame is delivered through
-  ``Port.deliver`` → ``Host.on_frame`` at its own trace timestamp, and
-  (when the tracer is enabled) registered with frame provenance so
-  alerts resolve to trace positions.  Chosen whenever a per-frame
-  ``observer`` is attached or ``TRACER`` is enabled.
-* **batched** — throughput: the source hands over one
-  :class:`~repro.analysis.pcap.FrameWindow` per bounded in-flight
-  window (:meth:`FrameSource.windows`), and the window's kept frames go
-  to the ``deliver_batch`` plane at the window's first timestamp (the
-  same first-item-slot rule ``Simulator.coalesce`` uses).  The source
-  runs arpwatch's capture filter (``arp or udp port 67 or 68``) while
-  it builds the window — a pcap source inside its record walk — so the
-  benign majority never reaches the engine.  The filter is off when an
-  installed scheme overrides ``on_any_frame`` and therefore inspects
-  non-ARP/DHCP traffic.
-
-Either way the source is consumed *pull-based* behind the window, so a
-multi-GB trace replays in O(window) memory — ``peak_in_flight`` records
-the high-water mark and the bounded-memory test pins it to the window.
+The source is consumed *pull-based* behind the window, so a multi-GB
+trace replays in O(window) memory — ``peak_in_flight`` records the
+high-water mark and the bounded-memory test pins it to the window.
 
 Timekeeping: the engine drives the simulation clock from trace
 timestamps via :meth:`~repro.sim.Simulator.advance_to`, so scheme
@@ -144,16 +139,14 @@ class ReplayResult(SerializableResult):
     scheme: Optional[str]
     frames: int
     bytes: int
-    #: Frames handed to the host RX path (after the batched-mode
-    #: capture filter; equals ``frames`` in per-frame mode).
+    #: Frames handed to the host RX path (after the capture filter;
+    #: equals ``frames`` when the filter is off).
     delivered: int
     alerts: int
     #: Trace time span covered (last timestamp - first timestamp).
     sim_seconds: float
     wall_seconds: float
     window: int
-    #: ``"batched"`` or ``"per-frame"``.
-    mode: str
     #: In-flight high-water mark; bounded-memory invariant: <= window.
     peak_in_flight: int
 
@@ -220,7 +213,6 @@ class ReplayEngine:
         self._ingest_seconds = REGISTRY.histogram(
             "replay_ingest_seconds",
             "Wall-clock time spent ingesting one in-flight window",
-            labels=("mode",),
         )
 
     # ------------------------------------------------------------------
@@ -266,90 +258,53 @@ class ReplayEngine:
         ``drain`` runs the simulator that many extra trace-seconds past
         the last frame, so scheme timers (probe timeouts) conclude.
         Returns a dict with ``frames``, ``bytes``, ``delivered``,
-        ``first_ts``/``last_ts``, ``wall_seconds``, ``mode`` and
+        ``skew``, ``first_ts``/``last_ts``, ``wall_seconds`` and
         ``peak_in_flight``.
         """
         src = open_source(source)
-        per_frame = (
-            self.observer is not None or TRACER.enabled or self.window == 1
-        )
-        filtered = not any(map(_overrides_on_any_frame, self.schemes))
-        monitor = self.lan.monitor
-        nic = monitor.nic
-        sim = self.sim
-        source_kind = src.kind
-        frames = 0
-        nbytes = 0
-        delivered = 0
-        skew = 0
-        first_ts: Optional[float] = None
-        last_ts = sim.now
-        peak = 0
         observer = self.observer
+        filtered = not (
+            observer is not None
+            or TRACER.enabled
+            or any(map(_overrides_on_any_frame, self.schemes))
+        )
+        provenance = TRACER.provenance if TRACER.enabled else None
+        origin = f"replay:{src.kind}"
+        deliver = self.lan.monitor.nic.deliver
+        sim = self.sim
+        frames = nbytes = delivered = skew = peak = 0
+        first_ts: Optional[float] = None
+        now = last_ts = sim.now
         telemetry = sim.telemetry
-        start = time.perf_counter()
-        if per_frame:
-            provenance = TRACER.provenance if TRACER.enabled else None
-            window_start = start
-            for ts, raw in src:
-                if first_ts is None:
-                    first_ts = ts
-                if ts < last_ts:
-                    skew += 1
-                    ts = last_ts
-                if ts > last_ts:
-                    sim.advance_to(ts)
-                    last_ts = ts
+        observe = self._ingest_seconds.observe
+        advance_to = sim.advance_to
+        start = window_start = time.perf_counter()
+        for win in src.windows(self.window, last_ts, filtered):
+            n = win.frames
+            if n > peak:
+                peak = n
+            if first_ts is None:
+                first_ts = win.first_ts
+            for ts, raw in win.kept:
+                if ts > now:
+                    advance_to(ts)
+                    now = ts
                 if provenance is not None:
-                    provenance.new_frame(
-                        raw, origin=f"replay:{source_kind}", time=ts, kind="rx"
-                    )
+                    provenance.new_frame(raw, origin=origin, time=ts, kind="rx")
                 if observer is not None:
                     observer(ts, raw)
-                nic.deliver(raw)
-                frames += 1
-                nbytes += len(raw)
-                if frames % self.window == 0:
-                    now_wall = time.perf_counter()
-                    self._ingest_seconds.labels(mode="per-frame").observe(
-                        now_wall - window_start
-                    )
-                    window_start = now_wall
-                    if telemetry is not None:
-                        sim.events_processed += self.window
-                        telemetry.tick(sim)
-            delivered = frames
-            peak = 1 if frames else 0
-            mode = "per-frame"
-        else:
-            # Each window lands at its first frame's slot, clamped to
-            # the clock: the rule Simulator.coalesce applies.
-            observe = self._ingest_seconds.labels(mode="batched").observe
-            deliver_batch = nic.deliver_batch
-            window_start = start
-            for win in src.windows(self.window, last_ts, filtered):
-                n = win.frames
-                if n > peak:
-                    peak = n
-                if first_ts is None:
-                    first_ts = win.first_ts
-                chunk_ts = max(win.first_ts, last_ts)
-                if chunk_ts > sim.now:
-                    sim.advance_to(chunk_ts)
-                frames += n
-                nbytes += win.bytes
-                skew += win.skew
-                last_ts = win.max_ts
-                if win.kept:
-                    deliver_batch(win.kept)
-                    delivered += len(win.kept)
-                now_wall = time.perf_counter()
-                observe(now_wall - window_start)
-                window_start = now_wall
-                if telemetry is not None:
-                    sim.events_processed += n
-                    telemetry.tick(sim)
-            mode = "batched"
+                deliver(raw)
+            frames += n
+            nbytes += win.bytes
+            delivered += len(win.kept)
+            skew += win.skew
+            last_ts = win.max_ts
+            now_wall = time.perf_counter()
+            observe(now_wall - window_start)
+            window_start = now_wall
+            if telemetry is not None:
+                sim.events_processed += n
+                telemetry.tick(sim)
         if last_ts > sim.now:
             sim.advance_to(last_ts)
         if drain > 0.0:
@@ -358,8 +313,8 @@ class ReplayEngine:
         src.close()
         self.peak_in_flight = max(self.peak_in_flight, peak)
         if frames:
-            self._frames_total.labels(source=source_kind).inc(frames)
-            self._bytes_total.labels(source=source_kind).inc(nbytes)
+            self._frames_total.labels(source=src.kind).inc(frames)
+            self._bytes_total.labels(source=src.kind).inc(nbytes)
         if skew:
             self._skew_total.inc(skew)
         if telemetry is not None:
@@ -373,7 +328,6 @@ class ReplayEngine:
             "first_ts": first_ts,
             "last_ts": last_ts,
             "wall_seconds": wall_seconds,
-            "mode": mode,
             "peak_in_flight": peak,
         }
 
@@ -415,7 +369,6 @@ def _run_replay(
         sim_seconds=float(span),
         wall_seconds=float(stats["wall_seconds"]),
         window=window,
-        mode=str(stats["mode"]),
         peak_in_flight=int(stats["peak_in_flight"]),
     )
 

@@ -5,8 +5,8 @@ pairs with ``close()`` and progress accounting (``frames_read`` /
 ``bytes_read``).  Its :meth:`~FrameSource.windows` method hands the
 same stream over a window at a time, as
 :class:`~repro.analysis.pcap.FrameWindow` records that carry the
-window's counts and only the frames arpwatch's capture filter keeps;
-the batched replay engine consumes nothing else.  Sources are
+window's counts and its kept frames, each at its clamped timestamp;
+the replay engine consumes nothing else.  Sources are
 *pull-based*: nothing is read until the consumer asks, so the engine's
 bounded in-flight window is the only buffering anywhere in the
 pipeline and multi-GB traces replay in O(window) memory.
@@ -117,9 +117,11 @@ class FrameSource:
         Each :class:`~repro.analysis.pcap.FrameWindow` carries the
         window's first timestamp, frame and byte counts, and the frames
         :func:`~repro.analysis.pcap.capture_filter` keeps (every frame
-        when ``filtered`` is false).  ``skew`` counts, per frame, the
-        timestamps below the running maximum, which starts at
-        ``floor``; ``max_ts`` is that maximum after the window.
+        when ``filtered`` is false) as ``(timestamp, frame)`` pairs.
+        Timestamps are clamped to the running maximum, which starts at
+        ``floor`` and counts the dropped frames too; ``skew`` counts
+        the frames below it and ``max_ts`` is the maximum after the
+        window.
 
         This default is built on :meth:`__iter__`; a source that can
         filter more cheaply overrides it.
@@ -130,24 +132,18 @@ class FrameSource:
             pairs = list(islice(stream, window))
             if not pairs:
                 return
-            stamps = [pair[0] for pair in pairs]
-            frames = [pair[1] for pair in pairs]
-            skew = 0
-            if stamps[0] < top or stamps != sorted(stamps):
-                for ts in stamps:
-                    if ts < top:
-                        skew += 1
-                    else:
-                        top = ts
-            else:
-                top = stamps[-1]
-            if filtered:
-                kept = [f for f in frames if capture_filter(f, 0, len(f))]
-            else:
-                kept = frames
-            yield FrameWindow(
-                stamps[0], top, len(frames), sum(map(len, frames)), skew, kept
-            )
+            skew = nbytes = 0
+            kept = []
+            for ts, frame in pairs:
+                nbytes += len(frame)
+                if ts < top:
+                    skew += 1
+                    ts = top
+                else:
+                    top = ts
+                if not filtered or capture_filter(frame, 0, len(frame)):
+                    kept.append((ts, frame))
+            yield FrameWindow(pairs[0][0], top, len(pairs), nbytes, skew, kept)
 
     def close(self) -> None:
         """Release underlying resources (idempotent)."""
@@ -191,11 +187,12 @@ class PcapSource(FrameSource):
     windows through :func:`repro.analysis.pcap.iter_pcap_windows`, two
     views of one block record walk: the file is read in fixed-size
     blocks and a capture that ends mid-record raises
-    :class:`~repro.errors.PcapError` naming the byte offset.  Filtered
-    windows run the capture filter inside the walk, so a dropped record
-    is never copied out of the read buffer.  Timestamps carry pcap's
-    microsecond resolution.  ``frames_read``/``bytes_read`` are
-    published when the stream ends or is closed.
+    :class:`~repro.errors.PcapError` naming the byte offset.  Windows
+    clamp timestamps and, when filtered, run the capture filter inside
+    the walk, so a dropped record is never copied out of the read
+    buffer.  Timestamps carry pcap's microsecond resolution.
+    ``frames_read``/``bytes_read`` are published when the stream ends
+    or is closed.
     """
 
     kind = "pcap"
@@ -223,15 +220,12 @@ class PcapSource(FrameSource):
     def windows(
         self, window: int, floor: float = 0.0, filtered: bool = True
     ) -> Iterator[FrameWindow]:
-        if not filtered:
-            yield from super().windows(window, floor, filtered)
-            return
         self.frames_read = 0
         self.bytes_read = 0
         frames_read = 0
         bytes_read = 0
         try:
-            for win in iter_pcap_windows(self.path, window, floor):
+            for win in iter_pcap_windows(self.path, window, floor, filtered=filtered):
                 frames_read += win.frames
                 bytes_read += win.bytes
                 yield win

@@ -95,3 +95,21 @@ def test_task_keys_are_content_addressed(tmp_path):
 def test_code_fingerprint_is_stable():
     assert code_fingerprint() == code_fingerprint()
     assert len(code_fingerprint()) == 16
+
+
+def test_code_fingerprint_covers_every_result_type(monkeypatch):
+    """A result type defined outside the experiment module (replay's)
+    is hashed too, so a field it gains or loses re-keys the cache."""
+    import inspect
+
+    hashed = []
+    getsource = inspect.getsource
+    monkeypatch.setattr(
+        inspect, "getsource", lambda module: hashed.append(module.__name__) or getsource(module)
+    )
+    code_fingerprint.cache_clear()
+    try:
+        code_fingerprint()
+    finally:
+        code_fingerprint.cache_clear()
+    assert {"repro.core.experiment", "repro.campaign.spec", "repro.replay.engine"} <= set(hashed)

@@ -3,8 +3,9 @@
 ``iter_pcap_windows`` runs arpwatch's ``arp or udp port 67 or 68`` filter
 while it walks the records of a capture.  These tests hold it to the
 generic window path (``FrameSource.windows`` over ``iter_pcap_frames``)
-field for field, and its kept frames to the slice-based filter the
-batched replay engine used to run over every frame.
+field for field, its kept frames to the slice-based filter the replay
+engine used to run over every frame, and their timestamps to the
+running maximum of the stream.
 """
 
 from __future__ import annotations
@@ -146,13 +147,19 @@ class TestParserFilterEquivalence:
         data = write_capture(records, snaplen, big_endian)
         pairs = list(iter_pcap_frames(io.BytesIO(data)))
         floor = pick_floor(floor_choice, [ts for ts, _ in pairs])
-        selected = [raw for _, raw in pairs if reference_filter(raw)]
+        clamped = [max([floor] + [ts for ts, _ in pairs[: i + 1]]) for i in range(len(pairs))]
+        everything = list(zip(clamped, (raw for _, raw in pairs)))
+        selected = [pair for pair in everything if reference_filter(pair[1])]
         for window in WINDOWS:
             generic = list(MemorySource(pairs).windows(window, floor))
-            assert [raw for win in generic for raw in win.kept] == selected
+            assert [pair for win in generic for pair in win.kept] == selected
+            unfiltered = list(MemorySource(pairs).windows(window, floor, False))
+            assert [pair for win in unfiltered for pair in win.kept] == everything
             for size in BLOCK_SIZES:
                 windows = list(iter_pcap_windows(io.BytesIO(data), window, floor, size))
                 assert windows == generic, (window, size)
+                windows = list(iter_pcap_windows(io.BytesIO(data), window, floor, size, False))
+                assert windows == unfiltered, (window, size)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "capture.pcap"
             path.write_bytes(data)
@@ -246,7 +253,7 @@ class TestSkewPerFrame:
     @pytest.mark.parametrize("window", (1, 2, 4, 1024))
     def test_second_run_counts_frames_behind_the_clock(self, window, tmp_path):
         """A second run on the same engine starts at the clock the first
-        left: every frame behind it is skew, in both modes."""
+        left: every frame behind it is skew, at every window."""
         path = tmp_path / "skewed.pcap"
         with PcapWriter(path) as writer:
             for ts, raw in SKEWED:
@@ -267,12 +274,12 @@ class TestSkewPerFrame:
         def alerts(window):
             engine = ReplayEngine(Simulator(seed=1), window=window)
             scheme = engine.install(make_defense("arpwatch"))
-            engine.run(PcapSource(path))
-            return [(a.kind, a.ip, a.mac) for a in scheme.alerts]
+            stats = engine.run(PcapSource(path))
+            return [(a.time, a.kind, a.ip, a.mac) for a in scheme.alerts], stats["delivered"]
 
         batched = alerts(1024)
-        assert batched == alerts(1)
-        assert batched
+        assert batched == alerts(1) == alerts(2)
+        assert batched[0]
 
 
 def announce(station: int, mac_low: int, ts: float):
@@ -284,9 +291,9 @@ def announce(station: int, mac_low: int, ts: float):
 
 class TestDeliveryTimestamp:
     def test_window_starting_behind_the_clock_lands_at_the_clock(self):
-        """Each window lands at its first timestamp, but the second one
-        starts at 2.0, behind the 3.0 the first reached: it lands at
-        3.0, where the per-frame mode clamps the same frame."""
+        """Every frame lands at its own timestamp, whatever the window.
+        The rebinding at 2.0 is behind the 3.0 the stream reached: it
+        lands at 3.0, clamped to the clock."""
         trace = [announce(1, 1, 1.0), announce(2, 2, 3.0),
                  announce(1, 3, 2.0), announce(3, 4, 3.5)]
 
@@ -296,12 +303,12 @@ class TestDeliveryTimestamp:
             engine.run(MemorySource(trace))
             return [(a.time, a.kind, str(a.ip)) for a in scheme.alerts]
 
-        flip = (3.0, "changed-ethernet-address", "10.0.0.1")
-        assert alerts(2) == [
-            (1.0, "new-station", "10.0.0.1"), (1.0, "new-station", "10.0.0.2"),
-            flip, (3.0, "new-station", "10.0.0.3"),
-        ]
-        assert flip in alerts(1)
+        for window in (1, 2, 3, 1024):
+            assert alerts(window) == [
+                (1.0, "new-station", "10.0.0.1"), (3.0, "new-station", "10.0.0.2"),
+                (3.0, "changed-ethernet-address", "10.0.0.1"),
+                (3.5, "new-station", "10.0.0.3"),
+            ], window
 
 
 def truncated_capture(tmp_path) -> Path:
