@@ -11,15 +11,14 @@ warning) and recomputed; the cache never crashes a campaign.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
-import sys
 import warnings
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
+import repro
 from repro._version import __version__
 from repro.campaign.spec import CampaignTask
 
@@ -30,25 +29,20 @@ __all__ = ["ResultCache", "code_fingerprint"]
 def code_fingerprint() -> str:
     """Hash of the code that produces results, for cache invalidation.
 
-    Covers the package version plus the source of the experiment and
-    campaign-spec modules and of every module that defines a result
-    type: editing any of them changes every cache key, so a cached
-    payload always matches the fields its result type has.  In
-    environments where source is unavailable (zipped installs), falls
-    back to the version string alone.
+    Covers the package version plus the path and source of every module
+    in the ``repro`` package, in sorted path order: editing any module
+    (an experiment, a scheme, an engine, a result type) changes every
+    cache key, so a cached result was always computed by the code that
+    would serve it.  In environments where the source files are not on
+    disk (zipped installs), falls back to the version string alone.
     """
     hasher = hashlib.sha256(__version__.encode("utf-8"))
+    root = Path(repro.__file__).parent
     try:
-        import repro.campaign.spec as spec_module
-        import repro.core.experiment as experiment_module
-
-        result_modules = sorted(
-            {cls.__module__ for cls in experiment_module.RESULT_TYPES.values()}
-            - {experiment_module.__name__}
-        )
-        for module in (experiment_module, spec_module, *map(sys.modules.get, result_modules)):
-            hasher.update(inspect.getsource(module).encode("utf-8"))
-    except (OSError, TypeError):  # pragma: no cover - zipped/frozen installs
+        for path in sorted(root.rglob("*.py")):
+            hasher.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+            hasher.update(path.read_bytes() + b"\0")
+    except OSError:  # pragma: no cover - zipped/frozen installs
         pass
     return hasher.hexdigest()[:16]
 

@@ -173,7 +173,7 @@ def _run_campus_churn(
 
     obs_delta = REGISTRY.delta(obs_before)
     perf_delta = obs_delta["collectors"].get("perf", {})
-    return CampusScaleResult(
+    result = CampusScaleResult(
         scheme=scheme_key,
         hosts=len(campus.hosts),
         partitions=len(fabric.partitions) if shards > 0 else 1,
@@ -186,6 +186,15 @@ def _run_campus_churn(
         build_seconds=build_seconds,
         alerts=alerts_in(obs_delta),
     )
+    # A finished fabric is tens of thousands of objects in reference
+    # cycles, which only a full collection would free, and the batched
+    # plane allocates too little to trigger one often.  Releasing it here
+    # frees it by reference counting as soon as the last outside
+    # reference goes, before the next run builds its own.
+    if scheme is not None:
+        scheme.uninstall()
+    campus.release()
+    return result
 
 
 # Polymorphic deserialization (campaign transport + result cache) — the

@@ -41,6 +41,10 @@ class AkdService:
         self.host = host
         self.keypair = keypair
         self._registry: Dict[Ipv4Address, PublicKey] = {}
+        #: Signed response per enrolled IP.  A response is a pure function
+        #: of the registry entry, so each is signed once and dropped when
+        #: the entry changes (:meth:`enroll`, :meth:`revoke`).
+        self._responses: Dict[Ipv4Address, bytes] = {}
         self.queries_served = 0
         self.unknown_queries = 0
         host.udp_bind(AKD_PORT, self._on_udp)
@@ -57,9 +61,11 @@ class AkdService:
                 f"{ip} already enrolled with a different key"
             )
         self._registry[ip] = key
+        self._responses.pop(ip, None)
 
     def revoke(self, ip: Ipv4Address) -> None:
         self._registry.pop(ip, None)
+        self._responses.pop(ip, None)
 
     def knows(self, ip: Ipv4Address) -> bool:
         return ip in self._registry
@@ -78,16 +84,18 @@ class AkdService:
             self.unknown_queries += 1
             return
         self.queries_served += 1
-        blob = key.encode()
-        signature = self.keypair.private.sign(ip.packed + blob)
-        response = (
-            _RESPONSE
-            + ip.packed
-            + struct.pack("!H", len(blob))
-            + blob
-            + struct.pack("!H", len(signature))
-            + signature
-        )
+        response = self._responses.get(ip)
+        if response is None:
+            blob = key.encode()
+            signature = self.keypair.private.sign(ip.packed + blob)
+            response = self._responses[ip] = (
+                _RESPONSE
+                + ip.packed
+                + struct.pack("!H", len(blob))
+                + blob
+                + struct.pack("!H", len(signature))
+                + signature
+            )
         host.send_udp(src_ip, AKD_PORT, datagram.src_port, response)
 
 

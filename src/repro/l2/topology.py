@@ -557,6 +557,22 @@ class Campus:
         self.monitor = monitor
         return monitor
 
+    def release(self) -> None:
+        """Break the reference cycles that tie this campus together.
+
+        Ports point at their device, their peer and their cable, and
+        devices point at the simulator that holds them in its queue (and,
+        when sharded, in a partition's registry), so a finished campus is
+        garbage that only a full collection frees.  After this call it
+        is freed by reference counting as soon as its last outside
+        reference goes.  Counters, names and cable totals stay readable;
+        the campus cannot carry frames again.
+        """
+        for device in (*self.hosts.values(), *self.switches.values()):
+            for port in device.ports:
+                port.device = port.peer = port.link = None
+        self.fabric.release()
+
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------

@@ -127,7 +127,9 @@ class MacAddress:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("mac", self._value))
+        # The int itself: a MAC and an IP of equal value share a hash
+        # bucket but never compare equal, so they stay distinct keys.
+        return self._value
 
     @classmethod
     def random(cls, rng: random.Random, oui: Optional[int] = None) -> "MacAddress":
@@ -232,7 +234,7 @@ class Ipv4Address:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self._value))
+        return self._value  # see MacAddress.__hash__
 
 
 ZERO_IP = Ipv4Address("0.0.0.0")

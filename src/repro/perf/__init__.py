@@ -8,9 +8,11 @@ floods reuse a single encoded buffer, and hot addresses are interned.
 
 :data:`PERF` is the process-global counter block those optimizations
 report into.  It answers "did the fast path actually engage?" without a
-profiler: encodes avoided, payload decodes skipped, flood buffers reused
-and the address-intern hits.  Counters are plain attribute increments
-so the instrumentation itself stays off the profile.
+profiler: encodes avoided, payload decodes skipped, flood buffers reused,
+the address-intern hits and the garbage collector's runs per generation.
+Counters are plain attribute increments so the instrumentation itself
+stays off the profile; the intern hits and GC runs are read from their
+owners only when someone reads them.
 
 ``PERF`` holds counts only.  The metrics registry reads them as its
 ``perf`` collector (:attr:`PerfCounters.COUNTS`) and owns everything
@@ -20,11 +22,13 @@ ever subtracted or summed.
 
 Counters are cumulative for the process; :meth:`PerfCounters.reset`
 re-baselines everything (including the intern-cache statistics, which
-live in :mod:`repro.net.addresses`).
+live in :mod:`repro.net.addresses`, and the GC runs, which
+:func:`gc.get_stats` counts).
 """
 
 from __future__ import annotations
 
+import gc
 from typing import Mapping
 
 __all__ = ["PerfCounters", "PERF", "summary"]
@@ -52,13 +56,19 @@ class PerfCounters:
         "arp_settled",
     )
 
+    #: Garbage-collector runs per generation since :meth:`reset`, read
+    #: from :func:`gc.get_stats` only when someone reads them.
+    GC_RUNS = ("gc_gen0", "gc_gen1", "gc_gen2")
+
     #: Every count the registry's ``perf`` collector reports: the
-    #: additive fields plus the intern hits and misses since :meth:`reset`.
-    COUNTS = ADDITIVE + ("intern_hits", "intern_misses")
+    #: additive fields plus the intern hits and misses and the GC runs
+    #: since :meth:`reset`.
+    COUNTS = ADDITIVE + ("intern_hits", "intern_misses") + GC_RUNS
 
     __slots__ = ADDITIVE + (
         "_intern_hits_base",
         "_intern_misses_base",
+        "_gc_base",
     )
 
     def __init__(self) -> None:
@@ -89,15 +99,21 @@ class PerfCounters:
         self.arp_settled = 0
         self._intern_hits_base = 0
         self._intern_misses_base = 0
+        self._gc_base = (0, 0, 0)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Zero every counter and re-baseline the intern statistics."""
+        """Zero every counter and re-baseline the intern and GC statistics."""
         hits, misses = self._intern_totals()
         for name in self.ADDITIVE:
             setattr(self, name, 0)
         self._intern_hits_base = hits
         self._intern_misses_base = misses
+        self._gc_base = self._gc_totals()
+
+    @staticmethod
+    def _gc_totals() -> tuple:
+        return tuple(gen["collections"] for gen in gc.get_stats())
 
     @staticmethod
     def _intern_totals() -> tuple[int, int]:
@@ -118,6 +134,18 @@ class PerfCounters:
     @property
     def intern_misses(self) -> int:
         return self._intern_totals()[1] - self._intern_misses_base
+
+    @property
+    def gc_gen0(self) -> int:
+        return self._gc_totals()[0] - self._gc_base[0]
+
+    @property
+    def gc_gen1(self) -> int:
+        return self._gc_totals()[1] - self._gc_base[1]
+
+    @property
+    def gc_gen2(self) -> int:
+        return self._gc_totals()[2] - self._gc_base[2]
 
 
 def _ratio(part: int, whole: int) -> float:
@@ -153,7 +181,8 @@ def summary(counts: Mapping[str, int]) -> str:
         f"payload-decodes-skipped={max(0, c['lazy_frames'] - c['payload_decodes'])}, "
         f"flood-buffer-reuses={c['flood_buffer_reuses']}, "
         f"arp-settled={c['arp_settled']}, "
-        f"intern-hit-rate={_ratio(c['intern_hits'], interns):.0%}" + batched + drops
+        f"intern-hit-rate={_ratio(c['intern_hits'], interns):.0%}, "
+        f"gc-runs={c['gc_gen0']}/{c['gc_gen1']}/{c['gc_gen2']}" + batched + drops
     )
 
 

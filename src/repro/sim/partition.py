@@ -111,6 +111,12 @@ class Partition(Simulator):
                 f"partition {self.name!r} has no device {name!r}"
             ) from None
 
+    def release(self) -> None:
+        """Drop the queue and the device registry (each device points
+        back at its partition)."""
+        super().release()
+        self.devices.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Partition({self.name!r}, now={self._now:.6f}, "
@@ -338,6 +344,14 @@ class ShardedSimulator:
         device = port.device
         partition = self.partition_of(device)
         return _Endpoint(partition, port, device.name, port.index)
+
+    def release(self) -> None:
+        """Release every partition and detach the boundaries from this
+        coordinator, breaking the cycles between them."""
+        for partition in self.partitions.values():
+            partition.release()
+        for boundary in self.boundaries:
+            boundary._coordinator = None
 
     # ------------------------------------------------------------------
     # Aggregate clock/telemetry surface (sim-alike for the recorder)

@@ -105,6 +105,48 @@ class Event:
         return f"Event(t={self.time:.6f}, seq={self.seq}, name={self.name!r}{state})"
 
 
+class _Flush(Event):
+    """The flush event of one coalesced batch (:meth:`Simulator.coalesce`).
+
+    One slotted object per batch, in place of an :class:`Event` plus a
+    flush closure and its cells: the batched plane schedules one of
+    these per delivery, so every allocation saved here is saved per
+    frame hop.  ``action`` is a method, so the event loop fires it like
+    any other event.  Flush events are never cancelled.
+    """
+
+    __slots__ = ("key", "sink", "items", "batches")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        name: str,
+        sim: "Simulator",
+        key: tuple,
+        sink,
+        items: list,
+        batches: dict,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.name = name
+        self.cancelled = False
+        self._sim = sim
+        self.key = key
+        self.sink = sink
+        self.items = items
+        #: The simulator's open-batch dict; the flush closes its entry.
+        self.batches = batches
+
+    def action(self) -> None:  # type: ignore[override]
+        items = self.items
+        del self.batches[self.key]
+        PERF.batch_flushes += 1
+        PERF.batched_items += len(items)
+        self.sink.deliver_batch(items)
+
+
 class Simulator:
     """Event loop with a virtual clock.
 
@@ -285,9 +327,10 @@ class Simulator:
         forces the per-event plane so span and provenance semantics never
         fork.  On the batched plane, ``items`` becomes the open batch for
         ``(when, sink)``: later same-instant items append to it until the
-        flush event hands the lot to ``sink.deliver_batch``.  ``flush``
-        is a closure fired straight from :meth:`_fire`, so a profiler sees
-        every coalesced delivery called from the event loop itself.
+        flush event hands the lot to ``sink.deliver_batch``.  The flush
+        is one slotted :class:`_Flush` event whose ``action`` is a method,
+        fired straight from :meth:`_fire`, so a profiler sees every
+        coalesced delivery called from the event loop itself.
         """
         heap = self._heap
         counter = self._counter
@@ -301,17 +344,9 @@ class Simulator:
                 heapq.heappush(heap, (when, seq, event))
             return
         key = (when, sink)
-        open_batches = self._open_batches
-        open_batches[key] = items
-
-        def flush() -> None:
-            del open_batches[key]
-            PERF.batch_flushes += 1
-            PERF.batched_items += len(items)
-            sink.deliver_batch(items)
-
+        self._open_batches[key] = items
         seq = next(counter)
-        event = Event(time=when, seq=seq, action=flush, name=name, sim=self)
+        event = _Flush(when, seq, name, self, key, sink, items, self._open_batches)
         heapq.heappush(heap, (when, seq, event))
 
     def call_every(
@@ -502,6 +537,18 @@ class Simulator:
             self.run(until=when)
         else:
             self._now = when
+
+    def release(self) -> None:
+        """Drop every queued event and open batch.
+
+        A finished run's timers still point at the devices that armed
+        them, and the devices point back at their simulator.  Dropping
+        the queue breaks those cycles, so a released topology is freed by
+        reference counting (see :meth:`repro.l2.topology.Campus.release`).
+        """
+        self._heap.clear()
+        self._open_batches.clear()
+        self._cancelled_in_heap = 0
 
     @property
     def heap_depth(self) -> int:

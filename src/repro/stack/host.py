@@ -662,15 +662,10 @@ class Host(Device):
             if on_unresolvable is not None:
                 on_unresolvable()
             return
-
-        def failed() -> None:
-            if on_unresolvable is not None:
-                on_unresolvable()
-
         self.resolve(
             next_hop,
             on_resolved=lambda mac: self._tx_ip(mac, packet),
-            on_failed=failed,
+            on_failed=on_unresolvable,
         )
 
     def _tx_ip(self, dst_mac: MacAddress, packet: Ipv4Packet) -> None:
@@ -784,10 +779,14 @@ class Host(Device):
     ) -> None:
         """Track an outstanding echo; with ``timeout`` the entry expires.
 
-        Without a timeout an unanswered echo (lost frame, downed link)
-        would sit in ``_pending_pings`` forever — harmless per ping, but
-        a leak under fault injection where loss is routine.
+        An echo nobody waits for (no ``on_reply``, no ``timeout``) keeps
+        no state: its reply is only counted in ``icmp_reply_rx``.
+        Without a timeout an awaited but unanswered echo (lost frame,
+        downed link) would sit in ``_pending_pings`` forever — harmless
+        per ping, but a leak under fault injection where loss is routine.
         """
+        if on_reply is None and timeout is None:
+            return
         pending = _PendingPing(callback=on_reply, sent_at=self.sim.now)
         self._pending_pings[key] = pending
         if timeout is not None:

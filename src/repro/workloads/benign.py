@@ -38,7 +38,9 @@ class BenignTraffic:
         self._rng = lan.sim.rng_stream("workload/benign")
         self._cancels: List[Callable[[], None]] = []
         self.pings_sent = 0
-        self.replies_received = 0
+        #: Echo replies the hosts had received before this generator
+        #: existed; :attr:`replies_received` counts from there.
+        self._replies_before = self._replies_total()
         self.running = False
 
     @staticmethod
@@ -84,10 +86,19 @@ class BenignTraffic:
                 return
             target = self._rng.choice(peers).ip
         self.pings_sent += 1
-        host.ping(target, on_reply=lambda s, r: self._on_reply())
+        host.ping(target)
 
-    def _on_reply(self) -> None:
-        self.replies_received += 1
+    def _replies_total(self) -> int:
+        return sum(host.counters["icmp_reply_rx"] for host in self.hosts)
+
+    @property
+    def replies_received(self) -> int:
+        """Echo replies the generating hosts received since construction.
+
+        Read from each host's ``icmp_reply_rx`` count, so an echo that is
+        never answered leaves no per-ping state behind.
+        """
+        return self._replies_total() - self._replies_before
 
     @property
     def loss_fraction(self) -> float:

@@ -141,6 +141,19 @@ class TestIpv4Address:
         assert len({Ipv4Address("1.1.1.1"), Ipv4Address("1.1.1.1")}) == 1
 
 
+class TestAddressKeys:
+    def test_mac_and_ip_with_equal_values_stay_distinct_keys(self):
+        mac = MacAddress(0x0A000001)
+        ip = Ipv4Address("10.0.0.1")
+        assert int(mac) == int(ip)
+        assert mac != ip and ip != mac
+        table = {mac: "mac", ip: "ip"}
+        assert len(table) == 2
+        assert table[MacAddress(0x0A000001)] == "mac"
+        assert table[Ipv4Address(0x0A000001)] == "ip"
+        assert len({mac, ip, MacAddress(mac), Ipv4Address(ip)}) == 2
+
+
 class TestIpv4Network:
     def test_parse(self):
         net = Ipv4Network("192.168.88.0/24")

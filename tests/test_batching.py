@@ -40,6 +40,21 @@ class TestCoalesce:
         sim.run()
         assert sink.batches == [(1.0, ["a", "b", "c"])]
 
+    def test_flush_is_one_slotted_event(self):
+        sim = Simulator(seed=1)
+        sink = _Sink(sim)
+        sim.coalesce(1.0, sink, "a")
+        sim.coalesce(1.0, sink, "b")
+        (event,) = sim.iter_pending()
+        # No closure and no instance dict: the event carries the batch.
+        assert not hasattr(event, "__dict__")
+        assert event.items == ["a", "b"] and event.sink is sink
+        flushes, items = PERF.batch_flushes, PERF.batched_items
+        sim.run()
+        assert sink.batches == [(1.0, ["a", "b"])]
+        assert sim._open_batches == {}
+        assert (PERF.batch_flushes - flushes, PERF.batched_items - items) == (1, 2)
+
     def test_different_instants_do_not_coalesce(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.campaign import (
     CampaignSpec,
@@ -97,19 +104,37 @@ def test_code_fingerprint_is_stable():
     assert len(code_fingerprint()) == 16
 
 
-def test_code_fingerprint_covers_every_result_type(monkeypatch):
+def _fingerprint_after_edit(tmp_path, module_path: str) -> tuple:
+    """Fingerprints of a copy of the package before and after appending
+    a comment to ``module_path`` (relative to the package root)."""
+    package = Path(repro.__file__).parent
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+
+    def fingerprint() -> str:
+        return subprocess.run(
+            [sys.executable, "-c",
+             "from repro.campaign import code_fingerprint; print(code_fingerprint())"],
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    before = fingerprint()
+    with (copy / module_path).open("a", encoding="utf-8") as fh:
+        fh.write("\n# edited\n")
+    return before, fingerprint()
+
+
+def test_code_fingerprint_covers_every_result_type(tmp_path):
     """A result type defined outside the experiment module (replay's)
     is hashed too, so a field it gains or loses re-keys the cache."""
-    import inspect
+    before, after = _fingerprint_after_edit(tmp_path, "replay/engine.py")
+    assert len(before) == 16 and before != after
 
-    hashed = []
-    getsource = inspect.getsource
-    monkeypatch.setattr(
-        inspect, "getsource", lambda module: hashed.append(module.__name__) or getsource(module)
-    )
-    code_fingerprint.cache_clear()
-    try:
-        code_fingerprint()
-    finally:
-        code_fingerprint.cache_clear()
-    assert {"repro.core.experiment", "repro.campaign.spec", "repro.replay.engine"} <= set(hashed)
+
+@pytest.mark.parametrize("module_path", ["schemes/arpwatch.py", "sim/simulator.py"])
+def test_code_fingerprint_covers_scheme_and_engine_modules(tmp_path, module_path):
+    """Editing a scheme or engine module changes every cache key, so a
+    warm cache never serves a result the old code computed."""
+    before, after = _fingerprint_after_edit(tmp_path, module_path)
+    assert len(before) == 16 and before != after

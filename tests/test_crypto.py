@@ -324,6 +324,51 @@ class TestAkd:
         service.revoke(target)
         assert not service.knows(target)
 
+    def test_responses_are_signed_once_per_registry_entry(self, sim, monkeypatch):
+        import struct
+
+        lan, service, client = self.make_lan(sim)
+        other = AkdClient(lan.add_host("other"), service.host.ip, KP.public)
+        target = Ipv4Address("192.168.88.50")
+        service.enroll(target, KP2.public)
+        sent = []
+        send_udp = service.host.send_udp
+        monkeypatch.setattr(
+            service.host, "send_udp",
+            lambda dst, sport, dport, payload: sent.append(payload)
+            or send_udp(dst, sport, dport, payload),
+        )
+        signs = []
+        sign = keys.PrivateKey.sign
+        monkeypatch.setattr(
+            keys.PrivateKey, "sign", lambda self, message: signs.append(message)
+            or sign(self, message),
+        )
+        got = []
+        client.lookup(target, got.append)
+        other.lookup(target, got.append)
+        sim.run(until=2.0)
+        assert got == [KP2.public, KP2.public]
+        assert service.queries_served == 2
+        blob = KP2.public.encode()
+        signature = sign(KP.private, target.packed + blob)
+        fresh = (
+            b"AKDR" + target.packed + struct.pack("!H", len(blob)) + blob
+            + struct.pack("!H", len(signature)) + signature
+        )
+        assert sent == [fresh, fresh]
+        assert len(signs) == 1
+
+        # A revoked entry's response goes with it: a new key is re-signed.
+        service.revoke(target)
+        service.enroll(target, KP.public)
+        client.cache.clear()
+        client.lookup(target, got.append)
+        sim.run(until=4.0)
+        assert got[-1] == KP.public
+        assert service.queries_served == 3
+        assert len(signs) == 2 and sent[-1] != fresh
+
     def test_forged_akd_response_ignored(self, sim):
         """An attacker answering AKD queries without the AKD key loses."""
         lan, service, client = self.make_lan(sim)

@@ -239,7 +239,12 @@ class TestPerfCountsOnly:
         from repro.obs import REGISTRY
         from repro.perf import PERF
 
+        import gc
+
         PERF.reset()
+        # The section also counts GC runs; keep this window free of them.
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             # Cumulative memo rate 0.9 before the window, 0.5 after it:
             # the window itself memoized 1 of 10 encodes (rate 0.1).
@@ -251,6 +256,8 @@ class TestPerfCountsOnly:
             PERF.batch_flushes += 4
             window = REGISTRY.delta(before)["collectors"]["perf"]
         finally:
+            if enabled:
+                gc.enable()
             PERF.reset()
         parent = MetricsRegistry()
         for _ in range(2):  # two workers ship the same window home

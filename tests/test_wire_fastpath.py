@@ -405,6 +405,29 @@ class TestPerfCounters:
         assert "memoized" in text and "intern-hit-rate" in text
         assert "arp-settled=3," in summary({"arp_settled": 3})
 
+    def test_gc_runs_count_collections_since_reset(self):
+        import gc
+
+        from repro.obs import REGISTRY
+        from repro.perf import summary
+
+        counters = PerfCounters()
+        enabled = gc.isenabled()
+        gc.disable()  # only the explicit collections below may count
+        try:
+            counters.reset()
+            assert (counters.gc_gen0, counters.gc_gen1, counters.gc_gen2) == (0, 0, 0)
+            gc.collect(0)
+            gc.collect()
+            gc.collect()
+            assert (counters.gc_gen0, counters.gc_gen1, counters.gc_gen2) == (1, 0, 2)
+        finally:
+            if enabled:
+                gc.enable()
+        assert {"gc_gen0", "gc_gen1", "gc_gen2"} <= set(REGISTRY.collect("perf"))
+        line = summary({"gc_gen0": 51, "gc_gen1": 5, "gc_gen2": 1})
+        assert "gc-runs=51/5/1" in line
+
 
 # ======================================================================
 # NIC-level filtering
