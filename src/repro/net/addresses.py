@@ -263,14 +263,20 @@ def intern_stats() -> tuple[int, int]:
 
 
 class Ipv4Network:
-    """An IPv4 subnet in CIDR form, e.g. ``Ipv4Network('192.168.88.0/24')``."""
+    """An IPv4 subnet in CIDR form, e.g. ``Ipv4Network('192.168.88.0/24')``.
 
-    __slots__ = ("network", "prefix")
+    The mask and the broadcast address are derived once, at construction;
+    a network is immutable.
+    """
+
+    __slots__ = ("network", "prefix", "_mask", "broadcast")
 
     def __init__(self, cidr: Union[str, "Ipv4Network"]) -> None:
         if isinstance(cidr, Ipv4Network):
             self.network = cidr.network
             self.prefix = cidr.prefix
+            self._mask = cidr._mask
+            self.broadcast = cidr.broadcast
             return
         try:
             addr_part, prefix_part = cidr.split("/")
@@ -288,6 +294,9 @@ class Ipv4Network:
             raise AddressError(f"CIDR has host bits set: {cidr!r}")
         self.network = base
         self.prefix = prefix
+        self._mask = mask
+        #: The subnet's directed broadcast address.
+        self.broadcast = Ipv4Address(base._value | ~mask & 0xFFFFFFFF)
 
     @staticmethod
     def _mask_for(prefix: int) -> int:
@@ -295,11 +304,7 @@ class Ipv4Network:
 
     @property
     def netmask(self) -> Ipv4Address:
-        return Ipv4Address(self._mask_for(self.prefix))
-
-    @property
-    def broadcast(self) -> Ipv4Address:
-        return Ipv4Address(int(self.network) | ~self._mask_for(self.prefix) & 0xFFFFFFFF)
+        return Ipv4Address(self._mask)
 
     @property
     def num_hosts(self) -> int:
@@ -308,8 +313,7 @@ class Ipv4Network:
         return max(0, total - 2)
 
     def __contains__(self, address: Ipv4Address) -> bool:
-        mask = self._mask_for(self.prefix)
-        return int(address) & mask == int(self.network)
+        return address._value & self._mask == self.network._value
 
     def hosts(self) -> Iterator[Ipv4Address]:
         """Iterate usable host addresses in ascending order."""

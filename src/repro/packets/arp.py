@@ -22,11 +22,12 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from repro.errors import CodecError
+from repro.errors import CodecError, TruncatedPacketError
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.packets.base import Reader, memoized_encode
+from repro.packets.base import memoized_encode, new_value
 
 __all__ = ["ArpOp", "ArpExtension", "ArpPacket", "SARP_MAGIC", "TARP_MAGIC"]
 
@@ -39,6 +40,9 @@ _PTYPE_IPV4 = 0x0800
 
 _BODY = struct.Struct("!HHBBH6s4s6s4s")
 _EXT_LEN = struct.Struct("!H")
+#: Where an extension's payload starts: after the body, magic and length.
+_EXT_START = _BODY.size + 6
+_ZERO_IP = bytes(4)
 
 #: Decoded payloads kept at most; the oldest is dropped first.
 DECODE_MEMO_CAP = 1024
@@ -121,9 +125,12 @@ class ArpPacket:
         packet = _DECODED.get(data)
         if packet is not None:
             return packet
-        reader = Reader(data, context="arp")
-        body = reader.take(_BODY.size)
-        htype, ptype, hlen, plen, op, sha, spa, tha, tpa = _BODY.unpack(body)
+        size = len(data)
+        if size < _BODY.size:
+            raise TruncatedPacketError(
+                f"arp: needed {_BODY.size} bytes at offset 0, only {size} remain"
+            )
+        htype, ptype, hlen, plen, op, sha, spa, tha, tpa = _BODY.unpack_from(data)
         if htype != _HTYPE_ETHERNET or ptype != _PTYPE_IPV4:
             raise CodecError(
                 f"unsupported ARP htype/ptype {htype}/0x{ptype:04x}"
@@ -132,31 +139,36 @@ class ArpPacket:
             raise CodecError(f"unsupported ARP address lengths {hlen}/{plen}")
         if op not in (ArpOp.REQUEST, ArpOp.REPLY):
             raise CodecError(f"unsupported ARP op {op}")
-        extension = cls._decode_extension(reader)
-        packet = cls(
+        extension = None
+        if size >= _EXT_START:
+            magic = data[28:32]
+            if magic in _KNOWN_MAGICS:  # else minimum-frame padding
+                (length,) = _EXT_LEN.unpack_from(data, 32)
+                if size - _EXT_START < length:
+                    raise TruncatedPacketError(
+                        f"arp: needed {length} bytes at offset {_EXT_START}, "
+                        f"only {size - _EXT_START} remain"
+                    )
+                extension = new_value(ArpExtension)
+                extension.__dict__.update(
+                    magic=magic, payload=data[_EXT_START : _EXT_START + length]
+                )
+        packet = new_value(cls)
+        packet.__dict__.update(
             op=op,
             sha=MacAddress.from_wire(sha),
             spa=Ipv4Address.from_wire(spa),
             tha=MacAddress.from_wire(tha),
             tpa=Ipv4Address.from_wire(tpa),
             extension=extension,
+            # Settled here from the wire bytes; every receiver of this
+            # payload shares the answer through the memo.
+            is_gratuitous=spa == tpa and spa != _ZERO_IP,
         )
         if len(_DECODED) >= DECODE_MEMO_CAP:
             _DECODED.popitem(last=False)
         _DECODED[data] = packet
         return packet
-
-    @staticmethod
-    def _decode_extension(reader: Reader) -> Optional[ArpExtension]:
-        if reader.remaining < 6:
-            return None
-        magic = reader.peek(4)
-        if magic not in _KNOWN_MAGICS:
-            return None  # minimum-frame padding or garbage; classic ARP
-        reader.take(4)
-        length = reader.u16()
-        payload = reader.take(length)
-        return ArpExtension(magic=bytes(magic), payload=payload)
 
     # ------------------------------------------------------------------
     # Semantics
@@ -169,13 +181,15 @@ class ArpPacket:
     def is_reply(self) -> bool:
         return self.op == ArpOp.REPLY
 
-    @property
+    @cached_property
     def is_gratuitous(self) -> bool:
         """Gratuitous ARP: the sender announces its own binding.
 
         Covers both gratuitous requests and gratuitous replies (spa == tpa).
+        Computed once per packet object, like its wire bytes; the cache
+        rides in the instance ``__dict__``, outside equality and repr.
         """
-        return self.spa == self.tpa and not self.spa.is_unspecified
+        return self.spa._value == self.tpa._value and self.spa._value != 0
 
     @property
     def is_probe(self) -> bool:

@@ -16,7 +16,14 @@ from typing import Callable, Protocol, TypeVar, runtime_checkable
 from repro.errors import TruncatedPacketError
 from repro.perf import PERF
 
-__all__ = ["Wire", "internet_checksum", "Reader", "memoized_encode"]
+__all__ = [
+    "Wire",
+    "internet_checksum",
+    "pseudo_header_sum",
+    "Reader",
+    "memoized_encode",
+    "new_value",
+]
 
 
 @runtime_checkable
@@ -33,17 +40,22 @@ def _word_struct(count: int) -> struct.Struct:
     return struct.Struct(f"!{count}H")
 
 
-def internet_checksum(data: bytes) -> int:
+def internet_checksum(data: bytes, initial: int = 0) -> int:
     """RFC 1071 ones-complement checksum over ``data``.
 
     Odd-length buffers are treated as zero-padded on the right, per the
     RFC — without materializing a padded copy of the input: the even
     prefix is summed in place and the trailing byte is folded in as the
     high half of a final word.
+
+    ``initial`` is the plain sum of 16-bit words that precede ``data``
+    (a pseudo-header, or a header whose fields the caller already
+    holds), so an encoder checksums its header and payload without
+    packing the header twice or concatenating the two.
     """
     length = len(data)
     even = length & ~1
-    total = sum(_word_struct(even // 2).unpack_from(data))
+    total = initial + sum(_word_struct(even // 2).unpack_from(data))
     if length & 1:
         total += data[-1] << 8
     while total >> 16:
@@ -51,7 +63,22 @@ def internet_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
+def pseudo_header_sum(src, dst, proto: int, length: int) -> int:
+    """Word sum of the IPv4 pseudo-header a UDP or TCP checksum covers.
+
+    ``src`` and ``dst`` are :class:`~repro.net.addresses.Ipv4Address`;
+    pass the result as :func:`internet_checksum`'s ``initial``.
+    """
+    src, dst = src._value, dst._value
+    return (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF) + proto + length
+
+
 _T = TypeVar("_T")
+
+#: A frozen packet value with nothing set.  Decoders fill its ``__dict__``
+#: from wire fields the format already bounds, so ``__init__`` and
+#: ``__post_init__`` are not re-run; every field must be filled.
+new_value = object.__new__
 
 
 def memoized_encode(build: Callable[[_T], bytes]) -> Callable[[_T], bytes]:

@@ -12,9 +12,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import CodecError
+from repro.errors import CodecError, TruncatedPacketError
 from repro.net.addresses import Ipv4Address, MacAddress, ZERO_IP
-from repro.packets.base import Reader
+from repro.packets.base import new_value
 
 __all__ = ["DhcpMessageType", "DhcpOption", "DhcpMessage", "DHCP_MAGIC",
            "DHCP_SERVER_PORT", "DHCP_CLIENT_PORT"]
@@ -25,6 +25,12 @@ DHCP_CLIENT_PORT = 68
 
 _BOOTREQUEST = 1
 _BOOTREPLY = 2
+
+#: The fixed BOOTP fields up to ``chaddr``; ``sname`` and ``file`` follow.
+_FIXED = struct.Struct("!BBBBIHH4s4s4s4s16s")
+#: The magic cookie follows sname (64 bytes) and file (128); then options.
+_MAGIC_AT = _FIXED.size + 64 + 128
+_OPTIONS_AT = _MAGIC_AT + 4
 
 
 class DhcpMessageType:
@@ -123,46 +129,54 @@ class DhcpMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "DhcpMessage":
-        reader = Reader(data, context="dhcp")
-        op = reader.u8()
-        htype = reader.u8()
-        hlen = reader.u8()
-        reader.u8()  # hops
-        xid = reader.u32()
-        secs = reader.u16()
-        flags = reader.u16()
-        ciaddr = Ipv4Address(reader.take(4))
-        yiaddr = Ipv4Address(reader.take(4))
-        siaddr = Ipv4Address(reader.take(4))
-        giaddr = Ipv4Address(reader.take(4))
-        chaddr_raw = reader.take(16)
-        reader.take(64)  # sname
-        reader.take(128)  # file
+        size = len(data)
+        if size < _MAGIC_AT:
+            raise TruncatedPacketError(
+                f"dhcp: needed {_MAGIC_AT} bytes at offset 0, only {size} remain"
+            )
+        (
+            op, htype, hlen, _hops, xid, secs, flags,
+            ciaddr, yiaddr, siaddr, giaddr, chaddr,
+        ) = _FIXED.unpack_from(data)
         if htype != 1 or hlen != 6:
             raise CodecError(f"dhcp: unsupported htype/hlen {htype}/{hlen}")
-        if reader.take(4) != DHCP_MAGIC:
+        if data[_MAGIC_AT:_OPTIONS_AT] != DHCP_MAGIC:
             raise CodecError("dhcp: missing magic cookie")
+        if op not in (_BOOTREQUEST, _BOOTREPLY):
+            raise CodecError(f"dhcp: bad op {op}")
         options: Dict[int, bytes] = {}
-        while reader.remaining:
-            code = reader.u8()
+        pos = _OPTIONS_AT
+        while pos < size:
+            code = data[pos]
+            pos += 1
             if code == DhcpOption.END:
                 break
             if code == DhcpOption.PAD:
                 continue
-            length = reader.u8()
-            options[code] = reader.take(length)
-        return cls(
+            if pos == size:
+                raise TruncatedPacketError(f"dhcp: option {code} has no length")
+            end = pos + 1 + data[pos]
+            if end > size:
+                raise TruncatedPacketError(
+                    f"dhcp: option {code} needs {end - pos - 1} bytes at offset "
+                    f"{pos + 1}, only {size - pos - 1} remain"
+                )
+            options[code] = data[pos + 1 : end]
+            pos = end
+        message = new_value(cls)
+        message.__dict__.update(
             op=op,
             xid=xid,
-            chaddr=MacAddress(chaddr_raw[:6]),
-            ciaddr=ciaddr,
-            yiaddr=yiaddr,
-            siaddr=siaddr,
-            giaddr=giaddr,
+            chaddr=MacAddress.from_wire(chaddr[:6]),
+            ciaddr=Ipv4Address.from_wire(ciaddr),
+            yiaddr=Ipv4Address.from_wire(yiaddr),
+            siaddr=Ipv4Address.from_wire(siaddr),
+            giaddr=Ipv4Address.from_wire(giaddr),
             flags=flags,
             secs=secs,
             options=options,
         )
+        return message
 
     # ------------------------------------------------------------------
     # Option accessors

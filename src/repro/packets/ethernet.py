@@ -31,13 +31,45 @@ from repro.net.addresses import MacAddress
 from repro.packets.base import memoized_encode
 from repro.perf import PERF
 
-__all__ = ["EtherType", "EthernetFrame", "FrameView", "MIN_PAYLOAD", "MAX_PAYLOAD"]
+__all__ = [
+    "EtherType",
+    "EthernetFrame",
+    "FrameView",
+    "MIN_PAYLOAD",
+    "MAX_PAYLOAD",
+    "frame_bytes",
+]
 
 MIN_PAYLOAD = 46
 MAX_PAYLOAD = 1500
 
 _HEADER = struct.Struct("!6s6sH")
 _HEADER_LEN = _HEADER.size  # 14
+
+
+def _wire(dst: bytes, src: bytes, ethertype: int, payload: bytes) -> bytes:
+    """Header plus payload, padded to the 60-byte minimum frame (sans FCS)."""
+    short = MIN_PAYLOAD - len(payload)
+    if short > 0:
+        payload += bytes(short)
+    return _HEADER.pack(dst, src, ethertype) + payload
+
+
+def frame_bytes(
+    dst: MacAddress, src: MacAddress, ethertype: int, payload: bytes
+) -> bytes:
+    """The wire bytes of ``EthernetFrame(dst, src, ethertype, payload)``.
+
+    For a sender that transmits a frame as soon as it is built: the
+    14-byte header is written from the addresses' cached wire bytes and
+    no frame object is made.  It counts one packet encode and enforces
+    the MTU, as building and encoding the frame would; ``ethertype`` is
+    one of the :class:`EtherType` constants.
+    """
+    if len(payload) > MAX_PAYLOAD:
+        raise CodecError(f"payload of {len(payload)} bytes exceeds Ethernet MTU")
+    PERF.packet_encodes += 1
+    return _wire(dst.packed, src.packed, ethertype, payload)
 
 
 class EtherType:
@@ -78,12 +110,7 @@ class EthernetFrame:
     @memoized_encode
     def encode(self) -> bytes:
         """Wire bytes, padded to the 60-byte minimum frame size (sans FCS)."""
-        payload = self.payload
-        if len(payload) < MIN_PAYLOAD:
-            payload = payload + b"\x00" * (MIN_PAYLOAD - len(payload))
-        return (
-            _HEADER.pack(self.dst.packed, self.src.packed, self.ethertype) + payload
-        )
+        return _wire(self.dst.packed, self.src.packed, self.ethertype, self.payload)
 
     @classmethod
     def decode(cls, data: bytes) -> "EthernetFrame":

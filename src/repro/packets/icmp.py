@@ -9,8 +9,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.errors import ChecksumError, CodecError
-from repro.packets.base import Reader, internet_checksum, memoized_encode
+from repro.errors import ChecksumError, CodecError, TruncatedPacketError
+from repro.packets.base import internet_checksum, memoized_encode, new_value
 
 __all__ = ["IcmpType", "IcmpMessage"]
 
@@ -56,26 +56,27 @@ class IcmpMessage:
 
     @memoized_encode
     def encode(self) -> bytes:
-        header = _HEADER.pack(self.icmp_type, self.code, 0, self.rest_of_header)
-        checksum = internet_checksum(header + self.payload)
-        header = _HEADER.pack(
-            self.icmp_type, self.code, checksum, self.rest_of_header
-        )
-        return header + self.payload
+        icmp_type, code, rest = self.icmp_type, self.code, self.rest_of_header
+        payload = self.payload
+        # The header's words, checksum zero, summed ahead of the payload.
+        header = (icmp_type << 8 | code) + (rest >> 16) + (rest & 0xFFFF)
+        checksum = internet_checksum(payload, header)
+        return _HEADER.pack(icmp_type, code, checksum, rest) + payload
 
     @classmethod
     def decode(cls, data: bytes, verify_checksum: bool = True) -> "IcmpMessage":
-        reader = Reader(data, context="icmp")
-        icmp_type = reader.u8()
-        code = reader.u8()
-        reader.u16()  # checksum, verified over the whole buffer below
-        rest = reader.u32()
-        payload = reader.rest()
+        if len(data) < 8:
+            raise TruncatedPacketError(
+                f"icmp: needed 8 bytes at offset 0, only {len(data)} remain"
+            )
+        icmp_type, code, _checksum, rest = _HEADER.unpack_from(data)
         if verify_checksum and internet_checksum(data) != 0:
             raise ChecksumError("icmp: checksum mismatch")
-        return cls(
-            icmp_type=icmp_type, code=code, rest_of_header=rest, payload=payload
+        message = new_value(cls)
+        message.__dict__.update(
+            icmp_type=icmp_type, code=code, rest_of_header=rest, payload=data[8:]
         )
+        return message
 
     # ------------------------------------------------------------------
     # Echo helpers

@@ -10,14 +10,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import ChecksumError, CodecError
+from repro.errors import ChecksumError, CodecError, TruncatedPacketError
 from repro.net.addresses import Ipv4Address
-from repro.packets.base import Reader, internet_checksum, memoized_encode
+from repro.packets.base import internet_checksum, memoized_encode, new_value
 
 __all__ = ["IpProto", "Ipv4Packet"]
 
-_HEADER = struct.Struct("!BBHHHBBH4s4s")
-_CHECKSUM = struct.Struct("!H")
+_HEADER = struct.Struct("!BBHHHBBHII")
+_WORDS = struct.Struct("!10H")
 
 
 class IpProto:
@@ -63,68 +63,76 @@ class Ipv4Packet:
 
     @memoized_encode
     def encode(self) -> bytes:
-        flags_frag = (0x4000 if self.dont_fragment else 0) & 0xFFFF
-        buffer = bytearray(_HEADER.size + len(self.payload))
-        _HEADER.pack_into(
-            buffer,
-            0,
-            (4 << 4) | 5,  # version 4, IHL 5 words
-            self.dscp << 2,
-            self.total_length,
+        src, dst = self.src._value, self.dst._value
+        tos = self.dscp << 2
+        total_length = 20 + len(self.payload)
+        flags_frag = 0x4000 if self.dont_fragment else 0
+        # The header's words summed from the fields themselves, so the
+        # header is packed once, with its checksum in place.
+        words = (
+            (0x45 << 8 | tos) + total_length + self.identification + flags_frag
+            + (self.ttl << 8 | self.proto)
+            + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+        )
+        words = (words & 0xFFFF) + (words >> 16)
+        words = (words & 0xFFFF) + (words >> 16)
+        return _HEADER.pack(
+            0x45,  # version 4, IHL 5 words
+            tos,
+            total_length,
             self.identification,
             flags_frag,
             self.ttl,
             self.proto,
-            0,  # checksum placeholder
-            self.src.packed,
-            self.dst.packed,
-        )
-        _CHECKSUM.pack_into(buffer, 10, internet_checksum(memoryview(buffer)[:20]))
-        buffer[20:] = self.payload
-        return bytes(buffer)
+            ~words & 0xFFFF,
+            src,
+            dst,
+        ) + self.payload
 
     @classmethod
     def decode(cls, data: bytes, verify_checksum: bool = True) -> "Ipv4Packet":
-        if len(data) < 20:
+        size = len(data)
+        if size < 20:
             raise CodecError("ipv4: header shorter than 20 bytes")
-        (
-            version_ihl,
-            dscp_ecn,
-            total_length,
-            identification,
-            flags_frag,
-            ttl,
-            proto,
-            _checksum,  # verified over the raw header below
-            src,
-            dst,
-        ) = _HEADER.unpack_from(data)
-        version = version_ihl >> 4
-        ihl = version_ihl & 0x0F
+        # One unpack of the fixed header as ten words: the fields are
+        # read from them, and an option-less header is checksummed by
+        # summing them.
+        words = _WORDS.unpack_from(data)
+        first, total_length, identification, flags_frag, ttl_proto = words[:5]
+        version = first >> 12
+        ihl = first >> 8 & 0x0F
         if version != 4:
             raise CodecError(f"ipv4: version field is {version}")
         if ihl < 5:
             raise CodecError(f"ipv4: IHL {ihl} below minimum")
-        reader = Reader(data, context="ipv4")
-        reader.take(20)
+        header_length = ihl * 4
         if ihl > 5:
-            reader.take((ihl - 5) * 4)  # skip options
-        if verify_checksum and internet_checksum(data[: ihl * 4]) != 0:
-            raise ChecksumError("ipv4: header checksum mismatch")
-        if total_length < ihl * 4:
+            if size < header_length:
+                raise TruncatedPacketError(
+                    f"ipv4: needed {header_length - 20} bytes at offset 20, "
+                    f"only {size - 20} remain"
+                )
+            if verify_checksum and internet_checksum(data[:header_length]) != 0:
+                raise ChecksumError("ipv4: header checksum mismatch")
+        elif verify_checksum:
+            total = sum(words)
+            total = (total & 0xFFFF) + (total >> 16)
+            if (total & 0xFFFF) + (total >> 16) != 0xFFFF:
+                raise ChecksumError("ipv4: header checksum mismatch")
+        if total_length < header_length:
             raise CodecError("ipv4: total length smaller than header")
-        payload_length = total_length - ihl * 4
-        payload = reader.take(min(payload_length, reader.remaining))
-        return cls(
-            src=Ipv4Address.from_wire(src),
-            dst=Ipv4Address.from_wire(dst),
-            proto=proto,
-            payload=payload,
-            ttl=ttl,
+        packet = new_value(cls)
+        packet.__dict__.update(
+            src=Ipv4Address.from_wire(data[12:16]),
+            dst=Ipv4Address.from_wire(data[16:20]),
+            proto=ttl_proto & 0xFF,
+            payload=data[header_length:total_length],
+            ttl=ttl_proto >> 8,
             identification=identification,
-            dscp=dscp_ecn >> 2,
+            dscp=(first & 0xFF) >> 2,
             dont_fragment=bool(flags_frag & 0x4000),
         )
+        return packet
 
     def decremented(self) -> "Ipv4Packet":
         """A copy with TTL reduced by one (what a router does)."""

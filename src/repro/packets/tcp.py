@@ -13,15 +13,15 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ChecksumError, CodecError
+from repro.errors import ChecksumError, CodecError, TruncatedPacketError
 from repro.net.addresses import Ipv4Address
-from repro.packets.base import Reader, internet_checksum
+from repro.packets.base import internet_checksum, new_value, pseudo_header_sum
+from repro.packets.ipv4 import IpProto
 from repro.perf import PERF
 
 __all__ = ["TcpFlags", "TcpSegment"]
 
 _HEADER = struct.Struct("!HHIIBBHHH")
-_PSEUDO = struct.Struct("!BBH")
 
 
 class TcpFlags:
@@ -48,10 +48,6 @@ class TcpFlags:
             if flags & bit:
                 names.append(name)
         return "|".join(names) if names else "none"
-
-
-def _pseudo_header(src: Ipv4Address, dst: Ipv4Address, length: int) -> bytes:
-    return src.packed + dst.packed + _PSEUDO.pack(0, 6, length)
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,15 @@ class TcpSegment:
             else:
                 PERF.encodes_avoided += 1
             return wire
-        pseudo = _pseudo_header(src_ip, dst_ip, self.length)
-        checksum = internet_checksum(pseudo + self._header(0) + self.payload)
+        seq, ack = self.seq, self.ack
+        # Pseudo-header and header words (checksum zero) ahead of the payload.
+        checksum = internet_checksum(
+            self.payload,
+            pseudo_header_sum(src_ip, dst_ip, IpProto.TCP, self.length)
+            + self.src_port + self.dst_port
+            + (seq >> 16) + (seq & 0xFFFF) + (ack >> 16) + (ack & 0xFFFF)
+            + (5 << 12 | self.flags) + self.window,
+        )
         PERF.packet_encodes += 1
         return self._header(checksum) + self.payload
 
@@ -123,35 +126,37 @@ class TcpSegment:
         src_ip: Optional[Ipv4Address] = None,
         dst_ip: Optional[Ipv4Address] = None,
     ) -> "TcpSegment":
-        reader = Reader(data, context="tcp")
-        src_port = reader.u16()
-        dst_port = reader.u16()
-        seq = reader.u32()
-        ack = reader.u32()
-        offset_byte = reader.u8()
-        flags = reader.u8()
-        window = reader.u16()
-        checksum = reader.u16()
-        reader.u16()  # urgent pointer
+        size = len(data)
+        if size < 20:
+            raise TruncatedPacketError(
+                f"tcp: needed 20 bytes at offset 0, only {size} remain"
+            )
+        (
+            src_port, dst_port, seq, ack, offset_byte, flags, window, checksum, _urgent,
+        ) = _HEADER.unpack_from(data)
         offset = offset_byte >> 4
         if offset < 5:
             raise CodecError(f"tcp: data offset {offset} below minimum")
-        if offset > 5:
-            reader.take((offset - 5) * 4)  # skip options
-        payload = reader.rest()
+        if size < offset * 4:
+            raise TruncatedPacketError(
+                f"tcp: needed {(offset - 5) * 4} bytes at offset 20, "
+                f"only {size - 20} remain"
+            )
         if checksum != 0 and src_ip is not None and dst_ip is not None:
-            pseudo = _pseudo_header(src_ip, dst_ip, len(data))
-            if internet_checksum(pseudo + data) != 0:
+            pseudo = pseudo_header_sum(src_ip, dst_ip, IpProto.TCP, size)
+            if internet_checksum(data, pseudo) != 0:
                 raise ChecksumError("tcp: checksum mismatch")
-        return cls(
+        segment = new_value(cls)
+        segment.__dict__.update(
             src_port=src_port,
             dst_port=dst_port,
             seq=seq,
             ack=ack,
             flags=flags,
-            payload=payload,
+            payload=data[offset * 4 :],
             window=window,
         )
+        return segment
 
     # ------------------------------------------------------------------
     # Builders

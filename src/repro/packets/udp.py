@@ -11,19 +11,15 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ChecksumError, CodecError
+from repro.errors import ChecksumError, CodecError, TruncatedPacketError
 from repro.net.addresses import Ipv4Address
-from repro.packets.base import Reader, internet_checksum
+from repro.packets.base import internet_checksum, new_value, pseudo_header_sum
+from repro.packets.ipv4 import IpProto
 from repro.perf import PERF
 
 __all__ = ["UdpDatagram"]
 
 _HEADER = struct.Struct("!HHHH")
-_PSEUDO = struct.Struct("!BBH")
-
-
-def _pseudo_header(src: Ipv4Address, dst: Ipv4Address, length: int) -> bytes:
-    return src.packed + dst.packed + _PSEUDO.pack(0, 17, length)
 
 
 @dataclass(frozen=True)
@@ -59,16 +55,17 @@ class UdpDatagram:
             else:
                 PERF.encodes_avoided += 1
             return wire
-        header = _HEADER.pack(self.src_port, self.dst_port, self.length, 0)
-        pseudo = _pseudo_header(src_ip, dst_ip, self.length)
-        checksum = internet_checksum(pseudo + header + self.payload)
+        length = self.length
+        # Pseudo-header and header words (checksum zero) ahead of the payload.
+        checksum = internet_checksum(
+            self.payload,
+            pseudo_header_sum(src_ip, dst_ip, IpProto.UDP, length)
+            + self.src_port + self.dst_port + length,
+        )
         if checksum == 0:  # RFC 768: transmitted zero means "no checksum"
             checksum = 0xFFFF
-        header = _HEADER.pack(
-            self.src_port, self.dst_port, self.length, checksum
-        )
         PERF.packet_encodes += 1
-        return header + self.payload
+        return _HEADER.pack(self.src_port, self.dst_port, length, checksum) + self.payload
 
     @classmethod
     def decode(
@@ -77,19 +74,22 @@ class UdpDatagram:
         src_ip: Optional[Ipv4Address] = None,
         dst_ip: Optional[Ipv4Address] = None,
     ) -> "UdpDatagram":
-        reader = Reader(data, context="udp")
-        src_port = reader.u16()
-        dst_port = reader.u16()
-        length = reader.u16()
-        checksum = reader.u16()
+        if len(data) < 8:
+            raise TruncatedPacketError(
+                f"udp: needed 8 bytes at offset 0, only {len(data)} remain"
+            )
+        src_port, dst_port, length, checksum = _HEADER.unpack_from(data)
         if length < 8:
             raise CodecError(f"udp: length field {length} below header size")
-        payload = reader.take(min(length - 8, reader.remaining))
         if checksum != 0 and src_ip is not None and dst_ip is not None:
-            pseudo = _pseudo_header(src_ip, dst_ip, length)
-            if internet_checksum(pseudo + data[: length]) != 0:
+            pseudo = pseudo_header_sum(src_ip, dst_ip, IpProto.UDP, length)
+            if internet_checksum(data[:length], pseudo) != 0:
                 raise ChecksumError("udp: checksum mismatch")
-        return cls(src_port=src_port, dst_port=dst_port, payload=payload)
+        datagram = new_value(cls)
+        datagram.__dict__.update(
+            src_port=src_port, dst_port=dst_port, payload=data[8:length]
+        )
+        return datagram
 
     def summary(self) -> str:
         return f"udp {self.src_port} -> {self.dst_port} len={self.length}"

@@ -179,6 +179,32 @@ def _bench_nic_batch_filter() -> tuple:
     return work, len(batch)
 
 
+def _bench_ipv4_icmp_echo_codec() -> tuple:
+    """One echo round through the codecs: a fresh echo request encoded
+    into IPv4 and an Ethernet frame as a host sends it, then decoded back
+    as the receiver does, with both checksums verified."""
+    from repro.net.addresses import Ipv4Address, MacAddress
+    from repro.packets.ethernet import EtherType, FrameView, frame_bytes
+    from repro.packets.icmp import IcmpMessage
+    from repro.packets.ipv4 import IpProto, Ipv4Packet
+
+    src, dst = Ipv4Address("10.0.0.1"), Ipv4Address("10.0.0.2")
+    src_mac, dst_mac = MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02")
+    sequence = iter(range(1 << 62))
+
+    def work() -> None:
+        seq = next(sequence) & 0xFFFF
+        message = IcmpMessage.echo_request(7, seq, b"repro-ping")
+        packet = Ipv4Packet(
+            src=src, dst=dst, proto=IpProto.ICMP, payload=message.encode(),
+            identification=seq,
+        )
+        wire = frame_bytes(dst_mac, src_mac, EtherType.IPV4, packet.encode())
+        IcmpMessage.decode(Ipv4Packet.decode(FrameView(wire).payload).payload)
+
+    return work, 1
+
+
 def _bench_broadcast_flood(quick: bool, batching: bool = True) -> float:
     """Headline number: end-to-end flood deliveries per second.
 
@@ -378,6 +404,7 @@ SUITE: Dict[str, Bench] = {
     "intern_mac_from_wire": Bench(_micro(_bench_intern_addresses)),
     "cam_lookup_batch_wire": Bench(_micro(_bench_cam_lookup_batch)),
     "nic_batch_filter": Bench(_micro(_bench_nic_batch_filter)),
+    "ipv4_icmp_echo_codec": Bench(_micro(_bench_ipv4_icmp_echo_codec)),
     "broadcast_flood_unbatched": Bench(
         partial(_bench_broadcast_flood, batching=False)
     ),

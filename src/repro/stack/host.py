@@ -38,7 +38,7 @@ from repro.net.addresses import (
 from repro.obs.trace import TRACER
 from repro.perf import PERF
 from repro.packets.arp import ArpOp, ArpPacket
-from repro.packets.ethernet import EtherType, EthernetFrame, FrameView
+from repro.packets.ethernet import EtherType, EthernetFrame, FrameView, frame_bytes
 from repro.packets.icmp import IcmpMessage, IcmpType
 from repro.packets.ipv4 import IpProto, Ipv4Packet
 from repro.packets.tcp import TcpFlags, TcpSegment
@@ -272,14 +272,14 @@ class Host(Device):
             for data in datas:
                 on_frame(port, data)
             return
-        mine = self.mac.packed
         if len(datas) == 1:
             data = datas[0]
-            if len(data) >= 14 and not data[0] & 1 and data[:6] != mine:
+            if len(data) >= 14 and not data[0] & 1 and data[:6] != self.mac.packed:
                 PERF.nic_batch_filtered += 1
                 return
             survivors = datas
         else:
+            mine = self.mac.packed
             survivors = [
                 d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
             ]
@@ -288,11 +288,10 @@ class Host(Device):
                 return
         global _shared_data, _shared_view
         recorder = self.recorder
-        now = self.sim.now
         arp, ipv4 = EtherType.ARP, EtherType.IPV4
         for data in survivors:
             if recorder is not None:
-                recorder.record(now, self.name, Direction.RX, data)
+                recorder.record(self.sim.now, self.name, Direction.RX, data)
             if data is _shared_data:
                 # The previous receiver's view of this flooded buffer.
                 # Count what a fresh view would: its construction, and
@@ -428,28 +427,20 @@ class Host(Device):
             self._cache_put(arp, BindingSource.GRATUITOUS)
 
     def _arp_request_in(self, arp: ArpPacket, forced: bool) -> None:
+        # Addresses compare as their ints.
+        ip = self.ip
+        for_us = ip is not None and arp.tpa._value == ip._value
         # 1. Answer if the request is for our address.
-        if (
-            self.ip is not None
-            and arp.tpa == self.ip
-            and self.arp_responder_enabled
-        ):
-            reply = ArpPacket.reply(
-                sha=self.mac, spa=self.ip, tha=arp.sha, tpa=arp.spa
-            )
+        if for_us and self.arp_responder_enabled:
+            reply = ArpPacket.reply(sha=self.mac, spa=ip, tha=arp.sha, tpa=arp.spa)
             self.send_arp(reply, dst_mac=arp.sha)
         # 2. Optionally learn the sender binding.
-        if arp.spa.is_unspecified:
+        if not arp.spa._value:
             return  # RFC 5227 probe carries no binding
         exists = arp.spa in self.arp_cache
         should = forced or (
             (exists and self.profile.update_from_request)
-            or (
-                not exists
-                and self.profile.create_from_request
-                and self.ip is not None
-                and arp.tpa == self.ip
-            )
+            or (not exists and self.profile.create_from_request and for_us)
         )
         # A solicited resolution can also be completed by a request that
         # crosses ours (both sides resolving each other simultaneously) —
@@ -515,16 +506,13 @@ class Host(Device):
         cost = self.arp_tx_cost(arp) if self.arp_tx_cost is not None else 0.0
 
         def do_send() -> None:
-            frame = EthernetFrame(
-                dst=dst_mac, src=self.mac, ethertype=EtherType.ARP,
-                payload=arp.encode(),
-            )
+            data = frame_bytes(dst_mac, self.mac, EtherType.ARP, arp.encode())
             self.counters["arp_tx"] += 1
             if arp.is_request:
                 self.counters["arp_requests_sent"] += 1
             else:
                 self.counters["arp_replies_sent"] += 1
-            self.transmit_frame(frame)
+            self._transmit_wire(data)
 
         if cost > 0:
             self.sim.schedule(cost, do_send)
@@ -559,6 +547,15 @@ class Host(Device):
         if cached is not None:
             on_resolved(cached)
             return
+        self._resolve_uncached(ip, on_resolved, on_failed)
+
+    def _resolve_uncached(
+        self,
+        ip: Ipv4Address,
+        on_resolved: Callable[[MacAddress], None],
+        on_failed: Optional[Callable[[], None]],
+    ) -> None:
+        """Wait for ``ip``'s resolution, asking the network if none is out."""
         pending = self._pending_arp.get(ip)
         if pending is not None:
             pending.waiters.append((on_resolved, on_failed))
@@ -633,10 +630,11 @@ class Host(Device):
         on_unresolvable: Optional[Callable[[], None]] = None,
     ) -> None:
         """Send an IPv4 packet, resolving the next hop as needed."""
-        if self.ip is None:
+        ip = self.ip
+        if ip is None:
             raise StackError(f"{self.name}: no IP address configured")
         packet = Ipv4Packet(
-            src=self.ip,
+            src=ip,
             dst=dst,
             proto=proto,
             payload=payload,
@@ -644,13 +642,15 @@ class Host(Device):
             identification=next(self._ip_ids) & 0xFFFF,
         )
         self.counters["ip_tx"] += 1
-        if dst == self.ip:
+        # Addresses compare as their ints.
+        value = dst._value
+        if value == ip._value:
             self._ip_deliver(packet)
             return
-        is_bcast = dst.is_broadcast or (
-            self.network is not None and dst == self.network.broadcast
-        )
-        if is_bcast:
+        network = self.network
+        if value == 0xFFFFFFFF or (
+            network is not None and value == network.broadcast._value
+        ):
             self._tx_ip(BROADCAST_MAC, packet)
             return
         if self._on_link(dst):
@@ -662,18 +662,19 @@ class Host(Device):
             if on_unresolvable is not None:
                 on_unresolvable()
             return
-        self.resolve(
-            next_hop,
-            on_resolved=lambda mac: self._tx_ip(mac, packet),
-            on_failed=on_unresolvable,
+        # A cache hit sends at once; only a miss parks the packet.
+        cached = self.arp_cache.get(next_hop, self.sim.now)
+        if cached is not None:
+            self._tx_ip(cached, packet)
+            return
+        self._resolve_uncached(
+            next_hop, lambda mac: self._tx_ip(mac, packet), on_unresolvable
         )
 
     def _tx_ip(self, dst_mac: MacAddress, packet: Ipv4Packet) -> None:
-        frame = EthernetFrame(
-            dst=dst_mac, src=self.mac, ethertype=EtherType.IPV4,
-            payload=packet.encode(),
+        self._transmit_wire(
+            frame_bytes(dst_mac, self.mac, EtherType.IPV4, packet.encode())
         )
-        self.transmit_frame(frame)
 
     def transmit_frame(self, frame: EthernetFrame, origin: Optional[str] = None) -> None:
         """Put a fully formed frame on the wire (also used by attackers).
@@ -682,7 +683,10 @@ class Host(Device):
         tools pass e.g. ``"attack:arp-poison/reply"``); by default frames
         are attributed to this host.
         """
-        data = frame.encode()
+        self._transmit_wire(frame.encode(), origin)
+
+    def _transmit_wire(self, data: bytes, origin: Optional[str] = None) -> None:
+        """Put frame bytes on the wire: provenance, capture, then the NIC."""
         if TRACER.enabled:
             # A frame transmitted while processing a received one (an ARP
             # reply answering a request, a forwarded packet) records that
@@ -706,14 +710,17 @@ class Host(Device):
             self.counters["decode_errors"] += 1
             return
         self.counters["ip_rx"] += 1
-        for_us = (
-            self.ip is not None
-            and (
-                packet.dst == self.ip
-                or packet.dst.is_broadcast
-                or (self.network is not None and packet.dst == self.network.broadcast)
+        # Addresses compare as their ints.
+        ip, dst = self.ip, packet.dst._value
+        if ip is None:
+            for_us = dst == 0xFFFFFFFF
+        else:
+            network = self.network
+            for_us = (
+                dst == ip._value
+                or dst == 0xFFFFFFFF
+                or (network is not None and dst == network.broadcast._value)
             )
-        ) or (self.ip is None and packet.dst.is_broadcast)
         if for_us:
             self._ip_deliver(packet)
         elif self.ip_forward:
@@ -851,11 +858,7 @@ class Host(Device):
             payload=message.encode(),
             identification=next(self._ip_ids) & 0xFFFF,
         )
-        frame = EthernetFrame(
-            dst=dst_mac, src=self.mac, ethertype=EtherType.IPV4,
-            payload=packet.encode(),
-        )
-        self.transmit_frame(frame)
+        self._tx_ip(dst_mac, packet)
         return key
 
     # -- UDP ---------------------------------------------------------------

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.l2.topology import Lan
 from repro.sim.simulator import Simulator
 from repro.stack.os_profiles import WINDOWS_XP
+
+#: The CI ``codec-fuzz`` job runs ``tests/test_codec_fuzz.py`` with
+#: ``--hypothesis-profile codec-fuzz``: twenty times the examples tier-1
+#: runs at hypothesis' default size.
+settings.register_profile(
+    "codec-fuzz",
+    max_examples=20 * settings.default.max_examples,
+    deadline=None,
+)
 
 
 @pytest.fixture

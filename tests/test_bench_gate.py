@@ -31,6 +31,7 @@ WIRE_MICRO = {
     "intern_mac_from_wire",
     "cam_lookup_batch_wire",
     "nic_batch_filter",
+    "ipv4_icmp_echo_codec",
 }
 CAMPUS = {
     "campus_build_hosts_per_sec",
@@ -56,7 +57,7 @@ MODES = {
     (False, False): PER_FRAME,
     (True, False): PER_FRAME,
 }
-SIZES = {(False, True): 19, (True, True): 17, (False, False): 13, (True, False): 13}
+SIZES = {(False, True): 20, (True, True): 18, (False, False): 14, (True, False): 14}
 
 
 class TestCommittedBaseline:
