@@ -23,6 +23,8 @@ See ``docs/campaigns.md`` for the spec format, determinism guarantees,
 and cache-key semantics.
 """
 
+import importlib
+
 from repro.campaign.aggregate import (
     CellAggregate,
     MetricStats,
@@ -30,8 +32,6 @@ from repro.campaign.aggregate import (
     publish_metrics,
     to_artifact,
 )
-from repro.campaign.cache import ResultCache, code_fingerprint
-from repro.campaign.runner import CampaignResult, TaskFailure, run_campaign
 from repro.campaign.spec import (
     CampaignSpec,
     CampaignTask,
@@ -39,6 +39,25 @@ from repro.campaign.spec import (
     derive_seed,
     execute_task,
 )
+
+#: Names whose modules load on first use.  The worker pool pulls in
+#: ``multiprocessing``, which one task run in-process (``repro run``)
+#: never needs; importing it would also move the ``gc_gen*`` counts the
+#: run's metrics report, which count collections since process start.
+_LAZY = {
+    "ResultCache": "cache",
+    "code_fingerprint": "cache",
+    "CampaignResult": "runner",
+    "TaskFailure": "runner",
+    "run_campaign": "runner",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "CampaignResult",

@@ -14,15 +14,17 @@ count or completion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
-from repro.campaign.runner import CampaignResult
 from repro.core.api import KINDS
 from repro.core.experiment import result_from_dict
 from repro.core.metrics import percentile
 from repro.core.report import Artifact
+
+if TYPE_CHECKING:
+    from repro.campaign.runner import CampaignResult
 
 __all__ = [
     "MetricStats",

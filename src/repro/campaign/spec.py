@@ -34,6 +34,8 @@ __all__ = [
     "canonical_params",
     "CampaignTask",
     "CampaignSpec",
+    "check_variant",
+    "resolve_task",
     "execute_task",
 ]
 
@@ -163,29 +165,7 @@ class CampaignSpec:
                     "None (baseline) is not allowed"
                 )
         for variant in self.variants:
-            # "faults" is a universal variant key (any experiment kind
-            # accepts it); everything else must be kind-specific.
-            bad = set(variant) - set(kind.variant_keys) - {"faults"}
-            if bad:
-                raise CampaignError(
-                    f"variant keys {sorted(bad)} not understood by "
-                    f"{self.experiment!r}; allowed: "
-                    f"{sorted(kind.variant_keys)} (+ 'faults')"
-                )
-            # A value the task could not cast to its declared type fails
-            # here, not inside a worker process.  The variant itself stays
-            # as given, so derived seeds and cache keys do not move.
-            for key, value in variant.items():
-                if key == "faults":
-                    continue
-                try:
-                    _variant_value(kind, key, value)
-                except (TypeError, ValueError):
-                    cast = kind.variant_keys[key][0].__name__
-                    raise CampaignError(
-                        f"{self.experiment!r}: variant {key}={value!r} "
-                        f"is not a valid {cast}"
-                    ) from None
+            check_variant(kind, variant)
         if not self.faults:
             raise CampaignError(
                 "faults must be non-empty; use (None,) for a clean LAN"
@@ -351,6 +331,56 @@ def _variant_value(kind: api.Kind, key: str, value: object) -> object:
     return cast(value)
 
 
+def check_variant(kind: api.Kind, variant: Mapping[str, object]) -> None:
+    """Raise :class:`CampaignError` unless ``kind`` understands ``variant``.
+
+    Every key must be one of the kind's variant keys or the universal
+    ``"faults"``, and every value castable to its key's declared type.
+    The variant itself stays as given, so derived seeds and cache keys
+    do not move.
+    """
+    bad = set(variant) - set(kind.variant_keys) - {"faults"}
+    if bad:
+        raise CampaignError(
+            f"variant keys {sorted(bad)} not understood by "
+            f"{kind.name!r}; allowed: "
+            f"{sorted(kind.variant_keys)} (+ 'faults')"
+        )
+    for key, value in variant.items():
+        if key == "faults":
+            continue
+        try:
+            _variant_value(kind, key, value)
+        except (TypeError, ValueError):
+            cast = kind.variant_keys[key][0].__name__
+            raise CampaignError(
+                f"{kind.name!r}: variant {key}={value!r} "
+                f"is not a valid {cast}"
+            ) from None
+
+
+def resolve_task(
+    task: CampaignTask,
+) -> Tuple[api.Kind, ScenarioConfig, Dict[str, object]]:
+    """The kind, scenario config and runner parameters ``task`` runs with.
+
+    Every variant key reaches the runner, cast to its declared type with
+    the kind's fallback where the variant omits it; the trace axis
+    becomes the ``source`` parameter, and ``faults`` is no parameter but
+    the config's ``fault_spec``.
+    """
+    kind = api.KINDS.get(task.experiment)
+    if kind is None:
+        raise CampaignError(f"unknown experiment {task.experiment!r}")
+    params = {
+        "source" if key == "trace" else key: _variant_value(
+            kind, key, task.variant.get(key, fallback)
+        )
+        for key, (_, fallback) in kind.variant_keys.items()
+    }
+    return kind, _scenario_config(task, kind.scenario_defaults), params
+
+
 def execute_task(task: CampaignTask) -> Dict[str, object]:
     """Run one task and return its result as a JSON-safe dict.
 
@@ -365,18 +395,7 @@ def execute_task(task: CampaignTask) -> Dict[str, object]:
     result is stored or cached, and merges it into the parent registry
     when the task ran in a separate process.
     """
-    kind = api.KINDS.get(task.experiment)
-    if kind is None:
-        raise CampaignError(f"unknown experiment {task.experiment!r}")
-    # Every variant key reaches the runner, the trace axis as its
-    # ``source``; ``faults`` is no parameter but the config's fault_spec.
-    params = {
-        "source" if key == "trace" else key: _variant_value(
-            kind, key, task.variant.get(key, fallback)
-        )
-        for key, (_, fallback) in kind.variant_keys.items()
-    }
-    config = _scenario_config(task, kind.scenario_defaults)
+    kind, config, params = resolve_task(task)
     from repro.obs import REGISTRY
 
     before = REGISTRY.snapshot()

@@ -7,31 +7,25 @@ Commands
 ``table N`` / ``figure N``
     Regenerate one of the paper's artifacts (N in 1..4) and print it;
     ``--csv`` emits machine-readable CSV instead of the text table.
-``demo mitm|dos|flood|starvation``
-    Run a single attack scenario, optionally with ``--scheme SPEC``
-    installed (a registry key or a '+'-joined stack such as
-    ``dai+arpwatch``), and print what happened.
+``run KIND``
+    Run one experiment of any ``api.KINDS`` kind once, optionally with
+    ``--scheme SPEC`` installed (a registry key or a '+'-joined stack
+    such as ``dai+arpwatch``) and ``--set KEY=VALUE`` variant or
+    scenario settings, and print its result as one JSON object.  Its
+    sinks combine freely: ``--trace-out`` (Chrome trace or JSONL event
+    log with frame provenance), ``--metrics-out`` (Prometheus text or
+    JSON registry snapshot), ``--profile-out`` (sampled collapsed
+    stacks with per-subsystem attribution) and ``--telemetry-out``
+    (live JSONL time series).
 ``campaign``
     Sweep an experiment over schemes × variants × seeds on a worker
     pool (``--jobs``), with on-disk result caching (``--cache-dir`` /
     ``--no-cache``), and print multi-trial aggregate statistics.
-``trace``
-    Run one fixed-seed poisoning experiment with tracing enabled and
-    export the event log as a Chrome trace (Perfetto-loadable) or JSONL,
-    including the frame-provenance table that links every scheme alert
-    back to the injecting attack.
-``metrics``
-    Run one fixed-seed experiment and dump the metrics registry in
-    Prometheus text (or JSON snapshot) form.
 ``replay``
     Stream a frame trace — a pcap capture (``--pcap``) or a seeded
     synthetic generator (``--synthetic``) — through a monitor-placed
     scheme's tap in bounded memory, and report frames, alerts, and
     sustained ingest throughput.
-``profile``
-    Run one experiment under the sampling wall-clock profiler and
-    export collapsed stacks (flamegraph.pl / speedscope input) with
-    per-subsystem attribution.
 ``top``
     Live per-worker progress view over the heartbeat files a campaign
     writes when the run-health watchdog is enabled.
@@ -40,13 +34,17 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Callable, Dict, Optional
+from contextlib import ExitStack, contextmanager
+from dataclasses import fields
+from pathlib import Path
+from typing import Callable, Dict, Iterator, NoReturn, Optional
 
 from repro._version import __version__
 from repro.core import api, report
 from repro.core.experiment import ScenarioConfig
-from repro.errors import FaultError
+from repro.errors import ExperimentError, FaultError
 from repro.faults import parse_fault_spec
 from repro.schemes.registry import SCHEME_FACTORIES, all_profiles, validate_scheme_spec
 
@@ -109,6 +107,24 @@ _FIGURES: Dict[int, Callable[[], "report.Artifact"]] = {
 }
 
 
+#: Output sinks by flag; each file's format follows its suffix.
+_SINKS = {
+    "--trace-out": "trace the run and write its event log with frame "
+                   "provenance to PATH: JSONL for a .jsonl suffix, else a "
+                   "Chrome trace (Perfetto-loadable)",
+    "--metrics-out": "write the metrics registry to PATH: a JSON snapshot "
+                     "for a .json suffix, else Prometheus text",
+    "--profile-out": "sample the run with the wall-clock profiler and write "
+                     "collapsed stacks (flamegraph input) to PATH",
+    "--telemetry-out": "stream a live JSONL time series of the run to PATH",
+}
+
+
+def _add_sinks(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, default=None, metavar="PATH", help=_SINKS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -130,22 +146,27 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("number", type=int, choices=sorted(_FIGURES))
     figure.add_argument("--csv", action="store_true", help="emit CSV")
 
-    demo = sub.add_parser("demo", help="run one attack scenario")
-    demo.add_argument(
-        "attack", choices=["mitm", "dos", "flood", "starvation"]
+    run = sub.add_parser(
+        "run",
+        help="run one experiment of any kind once, with optional trace, "
+             "metrics, profile and telemetry sinks",
     )
-    demo.add_argument(
+    run.add_argument("kind", choices=sorted(api.KINDS), metavar="KIND",
+                     help=f"experiment kind: {', '.join(sorted(api.KINDS))}")
+    run.add_argument(
         "--scheme", default=None, type=_scheme_spec, metavar="SPEC",
         help="defense to install: a scheme key or a '+'-joined stack "
              "such as dai+arpwatch (default: none)",
     )
-    demo.add_argument("--seed", type=int, default=7)
-    demo.add_argument("--duration", type=float, default=30.0)
-    demo.add_argument(
-        "--faults", default=None, type=_fault_spec, metavar="SPEC",
-        help="link/host impairments, e.g. loss=0.05,jitter=2ms "
-             "(default: clean LAN)",
+    run.add_argument(
+        "--set", action="append", default=[], dest="settings",
+        metavar="KEY=VALUE",
+        help="one setting (repeatable): a variant key of KIND or 'faults' "
+             "sets the variant, any other ScenarioConfig field (seed, "
+             "n_hosts, attack_duration, ...) the scenario",
     )
+    _add_sinks(run, "--trace-out", "--metrics-out", "--profile-out",
+               "--telemetry-out")
 
     camp = sub.add_parser(
         "campaign",
@@ -215,17 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
              "campus-churn: --variant hosts_per_leaf=50 --variant shards=2",
     )
     camp.add_argument("--csv", action="store_true", help="emit CSV")
-    camp.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write a Prometheus text dump of the aggregated metrics "
-             "(per-cell detection-latency histograms, alert totals, and "
-             "worker perf counters) to PATH",
-    )
-    camp.add_argument(
-        "--telemetry-out", default=None, metavar="PATH",
-        help="stream a live JSONL time series (sim progress, per-window "
-             "perf/metrics deltas) to PATH while the campaign runs",
-    )
+    _add_sinks(camp, "--metrics-out", "--telemetry-out")
     camp.add_argument(
         "--telemetry-cadence", type=int, default=2000, metavar="N",
         help="snapshot every N simulator events (default: 2000)",
@@ -241,67 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stall-after", type=float, default=10.0, metavar="SECS",
         help="seconds of frozen heartbeat or sim-clock before a worker "
              "is graded stalled (default: 10)",
-    )
-
-    def _obs_experiment_args(p) -> None:
-        p.add_argument(
-            "--scheme", default="dai", type=_scheme_spec, metavar="SPEC",
-            help="defense to install: a scheme key or a '+'-joined stack "
-                 "such as dai+arpwatch (default: dai)",
-        )
-        p.add_argument(
-            "--technique", default="reply",
-            choices=["reply", "request", "gratuitous", "reactive"],
-            help="poisoning technique (default: reply)",
-        )
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--hosts", type=_positive_int, default=4)
-        p.add_argument("--duration", type=float, default=12.0,
-                       help="attack duration in simulated seconds")
-        p.add_argument(
-            "--faults", default=None, type=_fault_spec, metavar="SPEC",
-            help="link/host impairments, e.g. loss=0.05,jitter=2ms "
-                 "(default: clean LAN)",
-        )
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="output file (default: stdout)")
-
-    trace = sub.add_parser(
-        "trace",
-        help="trace one poisoning experiment and export the event log",
-    )
-    _obs_experiment_args(trace)
-    trace.add_argument(
-        "--format", default="chrome", choices=["chrome", "jsonl"],
-        help="chrome = trace-event JSON for Perfetto; jsonl = one event "
-             "per line (default: chrome)",
-    )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run one poisoning experiment and dump the metrics registry",
-    )
-    _obs_experiment_args(metrics)
-    metrics.add_argument(
-        "--format", default="prometheus", choices=["prometheus", "json"],
-        help="Prometheus text exposition or raw JSON snapshot "
-             "(default: prometheus)",
-    )
-
-    prof = sub.add_parser(
-        "profile",
-        help="run one poisoning experiment under the sampling wall-clock "
-             "profiler and export collapsed stacks (flamegraph input)",
-    )
-    _obs_experiment_args(prof)
-    prof.add_argument(
-        "--interval", type=float, default=0.002, metavar="SECS",
-        help="sampling interval in seconds (default: 0.002)",
-    )
-    prof.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run the experiment N times under one profiler session "
-             "(more samples, default: 1)",
     )
 
     top = sub.add_parser(
@@ -388,19 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run scheme timers SECS trace-seconds past the last frame",
     )
     replay.add_argument("--seed", type=int, default=7)
-    replay.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write a Prometheus text dump (replay counters, ingest "
-             "histograms, per-scheme alert totals) to PATH",
-    )
-    replay.add_argument(
-        "--telemetry-out", default=None, metavar="PATH",
-        help="stream a live JSONL time series of the run to PATH",
-    )
-    replay.add_argument(
-        "--telemetry-cadence", type=int, default=2000, metavar="N",
-        help="snapshot every N ingested frames (default: 2000)",
-    )
+    _add_sinks(replay, "--metrics-out", "--telemetry-out")
 
     bench = sub.add_parser(
         "bench", help="run the bench suite and its regression gate"
@@ -520,11 +458,17 @@ def _campaign_grid(args):
     return tuple(schemes), tuple(variants), scenario
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with ``message`` on stderr, the way argparse rejects a flag."""
+    sys.stderr.write(f"repro: error: {message}\n")
+    raise SystemExit(2)
+
+
 def _parse_variant_override(item: str):
     """``key=value`` with int/float coercion (``shards=2`` -> 2)."""
     key, sep, raw = item.partition("=")
     if not sep or not key:
-        raise SystemExit(f"--variant expects KEY=VALUE, got {item!r}")
+        _usage_error(f"expected KEY=VALUE, got {item!r}")
     for cast in (int, float):
         try:
             return key, cast(raw)
@@ -533,13 +477,171 @@ def _parse_variant_override(item: str):
     return key, raw
 
 
-def _cmd_campaign(args, out) -> int:
-    from repro.campaign import (
-        CampaignSpec,
-        ResultCache,
-        run_campaign,
-        to_artifact,
+@contextmanager
+def _sinks(args, out, cadence: int = 2000) -> Iterator[None]:
+    """Run the block under every output sink ``args`` names.
+
+    ``--trace-out`` traces the block, ``--profile-out`` samples it and
+    ``--telemetry-out`` streams its simulators' time series; after the
+    block each sink writes its file (``--metrics-out`` the registry as
+    the block left it) and its ``# `` summary lines to ``out``.
+    """
+    from repro.obs import REGISTRY, TRACER, live, to_chrome_trace, to_jsonl, to_prometheus
+    from repro.perf import PERF
+
+    trace_out = getattr(args, "trace_out", None)
+    profile_out = getattr(args, "profile_out", None)
+    with ExitStack() as stack:
+        if args.telemetry_out:
+            stack.enter_context(live.session(live.TelemetryRecorder(
+                cadence_events=cadence, out=args.telemetry_out
+            )))
+        if profile_out:
+            from repro.obs.profiler import SamplingProfiler
+
+            profiler = stack.enter_context(SamplingProfiler())
+        if trace_out:
+            TRACER.reset()
+            TRACER.enable()
+            stack.callback(TRACER.disable)
+            capture_drops_before = PERF.trace_drops
+        yield
+
+    if trace_out:
+        events = list(TRACER.events)
+        provenance = TRACER.provenance
+        resolved = alerts = 0
+        for event in events:
+            if event.name == "scheme.alert":
+                alerts += 1
+                fid = event.attrs.get("frame")
+                origin = provenance.origin_of(fid) if fid is not None else None
+                if origin is not None and origin.startswith("attack:"):
+                    resolved += 1
+        Path(trace_out).write_text(
+            to_jsonl(events) if trace_out.endswith(".jsonl")
+            else json.dumps(to_chrome_trace(events, provenance.frames))
+        )
+        out.write(
+            f"# trace: {len(events)} events ({TRACER.dropped} span-ring dropped), "
+            f"{len(provenance)} frames tracked, "
+            f"{PERF.trace_drops - capture_drops_before} frame-capture dropped "
+            f"(PERF.trace_drops={PERF.trace_drops}) in {trace_out}\n"
+            f"# alerts: {alerts} raised, {resolved} with provenance "
+            f"resolving to an attack injection\n"
+        )
+    if profile_out:
+        Path(profile_out).write_text(profiler.collapsed())
+        attribution = ", ".join(
+            f"{name} {share:.1%}" for name, share in profiler.attribution().items()
+        )
+        out.write(
+            f"# profile: {profiler.sample_count} samples at "
+            f"{profiler.interval * 1000:.1f}ms interval in {profile_out}\n"
+            f"# subsystems: {attribution or 'none'}\n"
+            f"# attributed: {profiler.attributed_fraction():.1%} of samples "
+            f"to named subsystems\n"
+        )
+    if args.telemetry_out:
+        # Lines in the file, not the recorder's count: with --jobs > 1
+        # fork-workers wrote their own interleaved series to the same path.
+        path = Path(args.telemetry_out)
+        snapshots = (
+            sum(1 for line in path.read_text().splitlines() if line.strip())
+            if path.exists()
+            else 0
+        )
+        out.write(
+            f"# telemetry: {snapshots} snapshots in {args.telemetry_out} "
+            f"(cadence {cadence} events)\n"
+        )
+    if args.metrics_out:
+        snapshot = REGISTRY.snapshot()
+        Path(args.metrics_out).write_text(
+            json.dumps(snapshot, indent=2, sort_keys=True)
+            if args.metrics_out.endswith(".json")
+            else to_prometheus(snapshot)
+        )
+        out.write(
+            f"# metrics: {len(snapshot['metrics'])} families, "
+            f"{len(snapshot['collectors'])} collector blocks in "
+            f"{args.metrics_out}\n"
+        )
+
+
+def _run_task(args):
+    """The one campaign task ``repro run`` executes: trial 0 of its cell.
+
+    Each ``--set`` key goes to the variant when the kind sweeps it (or it
+    is ``faults``), to the scenario when it is another
+    :class:`ScenarioConfig` field, cast to that field's type; ``seed`` is
+    the task's seed, verbatim.
+    """
+    from repro.campaign.spec import CampaignTask, check_variant
+
+    kind = api.KINDS[args.kind]
+    scenario_keys = {f.name for f in fields(ScenarioConfig)}
+    variant: Dict[str, object] = {}
+    scenario: Dict[str, object] = {}
+    seed = ScenarioConfig.seed
+    for item in args.settings:
+        key, value = _parse_variant_override(item)
+        if key in kind.variant_keys or key == "faults":
+            variant[key] = value
+            continue
+        if key not in scenario_keys:
+            _usage_error(
+                f"--set {key!r} is not a setting of {kind.name!r}; variant "
+                f"keys: {sorted([*kind.variant_keys, 'faults'])}; scenario "
+                f"keys: {sorted(scenario_keys)}"
+            )
+        default = getattr(ScenarioConfig, key)
+        text = str(value)
+        if isinstance(default, bool):
+            if text not in ("true", "false"):
+                _usage_error(f"--set {key}={text!r}: expected true or false")
+            value = text == "true"
+        elif isinstance(default, (int, float)):
+            try:
+                value = type(default)(text)
+            except ValueError:
+                _usage_error(
+                    f"--set {key}={text!r} is not a valid {type(default).__name__}"
+                )
+        else:  # strings, the fault spec and OS profiles (by name)
+            value = text
+        if key == "seed":
+            seed = value
+        else:
+            scenario[key] = value
+    try:
+        check_variant(kind, variant)
+    except ExperimentError as exc:
+        _usage_error(str(exc))
+    return CampaignTask(
+        experiment=kind.name, scheme=args.scheme, variant=variant,
+        scenario=scenario, trial=0, seed=seed,
     )
+
+
+def _cmd_run(args, out) -> int:
+    from repro.campaign.spec import resolve_task
+    from repro.errors import PcapError, ReplayError, SchemeError
+
+    task = _run_task(args)
+    try:
+        kind, config, params = resolve_task(task)
+        with _sinks(args, out):
+            result = api.run(kind.name, config, scheme=task.scheme, **params)
+            # The result precedes the sinks' summary lines.
+            out.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+    except (ExperimentError, PcapError, ReplayError, SchemeError) as exc:
+        _usage_error(f"run: {exc}")
+    return 0
+
+
+def _cmd_campaign(args, out) -> int:
+    from repro.campaign import CampaignSpec, ResultCache, run_campaign
 
     schemes, variants, scenario = _campaign_grid(args)
     spec = CampaignSpec(
@@ -559,20 +661,9 @@ def _cmd_campaign(args, out) -> int:
     # there heartbeats stay opt-in via an explicit --heartbeat-dir.
     heartbeat_dir = args.heartbeat_dir
     if heartbeat_dir is None and args.jobs > 1 and not args.no_cache:
-        from pathlib import Path
-
         heartbeat_dir = str(Path(args.cache_dir) / "heartbeats")
 
-    telemetry = None
-    previous_recorder = None
-    if args.telemetry_out:
-        from repro.obs import live
-
-        telemetry = live.TelemetryRecorder(
-            cadence_events=args.telemetry_cadence, out=args.telemetry_out
-        )
-        previous_recorder = live.install(telemetry)
-    try:
+    with _sinks(args, out, cadence=args.telemetry_cadence):
         campaign = run_campaign(
             spec,
             jobs=args.jobs,
@@ -582,12 +673,20 @@ def _cmd_campaign(args, out) -> int:
             heartbeat_dir=heartbeat_dir,
             stall_after=args.stall_after,
         )
-    finally:
-        if telemetry is not None:
-            from repro.obs import live
+        if args.metrics_out:
+            from repro.campaign.aggregate import publish_metrics
 
-            live.install(previous_recorder)
-            telemetry.close()
+            publish_metrics(campaign)
+        _write_campaign(args, out, campaign)
+    return 1 if campaign.failures else 0
+
+
+def _write_campaign(args, out, campaign) -> None:
+    """The aggregate table, then the run's ``# `` status lines."""
+    from repro.campaign import to_artifact
+    from repro.obs import REGISTRY
+    from repro.perf import summary
+
     artifact = to_artifact(campaign)
     out.write((artifact.csv if args.csv else artifact.rendered) + "\n")
     out.write(
@@ -597,9 +696,6 @@ def _cmd_campaign(args, out) -> int:
         f"{len(campaign.failures)} failed, jobs={campaign.jobs}, "
         f"{campaign.elapsed:.2f}s\n"
     )
-    from repro.obs import REGISTRY
-    from repro.perf import summary
-
     # Worker counters are shipped back as _obs deltas and merged into the
     # parent registry's perf section — so with --jobs > 1 this line
     # reflects the whole campaign, not just the coordinator.
@@ -610,21 +706,6 @@ def _cmd_campaign(args, out) -> int:
     else:
         scope = "coordinator only"
     out.write(f"# perf ({scope}): {summary(REGISTRY.collect('perf'))}\n")
-    if telemetry is not None:
-        from pathlib import Path
-
-        # Count lines in the file, not telemetry.written: with --jobs > 1
-        # fork-workers wrote their own interleaved series to the same path.
-        path = Path(args.telemetry_out)
-        snapshots = (
-            sum(1 for line in path.read_text().splitlines() if line.strip())
-            if path.exists()
-            else 0
-        )
-        out.write(
-            f"# telemetry: {snapshots} snapshots in {args.telemetry_out} "
-            f"(cadence {args.telemetry_cadence} events)\n"
-        )
     if campaign.heartbeat_dir is not None:
         from collections import Counter as _Counter
 
@@ -637,163 +718,16 @@ def _cmd_campaign(args, out) -> int:
             f"{campaign.worker_stalls} stall episodes "
             f"(watchdog_stalls_total), heartbeats in {campaign.heartbeat_dir}\n"
         )
-    if args.metrics_out:
-        from pathlib import Path
-
-        from repro.campaign.aggregate import publish_metrics
-        from repro.obs import to_prometheus
-
-        published = publish_metrics(campaign)
-        Path(args.metrics_out).write_text(to_prometheus(REGISTRY.snapshot()))
-        out.write(
-            f"# metrics: {published} cell observations written to "
-            f"{args.metrics_out}\n"
-        )
     for failure in campaign.failures:
         out.write(
             f"# FAILED {failure.task.scheme_label} "
             f"{failure.task.cell[1]} trial={failure.task.trial} "
             f"after {failure.attempts} attempt(s): {failure.error}\n"
         )
-    return 1 if campaign.failures else 0
-
-
-def _obs_scenario(args) -> ScenarioConfig:
-    return ScenarioConfig(
-        seed=args.seed,
-        n_hosts=args.hosts,
-        attack_duration=args.duration,
-        warmup=3.0,
-        cooldown=2.0,
-        fault_spec=getattr(args, "faults", None),
-    )
-
-
-def _write_artifact(args, out, text: str, summary_lines: list[str]) -> None:
-    """Artifact to --out (or stdout); summary comments never pollute the
-    artifact when it goes to a file."""
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(text)
-        out.write(f"# written to {args.out}\n")
-        for line in summary_lines:
-            out.write(line + "\n")
-    else:
-        out.write(text if text.endswith("\n") else text + "\n")
-
-
-def _cmd_trace(args, out) -> int:
-    import json
-
-    from repro.obs import TRACER, to_chrome_trace, to_jsonl
-    from repro.perf import PERF
-
-    TRACER.reset()
-    TRACER.enable()
-    capture_drops_before = PERF.trace_drops
-    try:
-        result = api.run(
-            "effectiveness",
-            _obs_scenario(args),
-            scheme=args.scheme,
-            technique=args.technique,
-        )
-    finally:
-        TRACER.disable()
-    capture_drops = PERF.trace_drops - capture_drops_before
-
-    events = list(TRACER.events)
-    provenance = TRACER.provenance
-    alerts = [e for e in events if e.name == "scheme.alert"]
-    resolved = 0
-    for alert in alerts:
-        fid = alert.attrs.get("frame")
-        origin = provenance.origin_of(fid) if fid is not None else None
-        if origin is not None and origin.startswith("attack:"):
-            resolved += 1
-
-    if args.format == "chrome":
-        text = json.dumps(to_chrome_trace(events, provenance.frames))
-    else:
-        text = to_jsonl(events)
-    summary = [
-        f"# trace: {len(events)} events ({TRACER.dropped} span-ring dropped), "
-        f"{len(provenance)} frames tracked, "
-        f"{capture_drops} frame-capture dropped "
-        f"(PERF.trace_drops={PERF.trace_drops})",
-        f"# alerts: {len(alerts)} raised, {resolved} with provenance "
-        f"resolving to an attack injection",
-        f"# outcome: scheme={args.scheme} technique={args.technique} "
-        f"{result.outcome}",
-    ]
-    _write_artifact(args, out, text, summary)
-    return 0
-
-
-def _cmd_metrics(args, out) -> int:
-    import json
-
-    from repro.obs import REGISTRY, to_prometheus
-
-    api.run(
-        "effectiveness",
-        _obs_scenario(args),
-        scheme=args.scheme,
-        technique=args.technique,
-    )
-    snapshot = REGISTRY.snapshot()
-    if args.format == "prometheus":
-        text = to_prometheus(snapshot)
-    else:
-        text = json.dumps(snapshot, indent=2, sort_keys=True)
-    _write_artifact(
-        args, out, text,
-        [f"# metrics: {len(snapshot['metrics'])} families, "
-         f"{len(snapshot['collectors'])} collector blocks"],
-    )
-    return 0
-
-
-def _cmd_profile(args, out) -> int:
-    from repro.obs.profiler import SamplingProfiler
-
-    profiler = SamplingProfiler(interval=args.interval)
-    profiler.start()
-    try:
-        for _ in range(max(1, args.repeat)):
-            result = api.run(
-                "effectiveness",
-                _obs_scenario(args),
-                scheme=args.scheme,
-                technique=args.technique,
-            )
-    finally:
-        profiler.stop()
-
-    attribution = ", ".join(
-        f"{name} {share:.1%}" for name, share in profiler.attribution().items()
-    )
-    summary = [
-        f"# profile: {profiler.sample_count} samples at "
-        f"{args.interval * 1000:.1f}ms interval over "
-        f"{max(1, args.repeat)} run(s)",
-        f"# subsystems: {attribution or 'none'}",
-        f"# attributed: {profiler.attributed_fraction():.1%} of samples "
-        f"to named subsystems",
-        f"# outcome: scheme={args.scheme} technique={args.technique} "
-        f"{result.outcome}",
-    ]
-    _write_artifact(args, out, profiler.collapsed(), summary)
-    if not args.out:
-        for line in summary:
-            out.write(line + "\n")
-    return 0
 
 
 def _cmd_top(args, out) -> int:
     import time as _time
-    from pathlib import Path
 
     from repro.obs.watchdog import Watchdog, render_health
 
@@ -820,16 +754,9 @@ def _cmd_top(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
-    from pathlib import Path
-
+    import repro.sim.simulator as _simulator
     from repro.obs.registry import REGISTRY, subtract_counts
     from repro.perf import bench, summary
-
-    if args.no_batch:
-        # Process-wide: every Simulator built by the suite inherits it.
-        import repro.sim.simulator as _simulator
-
-        _simulator.DEFAULT_BATCHING = False
 
     baseline_path = (
         Path(args.baseline) if args.baseline is not None else bench.BASELINE_PATH
@@ -842,7 +769,15 @@ def _cmd_bench(args, out) -> int:
         return 1
 
     perf_before = REGISTRY.collect("perf")
-    results = bench.run_suite(quick=args.quick)
+    # --no-batch is process-wide for the suite's run: every Simulator it
+    # builds inherits the default, which is restored afterwards.
+    batching = _simulator.DEFAULT_BATCHING
+    if args.no_batch:
+        _simulator.DEFAULT_BATCHING = False
+    try:
+        results = bench.run_suite(quick=args.quick)
+    finally:
+        _simulator.DEFAULT_BATCHING = batching
     out.write(bench.format_results(results, baseline) + "\n")
     perf = subtract_counts(REGISTRY.collect("perf"), perf_before)
     out.write(f"# perf: {summary(perf)}\n")
@@ -889,151 +824,29 @@ def _cmd_replay(args, out) -> int:
             tail = f"rate={args.rate}" + (f",{tail}" if tail else "")
         spec = f"synthetic:{tail}"
 
-    telemetry = None
-    if args.telemetry_out:
-        from repro.obs import live
-
-        telemetry = live.TelemetryRecorder(
-            cadence_events=args.telemetry_cadence, out=args.telemetry_out
-        )
     try:
-        result = api.run(
-            "replay",
-            ScenarioConfig(seed=args.seed),
-            scheme=args.scheme,
-            source=spec,
-            window=args.window,
-            drain=args.drain,
-            telemetry=telemetry,
-        )
+        with _sinks(args, out):
+            result = api.run(
+                "replay",
+                ScenarioConfig(seed=args.seed),
+                scheme=args.scheme,
+                source=spec,
+                window=args.window,
+                drain=args.drain,
+            )
+            label = result.scheme if result.scheme is not None else "none"
+            out.write(
+                f"replay: {result.frames} frames ({result.bytes} bytes) "
+                f"from {result.source}\n"
+                f"  scheme={label} alerts={result.alerts} "
+                f"delivered={result.delivered} "
+                f"window={result.window} peak_in_flight={result.peak_in_flight}\n"
+                f"  {result.frames_per_sec:,.0f} frames/sec "
+                f"(wall {result.wall_seconds:.3f}s, "
+                f"trace span {result.sim_seconds:.3f}s)\n"
+            )
     except (ReplayError, SchemeError, PcapError) as exc:
         raise SystemExit(f"replay: {exc}") from None
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-
-    label = result.scheme if result.scheme is not None else "none"
-    out.write(
-        f"replay: {result.frames} frames ({result.bytes} bytes) "
-        f"from {result.source}\n"
-        f"  scheme={label} alerts={result.alerts} "
-        f"delivered={result.delivered} "
-        f"window={result.window} peak_in_flight={result.peak_in_flight}\n"
-        f"  {result.frames_per_sec:,.0f} frames/sec "
-        f"(wall {result.wall_seconds:.3f}s, "
-        f"trace span {result.sim_seconds:.3f}s)\n"
-    )
-    if telemetry is not None:
-        out.write(
-            f"# telemetry: {telemetry.written} snapshots in "
-            f"{args.telemetry_out} (cadence {args.telemetry_cadence} events)\n"
-        )
-    if args.metrics_out:
-        from pathlib import Path
-
-        from repro.obs import REGISTRY, to_prometheus
-
-        Path(args.metrics_out).write_text(to_prometheus(REGISTRY.snapshot()))
-        out.write(f"# metrics written to {args.metrics_out}\n")
-    return 0
-
-
-def _cmd_demo(args, out) -> int:
-    if args.attack == "mitm":
-        return _demo_mitm(args, out)
-    if args.attack == "dos":
-        return _demo_dos(args, out)
-    if args.attack == "flood":
-        return _demo_flood(args, out)
-    return _demo_starvation(args, out)
-
-
-def _demo_mitm(args, out) -> int:
-    config = ScenarioConfig(
-        seed=args.seed, attack_duration=args.duration, fault_spec=args.faults
-    )
-    result = api.run(
-        "effectiveness", config, scheme=args.scheme, technique="reply"
-    )
-    out.write(
-        f"scheme={result.scheme} technique=reply outcome={result.outcome}\n"
-        f"victim poisoned for {result.victim_poisoned_seconds:.1f}s; "
-        f"{result.packets_intercepted} packets intercepted; "
-        f"{result.tp_alerts} true alerts, {result.fp_alerts} false alerts\n"
-    )
-    return 0
-
-
-def _demo_dos(args, out) -> int:
-    from repro.attacks import BlackholeDos
-    from repro.core.experiment import Scenario
-
-    scenario = Scenario(ScenarioConfig(seed=args.seed))
-    if args.scheme is not None:
-        from repro.schemes.registry import make_defense
-
-        make_defense(args.scheme).install(lan=scenario.lan,
-                                         protected=scenario.protected_hosts())
-    scenario.warm_caches()
-    replies = []
-    cancel = scenario.sim.call_every(
-        0.5,
-        lambda: scenario.victim.ping(
-            scenario.gateway.ip, on_reply=lambda s, r: replies.append(s)
-        ),
-    )
-    before = scenario.sim.now
-    dos = BlackholeDos(
-        scenario.attacker, [scenario.victim], target_ip=scenario.gateway.ip
-    )
-    dos.start()
-    scenario.sim.run(until=before + args.duration)
-    dos.stop()
-    cancel()
-    expected = int(args.duration / 0.5)
-    out.write(
-        f"blackhole DoS for {args.duration:.0f}s: victim got {len(replies)}"
-        f"/{expected} gateway replies "
-        f"({'service denied' if len(replies) < expected / 2 else 'service survived'})\n"
-    )
-    return 0
-
-
-def _demo_flood(args, out) -> int:
-    from repro.attacks import MacFlood
-    from repro.core.experiment import Scenario
-
-    scenario = Scenario(ScenarioConfig(seed=args.seed))
-    if args.scheme is not None:
-        from repro.schemes.registry import make_defense
-
-        make_defense(args.scheme).install(lan=scenario.lan,
-                                         protected=scenario.protected_hosts())
-    flood = MacFlood(scenario.attacker)
-    flood.start()
-    scenario.sim.run(until=scenario.sim.now + min(args.duration, 5.0))
-    flood.stop()
-    switch = scenario.lan.switch
-    out.write(
-        f"sent {flood.frames_sent} flood frames; CAM {len(switch.cam)}/"
-        f"{switch.cam.capacity} ({'FAIL-OPEN' if switch.is_fail_open() else 'holding'})\n"
-    )
-    return 0
-
-
-def _demo_starvation(args, out) -> int:
-    config = ScenarioConfig(seed=args.seed, fault_spec=args.faults)
-    result = api.run(
-        "dhcp-starvation",
-        config,
-        scheme=args.scheme,
-        duration=min(args.duration, 30.0),
-    )
-    out.write(
-        f"starvation: pool {result.pool_free}/{result.pool_size} free, "
-        f"{result.leases_captured} leases captured "
-        f"({'EXHAUSTED' if result.exhausted else 'surviving'})\n"
-    )
     return 0
 
 
@@ -1044,16 +857,10 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return _cmd_list_schemes(out)
     if args.command in ("table", "figure"):
         return _cmd_artifact(args, out)
-    if args.command == "demo":
-        return _cmd_demo(args, out)
+    if args.command == "run":
+        return _cmd_run(args, out)
     if args.command == "campaign":
         return _cmd_campaign(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "metrics":
-        return _cmd_metrics(args, out)
-    if args.command == "profile":
-        return _cmd_profile(args, out)
     if args.command == "top":
         return _cmd_top(args, out)
     if args.command == "bench":

@@ -16,7 +16,7 @@ One import surface for the three observability primitives:
 
 Exporters (:func:`to_chrome_trace`, :func:`to_jsonl`,
 :func:`to_prometheus` and their parsers) turn those into artifacts the
-``repro trace`` / ``repro metrics`` subcommands write out.
+``repro run --trace-out`` / ``--metrics-out`` sinks write out.
 
 See ``docs/observability.md`` for the span taxonomy and overhead policy.
 """

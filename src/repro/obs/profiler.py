@@ -31,7 +31,7 @@ package:
 
 Aggregation is a :class:`collections.Counter` of collapsed stacks, which
 exports directly to the Brendan-Gregg folded format (``frame;frame N``)
-that ``flamegraph.pl`` and speedscope consume — via ``repro profile``.
+that ``flamegraph.pl`` and speedscope consume — via ``repro run --profile-out``.
 """
 
 from __future__ import annotations

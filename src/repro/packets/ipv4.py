@@ -52,6 +52,12 @@ class Ipv4Packet:
             raise CodecError(f"identification out of range: {self.identification}")
         if not 0 <= self.proto <= 255:
             raise CodecError(f"protocol out of range: {self.proto}")
+        if not 0 <= self.dscp <= 63:
+            raise CodecError(f"DSCP out of range: {self.dscp}")
+        if len(self.payload) > 0xFFFF - 20:
+            raise CodecError(
+                f"total length {20 + len(self.payload)} exceeds 65535"
+            )
 
     @property
     def header_length(self) -> int:

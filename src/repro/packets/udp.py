@@ -34,6 +34,8 @@ class UdpDatagram:
         for label, port in (("src", self.src_port), ("dst", self.dst_port)):
             if not 0 <= port <= 0xFFFF:
                 raise CodecError(f"udp: {label} port out of range: {port}")
+        if len(self.payload) > 0xFFFF - 8:
+            raise CodecError(f"udp: length {8 + len(self.payload)} exceeds 65535")
 
     @property
     def length(self) -> int:

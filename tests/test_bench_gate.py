@@ -148,12 +148,7 @@ class TestCheckFailsLoudly:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def stub_suite(monkeypatch):
-    """Every SUITE key and tag, each run returning 1000 ops/s at once.
-
-    ``--no-batch`` flips the process-wide batching default; pinning it
-    here restores it after the test.
-    """
-    monkeypatch.setattr(simulator, "DEFAULT_BATCHING", True)
+    """Every SUITE key and tag, each run returning 1000 ops/s at once."""
     stub = {
         name: dataclasses.replace(entry, run=lambda quick: 1000.0)
         for name, entry in SUITE.items()
@@ -180,6 +175,22 @@ class TestBenchCli:
         assert code == 2
         assert "refusing --update" in text
         assert not baseline.exists()
+
+    def test_no_batch_holds_for_the_run_only(self, stub_suite, tmp_path):
+        seen = set()
+
+        def record(quick):
+            seen.add(simulator.DEFAULT_BATCHING)
+            return 1000.0
+
+        for name, entry in stub_suite.items():
+            stub_suite[name] = dataclasses.replace(entry, run=record)
+        code, _text = _bench(
+            "--quick", "--no-batch", "--baseline", str(tmp_path / "none.json")
+        )
+        assert code == 0
+        assert seen == {False}
+        assert simulator.DEFAULT_BATCHING is True
 
     def test_full_update_writes_every_key(self, stub_suite, tmp_path):
         baseline = tmp_path / "baseline.json"

@@ -1,4 +1,4 @@
-"""Malformed-input fuzzing of the wire decoders (hypothesis).
+"""Malformed-input fuzzing of the wire decoders and encoders (hypothesis).
 
 Every decoder on the host packet path -- IPv4, ICMP, UDP, TCP, DHCP and
 the lazy Ethernet view -- is fed three kinds of input:
@@ -14,6 +14,11 @@ The one IPv4 flip a checksum cannot catch is a longer IHL whose extra
 header bytes happen to sum to the difference; such a buffer is a valid
 header with options by RFC 791's rules, and the property checks exactly
 that.
+
+The encoders get the mirror property: every value a constructor accepts,
+with its integer fields drawn far outside their wire widths and payloads
+around the 64 KiB length limit, either encodes or raises a
+:class:`CodecError`.
 
 Tier-1 runs these at hypothesis' default size; the CI ``codec-fuzz`` job
 runs them under the ``codec-fuzz`` profile (``tests/conftest.py``),
@@ -197,3 +202,67 @@ def test_ipv4_truncated_header_is_rejected(packet):
     wire = packet.encode()
     for cut in range(20):
         assert not _decodes(Ipv4Packet.decode, wire[:cut])
+
+
+def ints_in(bits: int):
+    """An integer in a ``bits``-wide field, or far outside it either side."""
+    return st.one_of(
+        st.integers(min_value=0, max_value=(1 << bits) - 1),
+        st.integers(min_value=-(1 << 33), max_value=1 << 33),
+    )
+
+
+#: Small payloads, and payloads either side of IPv4/UDP's 65535-byte total.
+any_payloads = st.one_of(
+    payloads, st.integers(min_value=0xFFFF - 40, max_value=0xFFFF + 8).map(bytes)
+)
+udp_kwargs = st.fixed_dictionaries(
+    {"src_port": ints_in(16), "dst_port": ints_in(16), "payload": any_payloads}
+)
+
+#: name -> (encode a value built from kwargs, strategy of those kwargs).
+CONSTRUCTIONS = {
+    "ipv4": (
+        lambda kw: Ipv4Packet(**kw).encode(),
+        st.fixed_dictionaries({
+            "src": ips, "dst": ips, "proto": ints_in(8),
+            "payload": any_payloads, "ttl": ints_in(8),
+            "identification": ints_in(16), "dscp": ints_in(6),
+            "dont_fragment": st.booleans(),
+        }),
+    ),
+    "icmp": (
+        lambda kw: IcmpMessage(**kw).encode(),
+        st.fixed_dictionaries({
+            "icmp_type": ints_in(8), "code": ints_in(8),
+            "rest_of_header": ints_in(32), "payload": any_payloads,
+        }),
+    ),
+    "udp": (lambda kw: UdpDatagram(**kw).encode(), udp_kwargs),
+    "udp-checksummed": (lambda kw: UdpDatagram(**kw).encode(SRC, DST), udp_kwargs),
+    "tcp": (
+        lambda kw: TcpSegment(**kw).encode(SRC, DST),
+        st.fixed_dictionaries({
+            "src_port": ints_in(16), "dst_port": ints_in(16),
+            "seq": ints_in(32), "ack": ints_in(32), "flags": ints_in(8),
+            "payload": any_payloads, "window": ints_in(16),
+        }),
+    ),
+    "ethernet": (
+        lambda kw: EthernetFrame(**kw).encode(),
+        st.fixed_dictionaries({
+            "dst": macs, "src": macs, "ethertype": ints_in(16),
+            "payload": any_payloads,
+        }),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+@given(data=st.data())
+def test_constructible_values_encode_or_raise_codec_errors(name, data):
+    encode, kwargs = CONSTRUCTIONS[name]
+    try:
+        encode(data.draw(kwargs))
+    except CodecError:
+        pass  # refused by the constructor or the encoder: a typed error

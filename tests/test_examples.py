@@ -28,6 +28,7 @@ def test_every_example_is_covered():
             "capture_forensics.py",
             "vlan_segmentation.py",
             "session_hijack.py",
+            "l2_dos_and_flood.py",
         ]
     )
 

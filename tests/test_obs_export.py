@@ -168,17 +168,23 @@ class TestDeterminism:
 
 
 class TestObsCli:
+    #: One small fixed-seed DAI cell under the reply technique.
+    CELL = ("run", "effectiveness", "--scheme", "dai", "--set", "n_hosts=3",
+            "--set", "attack_duration=6", "--set", "warmup=3",
+            "--set", "cooldown=2")
+
     def run_cli(self, *argv: str) -> str:
         out = io.StringIO()
-        assert main(list(argv), out=out) == 0
+        assert main([*self.CELL, *argv], out=out) == 0
         return out.getvalue()
 
-    def test_trace_chrome_to_stdout(self):
-        text = self.run_cli(
-            "trace", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6",
-        )
-        doc = json.loads(text)  # stdout is the bare artifact, pipe-clean
+    def test_trace_chrome_file(self, tmp_path):
+        out = tmp_path / "trace.json"
+        text = self.run_cli("--trace-out", str(out))
+        assert json.loads(text.splitlines()[0])["prevented"]
+        assert text.splitlines()[1].startswith("# trace: ")
+        assert text.splitlines()[1].endswith(f" in {out}")
+        doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         assert doc["frameProvenance"]
         # Tracing is switched back off after the command.
@@ -186,27 +192,38 @@ class TestObsCli:
 
     def test_trace_jsonl_file(self, tmp_path):
         out = tmp_path / "trace.jsonl"
-        text = self.run_cli(
-            "trace", "--format", "jsonl", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6", "--out", str(out),
-        )
-        assert "# written to" in text
+        text = self.run_cli("--trace-out", str(out))
+        assert "# alerts: 2 raised, 2 with provenance" in text
         events = parse_jsonl(out.read_text())
         assert any(e.name == "scheme.alert" for e in events)
 
-    def test_metrics_prometheus(self):
-        text = self.run_cli(
-            "metrics", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6",
-        )
-        parsed = parse_prometheus(text)
+    def test_metrics_prometheus(self, tmp_path):
+        out = tmp_path / "metrics.prom"
+        self.run_cli("--metrics-out", str(out))
+        parsed = parse_prometheus(out.read_text())
         assert any(n.startswith("scheme_alerts_total") for n in parsed)
         assert any(n.startswith("repro_perf_") for n in parsed)
 
-    def test_metrics_json(self):
-        text = self.run_cli(
-            "metrics", "--format", "json", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6",
-        )
-        snap = json.loads(text)
+    def test_metrics_json(self, tmp_path):
+        out = tmp_path / "metrics.json"
+        self.run_cli("--metrics-out", str(out))
+        snap = json.loads(out.read_text())
         assert "metrics" in snap and "collectors" in snap
+
+    def test_sinks_combine(self, tmp_path):
+        paths = {
+            flag: tmp_path / name
+            for flag, name in (
+                ("--trace-out", "t.json"), ("--metrics-out", "m.prom"),
+                ("--profile-out", "p.folded"), ("--telemetry-out", "s.jsonl"),
+            )
+        }
+        text = self.run_cli(*(a for f, p in paths.items() for a in (f, str(p))))
+        lines = text.splitlines()
+        assert json.loads(lines[0])["kind"] == "EffectivenessResult"
+        assert all(line.startswith("# ") for line in lines[1:])
+        for prefix in ("trace", "alerts", "profile", "subsystems",
+                       "attributed", "telemetry", "metrics"):
+            assert any(line.startswith(f"# {prefix}: ") for line in lines), prefix
+        assert all(path.exists() for path in paths.values())
+        assert not TRACER.enabled

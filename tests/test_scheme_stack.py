@@ -250,6 +250,6 @@ class TestStackCampaign:
         assert rc == 0
         assert "dai+arpwatch" in out.getvalue()
 
-    def test_cli_demo_rejects_unknown_stack(self, capsys):
+    def test_cli_run_rejects_unknown_stack(self, capsys):
         with pytest.raises(SystemExit):
-            main(["demo", "mitm", "--scheme", "dai+nope"])
+            main(["run", "effectiveness", "--scheme", "dai+nope"])
