@@ -18,10 +18,12 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
+from repro.campaign.spec import canonical_params
 from repro.core.api import KINDS
-from repro.core.experiment import result_from_dict
+from repro.core.experiment import SerializableResult, result_from_dict
 from repro.core.metrics import percentile
 from repro.core.report import Artifact
+from repro.errors import CampaignError
 
 if TYPE_CHECKING:
     from repro.campaign.runner import CampaignResult
@@ -30,6 +32,7 @@ __all__ = [
     "MetricStats",
     "CellAggregate",
     "aggregate",
+    "result_grid",
     "to_artifact",
     "publish_metrics",
 ]
@@ -106,6 +109,26 @@ def aggregate(campaign: CampaignResult) -> List[CellAggregate]:
             )
         )
     return out
+
+
+def result_grid(campaign: CampaignResult) -> List[List[SerializableResult]]:
+    """A one-trial campaign's results: one row per scheme, one result per
+    variant, both in spec order.
+
+    This is what the paper artifacts render from, so it refuses a
+    partial grid: the first failed cell raises :class:`CampaignError`
+    naming the cell and its error.
+    """
+    if campaign.failures:
+        failure = campaign.failures[0]
+        raise CampaignError(
+            f"{campaign.spec.name or campaign.spec.experiment}: cell "
+            f"{failure.task.scheme_label} {canonical_params(failure.task.variant)} "
+            f"failed: {failure.error}"
+        )
+    results = [result_from_dict(payload) for _, payload in campaign.completed_in_order()]
+    width = len(campaign.spec.effective_variants())
+    return [results[i : i + width] for i in range(0, len(results), width)]
 
 
 def publish_metrics(campaign: CampaignResult) -> int:

@@ -14,6 +14,11 @@ overrides, and trial index — never from the task's position in the grid.
 Reordering schemes, adding variants, or changing the worker count
 therefore never changes the result of any individual cell, and two
 campaigns with the same root seed produce bit-identical aggregates.
+
+A spec whose ``scenario`` pins ``seed`` instead runs every task at
+exactly that seed (the paper's artifacts run each cell at one fixed
+config seed).  Such a spec has one trial per cell, ``seeds=1``.  The
+seed is part of the task, so the cache key covers it either way.
 """
 
 from __future__ import annotations
@@ -150,6 +155,11 @@ class CampaignSpec:
             )
         if self.seeds < 1:
             raise CampaignError(f"seeds must be >= 1, got {self.seeds}")
+        if "seed" in self.scenario and self.seeds != 1:
+            raise CampaignError(
+                f"scenario pins seed={self.scenario['seed']!r}, which runs "
+                f"every task at that one seed; seeds must be 1, got {self.seeds}"
+            )
         if not self.schemes:
             raise CampaignError("a campaign needs at least one scheme")
         for scheme in self.schemes:
@@ -251,14 +261,17 @@ class CampaignSpec:
                             # Same rule for the trace axis.
                             cell_variant["trace"] = trace
                         for trial in range(self.seeds):
-                            seed = derive_seed(
-                                self.root_seed,
-                                self.experiment,
-                                scheme or "none",
-                                _canonical_json(cell_variant),
-                                _canonical_json(scenario),
-                                trial,
-                            )
+                            if "seed" in scenario:
+                                seed = int(scenario["seed"])
+                            else:
+                                seed = derive_seed(
+                                    self.root_seed,
+                                    self.experiment,
+                                    scheme or "none",
+                                    _canonical_json(cell_variant),
+                                    _canonical_json(scenario),
+                                    trial,
+                                )
                             out.append(
                                 CampaignTask(
                                     experiment=self.experiment,

@@ -484,7 +484,8 @@ def _sinks(args, out, cadence: int = 2000) -> Iterator[None]:
     ``--trace-out`` traces the block, ``--profile-out`` samples it and
     ``--telemetry-out`` streams its simulators' time series; after the
     block each sink writes its file (``--metrics-out`` the registry as
-    the block left it) and its ``# `` summary lines to ``out``.
+    the block left it, with the perf counters counting the block only)
+    and its ``# `` summary lines to ``out``.
     """
     from repro.obs import REGISTRY, TRACER, live, to_chrome_trace, to_jsonl, to_prometheus
     from repro.perf import PERF
@@ -492,6 +493,10 @@ def _sinks(args, out, cadence: int = 2000) -> Iterator[None]:
     trace_out = getattr(args, "trace_out", None)
     profile_out = getattr(args, "profile_out", None)
     with ExitStack() as stack:
+        if args.metrics_out:
+            # Else the GC runs would count from interpreter start, and the
+            # modules imported before the block would move them.
+            PERF.reset()
         if args.telemetry_out:
             stack.enter_context(live.session(live.TelemetryRecorder(
                 cadence_events=cadence, out=args.telemetry_out
@@ -535,9 +540,13 @@ def _sinks(args, out, cadence: int = 2000) -> Iterator[None]:
         attribution = ", ".join(
             f"{name} {share:.1%}" for name, share in profiler.attribution().items()
         )
+        # The sampler needs the GIL to wake, so it samples less often
+        # than its nominal interval: report the rate it achieved.
+        samples, span = profiler.sample_count, profiler.elapsed
+        achieved = f"one per {span * 1000 / samples:.1f}ms; " if samples else ""
         out.write(
-            f"# profile: {profiler.sample_count} samples at "
-            f"{profiler.interval * 1000:.1f}ms interval in {profile_out}\n"
+            f"# profile: {samples} samples over {span:.3f}s ({achieved}"
+            f"nominal {profiler.interval * 1000:.1f}ms) in {profile_out}\n"
             f"# subsystems: {attribution or 'none'}\n"
             f"# attributed: {profiler.attributed_fraction():.1%} of samples "
             f"to named subsystems\n"
@@ -834,11 +843,10 @@ def _cmd_replay(args, out) -> int:
                 window=args.window,
                 drain=args.drain,
             )
-            label = result.scheme if result.scheme is not None else "none"
             out.write(
                 f"replay: {result.frames} frames ({result.bytes} bytes) "
                 f"from {result.source}\n"
-                f"  scheme={label} alerts={result.alerts} "
+                f"  scheme={result.scheme} alerts={result.alerts} "
                 f"delivered={result.delivered} "
                 f"window={result.window} peak_in_flight={result.peak_in_flight}\n"
                 f"  {result.frames_per_sec:,.0f} frames/sec "

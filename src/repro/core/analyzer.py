@@ -1,21 +1,24 @@
 """The cross-product analyzer: every scheme against every attack variant.
 
 This is the driver behind Table 2 (and the summary verdicts in the
-README): it runs the standard MITM scenario for each (scheme, technique)
-pair and collates the outcomes.
+README): one campaign runs the standard MITM scenario for each (scheme,
+technique) pair, and the outcomes are collated per scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.attacks.arp_poison import POISON_TECHNIQUES
-from repro.core import api
 from repro.core.experiment import EffectivenessResult, ScenarioConfig
 from repro.schemes.registry import SCHEME_FACTORIES
 
-__all__ = ["SchemeAnalysis", "Analyzer"]
+# repro.campaign loads where it is used, as in repro.core.report.
+if TYPE_CHECKING:
+    from repro.campaign.spec import CampaignSpec
+
+__all__ = ["SchemeAnalysis", "Analyzer", "analyses"]
 
 
 @dataclass
@@ -24,12 +27,6 @@ class SchemeAnalysis:
 
     scheme: str
     results: List[EffectivenessResult] = field(default_factory=list)
-
-    def result_for(self, technique: str) -> Optional[EffectivenessResult]:
-        for result in self.results:
-            if result.technique == technique:
-                return result
-        return None
 
     @property
     def prevents_all(self) -> bool:
@@ -53,6 +50,14 @@ class SchemeAnalysis:
         return f"partial (missed: {', '.join(missed)})" if missed else "partial"
 
 
+def analyses(
+    grid: Sequence[List[EffectivenessResult]],
+) -> Dict[str, SchemeAnalysis]:
+    """Scheme label -> analysis, from the result grid of a finished
+    :meth:`Analyzer.spec` campaign (one row per scheme)."""
+    return {row[0].scheme: SchemeAnalysis(scheme=row[0].scheme, results=row) for row in grid}
+
+
 class Analyzer:
     """Run the scheme × technique matrix."""
 
@@ -68,23 +73,25 @@ class Analyzer:
         )
         self.config = config or ScenarioConfig()
 
+    def spec(self, include_baseline: bool = True) -> CampaignSpec:
+        """The matrix as Table 2's campaign: every scheme (the baseline
+        ``None`` first) × every technique, each cell run once at the
+        config's own seed."""
+        from repro.campaign.spec import CampaignSpec
+
+        return CampaignSpec(
+            experiment="effectiveness",
+            schemes=tuple(([None] if include_baseline else []) + self.schemes),
+            variants=tuple({"technique": t} for t in self.techniques),
+            seeds=1,
+            scenario=self.config.to_dict(),
+            name="T2",
+        )
+
     def run(self, include_baseline: bool = True) -> Dict[str, SchemeAnalysis]:
         """Returns scheme-key -> analysis; key ``"none"`` is the baseline."""
-        keys: List[Optional[str]] = list(self.schemes)
-        if include_baseline:
-            keys = [None] + keys
-        out: Dict[str, SchemeAnalysis] = {}
-        for key in keys:
-            label = key or "none"
-            analysis = SchemeAnalysis(scheme=label)
-            for technique in self.techniques:
-                analysis.results.append(
-                    api.run(
-                        "effectiveness",
-                        self.config,
-                        scheme=key,
-                        technique=technique,
-                    )
-                )
-            out[label] = analysis
-        return out
+        from repro.campaign.aggregate import result_grid
+        from repro.campaign.runner import run_campaign
+
+        campaign = run_campaign(self.spec(include_baseline), jobs=1, cache=None, retries=0)
+        return analyses(result_grid(campaign))

@@ -49,7 +49,7 @@ __all__ = ["CampusScaleResult", "_run_campus_churn"]
 class CampusScaleResult(SerializableResult):
     """One campus churn cell: topology shape, throughput, detection load."""
 
-    scheme: Optional[str]
+    scheme: str
     hosts: int
     partitions: int
     shards: int
@@ -174,7 +174,7 @@ def _run_campus_churn(
     obs_delta = REGISTRY.delta(obs_before)
     perf_delta = obs_delta["collectors"].get("perf", {})
     result = CampusScaleResult(
-        scheme=scheme_key,
+        scheme=scheme_key or "none",
         hosts=len(campus.hosts),
         partitions=len(fabric.partitions) if shards > 0 else 1,
         shards=shards_used,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -145,6 +146,9 @@ class SamplingProfiler:
         #: Subsystem -> sample count.
         self.subsystems: Counter = Counter()
         self.sample_count = 0
+        #: Wall-clock seconds from the last :meth:`start` to its :meth:`stop`.
+        self.elapsed = 0.0
+        self._started = 0.0
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._target_id: Optional[int] = None
@@ -164,6 +168,7 @@ class SamplingProfiler:
         self._thread = threading.Thread(
             target=self._loop, name="repro-profiler", daemon=True
         )
+        self._started = time.perf_counter()
         self._thread.start()
         return self
 
@@ -173,6 +178,7 @@ class SamplingProfiler:
         self._stop.set()
         self._thread.join(timeout=2.0)
         self._thread = None
+        self.elapsed = time.perf_counter() - self._started
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()

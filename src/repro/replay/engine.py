@@ -136,7 +136,7 @@ class ReplayResult(SerializableResult):
     """One replay run: stream size, throughput, and detection outcome."""
 
     source: str
-    scheme: Optional[str]
+    scheme: str
     frames: int
     bytes: int
     #: Frames handed to the host RX path (after the capture filter;
@@ -361,7 +361,7 @@ def _run_replay(
     span = (stats["last_ts"] - first_ts) if first_ts is not None else 0.0
     return ReplayResult(
         source=str(stats["source"]),
-        scheme=scheme_key,
+        scheme=scheme_key or "none",
         frames=int(stats["frames"]),
         bytes=int(stats["bytes"]),
         delivered=int(stats["delivered"]),

@@ -114,6 +114,14 @@ class TestCampaignSpec:
         with pytest.raises(CampaignError, match="seeds"):
             CampaignSpec(seeds=0)
 
+    def test_pinned_scenario_seed_is_taken_verbatim(self):
+        spec = CampaignSpec(schemes=(None, "dai"), seeds=1, scenario={"seed": 11})
+        assert [task.seed for task in spec.tasks()] == [11, 11]
+
+    def test_pinned_scenario_seed_needs_one_trial(self):
+        with pytest.raises(CampaignError, match="pins seed=7"):
+            CampaignSpec(seeds=2, scenario={"seed": 7})
+
     def test_rejects_baseline_when_scheme_required(self):
         with pytest.raises(CampaignError, match="needs a scheme"):
             CampaignSpec(experiment="detection-latency", schemes=(None,))

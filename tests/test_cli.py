@@ -202,6 +202,22 @@ def _executed(kind: str, scheme=None, variant=None, scenario=None, seed=7) -> di
     return payload
 
 
+#: The default variants of the two kinds too large for a quick cell.
+SMALL_DEFAULTS = {
+    "campus-churn": {"buildings": 2, "leaves_per_building": 1, "hosts_per_leaf": 4,
+                     "duration": 0.5},
+    "replay": {"trace": "synthetic:frames=500"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind", sorted(k for k in KINDS if not KINDS[k].requires_scheme)
+)
+def test_no_scheme_is_spelled_none(kind):
+    _, variant, scenario = TINY.get(kind, (None, SMALL_DEFAULTS.get(kind), {}))
+    assert _executed(kind, None, variant, scenario)["scheme"] == "none"
+
+
 class TestRunCommand:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_run_is_one_campaign_task(self, kind):

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.errors import ObsError
 from repro.obs.export import (
@@ -209,6 +214,28 @@ class TestObsCli:
         self.run_cli("--metrics-out", str(out))
         snap = json.loads(out.read_text())
         assert "metrics" in snap and "collectors" in snap
+
+    def test_metrics_count_the_run_not_the_process(self, tmp_path):
+        """Modules imported before the run do not move its GC counts."""
+        package_root = str(Path(repro.__file__).parent.parent)
+
+        def gc_runs(prelude: str) -> list:
+            out = tmp_path / "metrics.json"
+            argv = [*self.CELL, "--set", "attack_duration=60", "--metrics-out", str(out)]
+            subprocess.run(
+                [sys.executable, "-c",
+                 f"{prelude}\nfrom repro.cli import main\nmain({argv!r})"],
+                env={**os.environ, "PYTHONPATH": package_root},
+                capture_output=True, check=True,
+            )
+            perf = json.loads(out.read_text())["collectors"]["perf"]
+            return [perf[f"gc_gen{generation}"] for generation in range(3)]
+
+        plain = gc_runs("pass")
+        after_import = gc_runs("import multiprocessing")
+        assert all(abs(a - b) <= 1 for a, b in zip(plain, after_import)), (
+            plain, after_import,
+        )
 
     def test_sinks_combine(self, tmp_path):
         paths = {

@@ -89,12 +89,14 @@ class TestSyntheticRecording:
 class TestLiveSampling:
     def test_samples_the_calling_thread(self):
         prof = SamplingProfiler(interval=0.001)
+        started = time.perf_counter()
         with prof:
             deadline = time.monotonic() + 1.0
             while prof.sample_count < 3 and time.monotonic() < deadline:
                 sum(range(2000))
         assert prof.sample_count >= 3
         assert not prof.running
+        assert 0 < prof.elapsed <= time.perf_counter() - started
 
     def test_double_start_rejected(self):
         prof = SamplingProfiler(interval=0.05)

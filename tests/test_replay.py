@@ -386,7 +386,7 @@ class TestApiIntegration:
 
     def test_baseline_run_without_scheme(self):
         result = api.run("replay", source="synthetic:frames=1000")
-        assert result.scheme is None
+        assert result.scheme == "none"
         assert result.alerts == 0
 
     def test_missing_source_rejected(self):
