@@ -10,7 +10,7 @@ def test_table1_criteria(once, benchmark):
     artifact = once(benchmark, table_1_criteria)
     print("\n" + artifact.rendered)
 
-    assert len(artifact.rows) == 13
+    assert len(artifact.rows) == len(all_profiles())
     by_name = {row[0]: row for row in artifact.rows}
 
     # Shape: crypto schemes demand infra+host changes; static ARP is the

@@ -147,12 +147,22 @@ def _worker_entry(
     heartbeat_path=None,
     heartbeat_interval: float = DEFAULT_BEAT_INTERVAL,
 ) -> None:
-    """Body of one worker process: run the task, send one message back."""
+    """Body of one worker process: run the task, send one message back.
+
+    A dict payload carries an ``_obs`` section: the *delta* of the
+    process-global metrics registry (labeled metrics plus the perf
+    counter block) over the task.  Fork-workers inherit the parent's
+    counts, so only the delta is safe to merge back without double
+    counting.
+    """
     heartbeat = None
     if heartbeat_path is not None:
         heartbeat = _start_worker_heartbeat(task, heartbeat_path, heartbeat_interval)
     try:
+        before = REGISTRY.snapshot()
         payload = executor(task)
+        if isinstance(payload, dict):
+            payload["_obs"] = REGISTRY.delta(before)
         conn.send(("ok", payload))
     except BaseException as exc:  # noqa: BLE001 - report, parent decides
         try:
@@ -372,12 +382,10 @@ def run_campaign(
 
     def record_ok(task: CampaignTask, payload: Dict[str, object]) -> None:
         # The _obs section is transport, not result: strip it before the
-        # payload is stored or cached.  Merge it into the parent registry
-        # only when the task ran in a separate process — an in-process
-        # task already counted into this process's globals, so merging
-        # would double-count.
+        # payload is stored or cached.  Only a worker process adds it (an
+        # in-process task already counted into this process's globals).
         obs = payload.pop("_obs", None) if isinstance(payload, dict) else None
-        if obs is not None and parallel:
+        if obs is not None:
             REGISTRY.merge(obs)
             result.worker_metrics_merged += 1
         result.results[task.key()] = payload

@@ -398,20 +398,10 @@ def execute_task(task: CampaignTask) -> Dict[str, object]:
     """Run one task and return its result as a JSON-safe dict.
 
     This is the unit of work shipped to campaign worker processes; the
-    dict form crosses the process boundary and lands in the cache.
-
-    Alongside the experiment result, the payload carries an ``_obs``
-    section: the *delta* of the process-global metrics registry (labeled
-    metrics plus the perf counter block) over this task.  Fork-workers
-    inherit the parent's counts, so only the delta is safe to merge back
-    without double counting.  The runner strips ``_obs`` before the
-    result is stored or cached, and merges it into the parent registry
-    when the task ran in a separate process.
+    dict form crosses the process boundary and lands in the cache.  A
+    worker adds the task's metrics delta to it (see
+    :func:`repro.campaign.runner.run_campaign`); a serial run counts
+    straight into this process's registry.
     """
     kind, config, params = resolve_task(task)
-    from repro.obs import REGISTRY
-
-    before = REGISTRY.snapshot()
-    payload = api.run(kind.name, config, scheme=task.scheme, **params).to_dict()
-    payload["_obs"] = REGISTRY.delta(before)
-    return payload
+    return api.run(kind.name, config, scheme=task.scheme, **params).to_dict()

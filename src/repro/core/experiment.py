@@ -10,6 +10,7 @@ Everything is seeded and deterministic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.attacks.arp_poison import POISON_TECHNIQUES
@@ -197,6 +198,34 @@ class Scenario:
         self.fault_injector = apply_faults(
             parse_fault_spec(config.fault_spec), self.lan
         )
+        #: The scheme given to :meth:`install`, uninstalled on release.
+        self.scheme: Optional[Scheme] = None
+        self._activities: list = []
+
+    def __enter__(self) -> "Scenario":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+    def release(self) -> None:
+        """Free this testbed by reference counting, with no collection.
+
+        Stops every attack and workload begun through :meth:`start`,
+        uninstalls the scheme given to :meth:`install` and the fault
+        injector, and releases the LAN
+        (:meth:`repro.l2.topology.Lan.release`).  ``with Scenario(config)
+        as scenario:`` calls it on exit, also when the run raises.
+        Counters, alerts and cache contents stay readable on any object
+        a caller still holds.  Idempotent.
+        """
+        while self._activities:
+            self._activities.pop().stop()
+        if self.scheme is not None:
+            self.scheme.uninstall()
+        if self.fault_injector is not None:
+            self.fault_injector.uninstall()
+        self.lan.release()
 
     @property
     def gateway(self) -> Host:
@@ -212,7 +241,13 @@ class Scenario:
 
     def install(self, scheme: Optional[Scheme]) -> None:
         if scheme is not None:
+            self.scheme = scheme
             scheme.install(self.lan, protected=self.protected_hosts())
+
+    def start(self, activity) -> None:
+        """Start an attack or workload; :meth:`release` stops it."""
+        self._activities.append(activity)
+        activity.start()
 
     def warm_caches(self) -> None:
         """Victim <-> gateway exchange before the attack (realistic state)."""
@@ -275,60 +310,60 @@ def _run_effectiveness(
     if technique not in POISON_TECHNIQUES:
         raise ExperimentError(f"unknown technique {technique!r}")
     config = config or ScenarioConfig()
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    scenario.warm_caches()
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        scenario.warm_caches()
 
-    if technique == "reactive":
-        # The reactive race only exists when the victim must re-resolve:
-        # model the natural expiry of its gateway entry.
-        scenario.victim.arp_cache.age_out(scenario.gateway.ip)
-        scenario.gateway.arp_cache.age_out(scenario.victim.ip)
+        if technique == "reactive":
+            # The reactive race only exists when the victim must re-resolve:
+            # model the natural expiry of its gateway entry.
+            scenario.victim.arp_cache.age_out(scenario.gateway.ip)
+            scenario.gateway.arp_cache.age_out(scenario.victim.ip)
 
-    attack_start = scenario.sim.now
-    mitm = MitmAttack(
-        scenario.attacker, scenario.victim, scenario.gateway, technique=technique
-    )
-    mitm.start()
-    cancel = scenario.sim.call_every(
-        0.5, lambda: scenario.victim.ping(scenario.gateway.ip), name="victim-traffic"
-    )
-    scenario.sim.run(until=attack_start + config.attack_duration)
-    mitm.stop()
-    cancel()
-    scenario.sim.run(until=scenario.sim.now + config.cooldown)
+        attack_start = scenario.sim.now
+        mitm = MitmAttack(
+            scenario.attacker, scenario.victim, scenario.gateway, technique=technique
+        )
+        scenario.start(mitm)
+        cancel = scenario.sim.call_every(
+            0.5, lambda: scenario.victim.ping(scenario.gateway.ip), name="victim-traffic"
+        )
+        scenario.sim.run(until=attack_start + config.attack_duration)
+        mitm.stop()
+        cancel()
+        scenario.sim.run(until=scenario.sim.now + config.cooldown)
 
-    targeted = (scenario.victim.ip, scenario.gateway.ip)
-    truth = scenario.ground_truth(mitm, targeted)
-    victim_bad = was_ever_poisoned(
-        scenario.victim, scenario.gateway.ip, scenario.gateway.mac, since=attack_start
-    )
-    gateway_bad = was_ever_poisoned(
-        scenario.gateway, scenario.victim.ip, scenario.victim.mac, since=attack_start
-    )
-    prevented = not (victim_bad or gateway_bad)
-    alerts = scheme.alerts if scheme is not None else []
-    score = score_alerts(alerts, truth)
-    latency = detection_latency(alerts, truth)
-    poisoned = poisoned_seconds(
-        scenario.victim,
-        scenario.gateway.ip,
-        scenario.gateway.mac,
-        start=attack_start,
-        end=scenario.sim.now,
-    )
-    return EffectivenessResult(
-        scheme=scheme_key or "none",
-        technique=technique,
-        prevented=prevented,
-        detected=score.tp_count > 0,
-        detection_latency=latency,
-        tp_alerts=score.tp_count,
-        fp_alerts=score.fp_count,
-        victim_poisoned_seconds=poisoned,
-        packets_intercepted=mitm.frames_relayed,
-    )
+        targeted = (scenario.victim.ip, scenario.gateway.ip)
+        truth = scenario.ground_truth(mitm, targeted)
+        victim_bad = was_ever_poisoned(
+            scenario.victim, scenario.gateway.ip, scenario.gateway.mac, since=attack_start
+        )
+        gateway_bad = was_ever_poisoned(
+            scenario.gateway, scenario.victim.ip, scenario.victim.mac, since=attack_start
+        )
+        prevented = not (victim_bad or gateway_bad)
+        alerts = scheme.alerts if scheme is not None else []
+        score = score_alerts(alerts, truth)
+        latency = detection_latency(alerts, truth)
+        poisoned = poisoned_seconds(
+            scenario.victim,
+            scenario.gateway.ip,
+            scenario.gateway.mac,
+            start=attack_start,
+            end=scenario.sim.now,
+        )
+        return EffectivenessResult(
+            scheme=scheme_key or "none",
+            technique=technique,
+            prevented=prevented,
+            detected=score.tp_count > 0,
+            detection_latency=latency,
+            tp_alerts=score.tp_count,
+            fp_alerts=score.fp_count,
+            victim_poisoned_seconds=poisoned,
+            packets_intercepted=mitm.frames_relayed,
+        )
 
 
 # ======================================================================
@@ -366,38 +401,38 @@ def _run_false_positives(
     config = config or ScenarioConfig(with_dhcp=True)
     if not config.with_dhcp:
         config = ScenarioConfig(**{**config.__dict__, "with_dhcp": True})
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    traffic = BenignTraffic(scenario.lan, rate_per_host=0.2)
-    churn = ChurnWorkload(
-        scenario.lan,
-        join_rate=join_rate,
-        nic_swap_rate=nic_swap_rate,
-        reannounce_rate=reannounce_rate,
-        max_dhcp_hosts=max_dhcp_hosts,
-    )
-    start = scenario.sim.now
-    traffic.start()
-    churn.start()
-    scenario.sim.run(until=start + duration)
-    traffic.stop()
-    churn.stop()
-    truth = GroundTruth(
-        true_bindings=scenario.lan.true_bindings(),
-        attacker_macs=set(),
-        attack_intervals=(),
-        targeted_ips=set(),
-    )
-    alerts = scheme.alerts if scheme is not None else []
-    score = score_alerts(alerts, truth)
-    return FalsePositiveResult(
-        scheme=scheme_key or "none",
-        duration=duration,
-        fp_alerts=score.fp_count,
-        info_alerts=len(score.informational),
-        churn_events=churn.event_counts(),
-    )
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        traffic = BenignTraffic(scenario.lan, rate_per_host=0.2)
+        churn = ChurnWorkload(
+            scenario.lan,
+            join_rate=join_rate,
+            nic_swap_rate=nic_swap_rate,
+            reannounce_rate=reannounce_rate,
+            max_dhcp_hosts=max_dhcp_hosts,
+        )
+        start = scenario.sim.now
+        scenario.start(traffic)
+        scenario.start(churn)
+        scenario.sim.run(until=start + duration)
+        traffic.stop()
+        churn.stop()
+        truth = GroundTruth(
+            true_bindings=scenario.lan.true_bindings(),
+            attacker_macs=set(),
+            attack_intervals=(),
+            targeted_ips=set(),
+        )
+        alerts = scheme.alerts if scheme is not None else []
+        score = score_alerts(alerts, truth)
+        return FalsePositiveResult(
+            scheme=scheme_key or "none",
+            duration=duration,
+            fp_alerts=score.fp_count,
+            info_alerts=len(score.informational),
+            churn_events=churn.event_counts(),
+        )
 
 
 # ======================================================================
@@ -421,30 +456,30 @@ def _run_detection_latency(
     if poison_rate <= 0:
         raise ExperimentError("poison_rate must be positive")
     config = config or ScenarioConfig()
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    scenario.warm_caches()
-    attack_start = scenario.sim.now
-    mitm = MitmAttack(
-        scenario.attacker,
-        scenario.victim,
-        scenario.gateway,
-        technique="reply",
-        interval=1.0 / poison_rate,
-    )
-    mitm.start()
-    scenario.sim.run(until=attack_start + config.attack_duration)
-    mitm.stop()
-    truth = scenario.ground_truth(mitm, (scenario.victim.ip, scenario.gateway.ip))
-    alerts = scheme.alerts if scheme is not None else []
-    latency = detection_latency(alerts, truth)
-    return LatencyResult(
-        scheme=scheme_key,
-        poison_rate=poison_rate,
-        detection_latency=latency,
-        detected=latency is not None,
-    )
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        scenario.warm_caches()
+        attack_start = scenario.sim.now
+        mitm = MitmAttack(
+            scenario.attacker,
+            scenario.victim,
+            scenario.gateway,
+            technique="reply",
+            interval=1.0 / poison_rate,
+        )
+        scenario.start(mitm)
+        scenario.sim.run(until=attack_start + config.attack_duration)
+        mitm.stop()
+        truth = scenario.ground_truth(mitm, (scenario.victim.ip, scenario.gateway.ip))
+        alerts = scheme.alerts if scheme is not None else []
+        latency = detection_latency(alerts, truth)
+        return LatencyResult(
+            scheme=scheme_key,
+            poison_rate=poison_rate,
+            detection_latency=latency,
+            detected=latency is not None,
+        )
 
 
 # ======================================================================
@@ -509,45 +544,45 @@ def _run_overhead(
     """Measure wire cost of address resolution under a scheme (no attack)."""
     config = _quiet_config(config, seed, n_hosts, default_hosts=16)
     n_hosts = config.n_hosts
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    scenario.sim.run(until=1.0)  # quiesce installation traffic
-    # Capture from here on only, and unbounded: every frame is counted.
-    recorder = scenario.lan.switch.recorder = TraceRecorder(capacity=None)
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        scenario.sim.run(until=1.0)  # quiesce installation traffic
+        # Capture from here on only, and unbounded: every frame is counted.
+        recorder = scenario.lan.switch.recorder = TraceRecorder(capacity=None)
 
-    rng = scenario.sim.rng_stream("overhead/pairs")
-    resolutions = 0
-    when = scenario.sim.now
-    for host in scenario.users:
-        peers = rng.sample(
-            [h for h in scenario.users if h is not host],
-            k=min(resolutions_per_host, len(scenario.users) - 1),
-        )
-        for peer in peers:
-            when += 0.05
-            scenario.sim.schedule_at(
-                when, lambda h=host, p=peer: h.ping(p.ip), name="overhead-ping"
+        rng = scenario.sim.rng_stream("overhead/pairs")
+        resolutions = 0
+        when = scenario.sim.now
+        for host in scenario.users:
+            peers = rng.sample(
+                [h for h in scenario.users if h is not host],
+                k=min(resolutions_per_host, len(scenario.users) - 1),
             )
-            resolutions += 1
-    scenario.sim.run(until=when + 5.0)
+            for peer in peers:
+                when += 0.05
+                scenario.sim.schedule_at(
+                    when, lambda h=host, p=peer: h.ping(p.ip), name="overhead-ping"
+                )
+                resolutions += 1
+        scenario.sim.run(until=when + 5.0)
 
-    from repro.packets.ethernet import EtherType, EthernetFrame
+        from repro.packets.ethernet import EtherType, EthernetFrame
 
-    arp_frames = 0
-    for record in recorder.records:
-        # Lazy view: only the ethertype is inspected here.
-        frame = EthernetFrame.lazy(record.frame)
-        if frame.ethertype == EtherType.ARP:
-            arp_frames += 1
-    return OverheadResult(
-        scheme=scheme_key or "none",
-        n_hosts=n_hosts,
-        resolutions=resolutions,
-        arp_frames=arp_frames,
-        scheme_messages=scheme.messages_sent if scheme is not None else 0,
-        total_wire_bytes=recorder.total_bytes(),
-    )
+        arp_frames = 0
+        for record in recorder.records:
+            # Lazy view: only the ethertype is inspected here.
+            frame = EthernetFrame.lazy(record.frame)
+            if frame.ethertype == EtherType.ARP:
+                arp_frames += 1
+        return OverheadResult(
+            scheme=scheme_key or "none",
+            n_hosts=n_hosts,
+            resolutions=resolutions,
+            arp_frames=arp_frames,
+            scheme_messages=scheme.messages_sent if scheme is not None else 0,
+            total_wire_bytes=recorder.total_bytes(),
+        )
 
 
 # ======================================================================
@@ -576,26 +611,26 @@ def _run_resolution_latency(
 ) -> ResolutionLatencyResult:
     """Measure ARP resolution latency under a scheme (cold cache each time)."""
     config = _quiet_config(config, seed, n_hosts=None, default_hosts=4)
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    scenario.sim.run(until=1.0)
-    host = scenario.users[0]
-    target = scenario.users[1]
-    when = scenario.sim.now
-    for _ in range(n_resolutions):
-        when += 2.0
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        scenario.sim.run(until=1.0)
+        host = scenario.users[0]
+        target = scenario.users[1]
+        when = scenario.sim.now
+        for _ in range(n_resolutions):
+            when += 2.0
 
-        def resolve_once(h=host, t=target) -> None:
-            h.arp_cache.age_out(t.ip)  # force a fresh resolution
-            h.resolve(t.ip, on_resolved=lambda mac: None)
+            def resolve_once(h=host, t=target) -> None:
+                h.arp_cache.age_out(t.ip)  # force a fresh resolution
+                h.resolve(t.ip, on_resolved=lambda mac: None)
 
-        scenario.sim.schedule_at(when, resolve_once, name="latency-resolve")
-    scenario.sim.run(until=when + 5.0)
-    return ResolutionLatencyResult(
-        scheme=scheme_key or "none",
-        samples=tuple(host.resolution_latencies[-n_resolutions:]),
-    )
+            scenario.sim.schedule_at(when, resolve_once, name="latency-resolve")
+        scenario.sim.run(until=when + 5.0)
+        return ResolutionLatencyResult(
+            scheme=scheme_key or "none",
+            samples=tuple(host.resolution_latencies[-n_resolutions:]),
+        )
 
 
 # ======================================================================
@@ -627,42 +662,44 @@ def _run_interception_timeline(
 ) -> InterceptionTimeline:
     """Fraction of victim->gateway traffic the MITM relays, over time."""
     config = config or ScenarioConfig()
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    scenario.warm_caches()
-    start = scenario.sim.now
-    sent_times: List[float] = []
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        scenario.warm_caches()
+        start = scenario.sim.now
+        sent_times: List[float] = []
 
-    def victim_ping() -> None:
-        sent_times.append(scenario.sim.now)
-        scenario.victim.ping(scenario.gateway.ip)
+        def victim_ping() -> None:
+            sent_times.append(scenario.sim.now)
+            scenario.victim.ping(scenario.gateway.ip)
 
-    cancel = scenario.sim.call_every(1.0 / ping_rate, victim_ping, name="f4-traffic")
-    mitm = MitmAttack(scenario.attacker, scenario.victim, scenario.gateway)
-    scenario.sim.schedule_at(start + attack_at, mitm.start, name="f4-attack")
-    scenario.sim.run(until=start + duration)
-    if mitm.active:
-        mitm.stop()
-    cancel()
-
-    bins: List[Tuple[float, float]] = []
-    edge = start
-    while edge < start + duration:
-        sent = sum(1 for t in sent_times if edge <= t < edge + bin_seconds)
-        captured = len(
-            [
-                p
-                for p in mitm.intercepted_between(edge, edge + bin_seconds)
-                if p.src == scenario.victim.ip
-            ]
+        cancel = scenario.sim.call_every(1.0 / ping_rate, victim_ping, name="f4-traffic")
+        mitm = MitmAttack(scenario.attacker, scenario.victim, scenario.gateway)
+        scenario.sim.schedule_at(
+            start + attack_at, partial(scenario.start, mitm), name="f4-attack"
         )
-        ratio = captured / sent if sent else 0.0
-        bins.append((edge - start, min(1.0, ratio)))
-        edge += bin_seconds
-    return InterceptionTimeline(
-        scheme=scheme_key or "none", bin_seconds=bin_seconds, bins=tuple(bins)
-    )
+        scenario.sim.run(until=start + duration)
+        if mitm.active:
+            mitm.stop()
+        cancel()
+
+        bins: List[Tuple[float, float]] = []
+        edge = start
+        while edge < start + duration:
+            sent = sum(1 for t in sent_times if edge <= t < edge + bin_seconds)
+            captured = len(
+                [
+                    p
+                    for p in mitm.intercepted_between(edge, edge + bin_seconds)
+                    if p.src == scenario.victim.ip
+                ]
+            )
+            ratio = captured / sent if sent else 0.0
+            bins.append((edge - start, min(1.0, ratio)))
+            edge += bin_seconds
+        return InterceptionTimeline(
+            scheme=scheme_key or "none", bin_seconds=bin_seconds, bins=tuple(bins)
+        )
 
 
 # ======================================================================
@@ -688,20 +725,20 @@ def _run_footprint(
     """How much state/chatter a scheme needs once the LAN is warm."""
     config = _quiet_config(config, seed, n_hosts, default_hosts=16)
     n_hosts = config.n_hosts
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    traffic = BenignTraffic(scenario.lan, rate_per_host=0.5)
-    traffic.start()
-    scenario.sim.run(until=settle)
-    traffic.stop()
-    return FootprintResult(
-        scheme=scheme_key or "none",
-        n_hosts=n_hosts,
-        state_entries=scheme.state_size() if scheme is not None else 0,
-        scheme_messages=scheme.messages_sent if scheme is not None else 0,
-        switch_cam_entries=len(scenario.lan.switch.cam),
-    )
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        traffic = BenignTraffic(scenario.lan, rate_per_host=0.5)
+        scenario.start(traffic)
+        scenario.sim.run(until=settle)
+        traffic.stop()
+        return FootprintResult(
+            scheme=scheme_key or "none",
+            n_hosts=n_hosts,
+            state_entries=scheme.state_size() if scheme is not None else 0,
+            scheme_messages=scheme.messages_sent if scheme is not None else 0,
+            switch_cam_entries=len(scenario.lan.switch.cam),
+        )
 
 
 # ======================================================================
@@ -773,60 +810,60 @@ def _run_controller_failover(
     # Stack specs reject constructor kwargs, so the mode is applied to the
     # located guard directly — before install, where it reaches the agents.
     guard.fail_mode = fail_mode
-    scenario = Scenario(config)
-    scenario.install(scheme)
-    # Warm briefly rather than warm_caches(): acceptance specs like
-    # ``flap=ctrl@t3-5`` start early and a 5 s warmup would swallow them.
-    scenario.victim.ping(scenario.gateway.ip)
-    scenario.sim.run(until=1.0)
+    with Scenario(config) as scenario:
+        scenario.install(scheme)
+        # Warm briefly rather than warm_caches(): acceptance specs like
+        # ``flap=ctrl@t3-5`` start early and a 5 s warmup would swallow them.
+        scenario.victim.ping(scenario.gateway.ip)
+        scenario.sim.run(until=1.0)
 
-    flaps = parse_fault_spec(config.fault_spec).flaps
-    last_end = max((f.end for f in flaps), default=0.0)
-    attack_start = scenario.sim.now
-    mitm = MitmAttack(
-        scenario.attacker,
-        scenario.victim,
-        scenario.gateway,
-        technique="reply",
-        interval=poison_interval,
-    )
-    mitm.start()
-    cancel = scenario.sim.call_every(
-        0.5, lambda: scenario.victim.ping(scenario.gateway.ip), name="victim-traffic"
-    )
-    run_until = max(last_end + config.cooldown, attack_start + config.attack_duration)
-    scenario.sim.run(until=run_until)
-    mitm.stop()
-    cancel()
-    scenario.sim.run(until=scenario.sim.now + config.cooldown)
-
-    gateway = scenario.gateway
-    end = scenario.sim.now
-
-    def poisoned_in(lo: float, hi: float) -> float:
-        lo, hi = max(lo, attack_start), min(hi, end)
-        if hi <= lo:
-            return 0.0
-        return poisoned_seconds(
-            scenario.victim, gateway.ip, gateway.mac, start=lo, end=hi
+        flaps = parse_fault_spec(config.fault_spec).flaps
+        last_end = max((f.end for f in flaps), default=0.0)
+        attack_start = scenario.sim.now
+        mitm = MitmAttack(
+            scenario.attacker,
+            scenario.victim,
+            scenario.gateway,
+            technique="reply",
+            interval=poison_interval,
         )
+        scenario.start(mitm)
+        cancel = scenario.sim.call_every(
+            0.5, lambda: scenario.victim.ping(scenario.gateway.ip), name="victim-traffic"
+        )
+        run_until = max(last_end + config.cooldown, attack_start + config.attack_duration)
+        scenario.sim.run(until=run_until)
+        mitm.stop()
+        cancel()
+        scenario.sim.run(until=scenario.sim.now + config.cooldown)
 
-    during = sum(poisoned_in(f.start, f.end) for f in flaps)
-    total = poisoned_in(attack_start, end)
-    controller = guard.controller
-    return FailoverResult(
-        scheme=scheme_key,
-        fail_mode=fail_mode,
-        flap_windows=tuple((f.start, f.end) for f in flaps),
-        guard_drops=guard.arp_drops,
-        fallback_entered=any(a.fallbacks > 0 for a in guard._agents),
-        recovered=any(a.recoveries > 0 for a in guard._agents),
-        poisoned_during_flap=during,
-        poisoned_outside_flap=max(0.0, total - during),
-        packet_ins=controller.packet_ins_received if controller else 0,
-        flow_mods=controller.flow_mods_sent if controller else 0,
-        evictions=sum(a.table.evictions for a in guard._agents),
-    )
+        gateway = scenario.gateway
+        end = scenario.sim.now
+
+        def poisoned_in(lo: float, hi: float) -> float:
+            lo, hi = max(lo, attack_start), min(hi, end)
+            if hi <= lo:
+                return 0.0
+            return poisoned_seconds(
+                scenario.victim, gateway.ip, gateway.mac, start=lo, end=hi
+            )
+
+        during = sum(poisoned_in(f.start, f.end) for f in flaps)
+        total = poisoned_in(attack_start, end)
+        controller = guard.controller
+        return FailoverResult(
+            scheme=scheme_key,
+            fail_mode=fail_mode,
+            flap_windows=tuple((f.start, f.end) for f in flaps),
+            guard_drops=guard.arp_drops,
+            fallback_entered=any(a.fallbacks > 0 for a in guard._agents),
+            recovered=any(a.recoveries > 0 for a in guard._agents),
+            poisoned_during_flap=during,
+            poisoned_outside_flap=max(0.0, total - during),
+            packet_ins=controller.packet_ins_received if controller else 0,
+            flow_mods=controller.flow_mods_sent if controller else 0,
+            evictions=sum(a.table.evictions for a in guard._agents),
+        )
 
 
 # ======================================================================
@@ -858,25 +895,25 @@ def _run_dhcp_starvation(
     config = config or ScenarioConfig(with_dhcp=True)
     if not config.with_dhcp:
         config = ScenarioConfig(**{**config.__dict__, "with_dhcp": True})
-    scenario = Scenario(config)
-    scheme = _make(scheme_key, **scheme_kwargs)
-    scenario.install(scheme)
-    server = scenario.lan.dhcp_server
-    attack = DhcpStarvation(
-        scenario.attacker, rate_per_second=rate_per_second, greedy=greedy
-    )
-    start = scenario.sim.now
-    attack.start()
-    scenario.sim.run(until=start + duration)
-    attack.stop()
-    return StarvationResult(
-        scheme=scheme_key or "none",
-        duration=duration,
-        leases_captured=attack.leases_captured,
-        pool_free=server.free_addresses,
-        pool_size=len(server.pool),
-        exhausted=server.is_exhausted,
-    )
+    with Scenario(config) as scenario:
+        scheme = _make(scheme_key, **scheme_kwargs)
+        scenario.install(scheme)
+        server = scenario.lan.dhcp_server
+        attack = DhcpStarvation(
+            scenario.attacker, rate_per_second=rate_per_second, greedy=greedy
+        )
+        start = scenario.sim.now
+        scenario.start(attack)
+        scenario.sim.run(until=start + duration)
+        attack.stop()
+        return StarvationResult(
+            scheme=scheme_key or "none",
+            duration=duration,
+            leases_captured=attack.leases_captured,
+            pool_free=server.free_addresses,
+            pool_size=len(server.pool),
+            exhausted=server.is_exhausted,
+        )
 
 
 # ======================================================================

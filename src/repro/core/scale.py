@@ -133,68 +133,70 @@ def _run_campus_churn(
         leaves_per_building=leaves_per_building,
         hosts_per_leaf=hosts_per_leaf,
     )
-    if scheme is not None:
-        campus.add_monitor()
-        scheme.install(campus)
-    build_seconds = time.perf_counter() - build_start
-
-    # ------------------------------------------------------------------
-    # Deterministic churn workload, fully scheduled before the run
-    # ------------------------------------------------------------------
-    stations = [
-        h for h in campus.hosts.values() if h is not campus.monitor
-    ]
-    n_stations = len(stations)
-    if talkers is None:
-        talkers = max(2, n_stations // 8)
-    talkers = min(talkers, n_stations)
-    stride = max(1, n_stations // talkers)
-    window = duration - _WARMUP - _TAIL
-    pings_each = 6
-    for host in stations[:: stride][:talkers]:
-        rng = host.sim.rng_stream(f"campus/talk/{host.name}")
-        for _ in range(pings_each):
-            peer = stations[rng.randrange(n_stations)]
-            if peer is host:
-                continue
-            when = _WARMUP + rng.random() * window
-            host.sim.schedule_at(
-                when, partial(host.ping, peer.ip), name="campus.talk"
-            )
-
-    run_start = time.perf_counter()
-    if shards >= 2:
-        summary = fabric.run_sharded(until=duration, jobs=shards)
-        shards_used = int(summary["shards"])
-    else:
-        fabric.run(until=duration)
-        shards_used = 1 if shards else 0
-    wall_seconds = time.perf_counter() - run_start
-
-    obs_delta = REGISTRY.delta(obs_before)
-    perf_delta = obs_delta["collectors"].get("perf", {})
-    result = CampusScaleResult(
-        scheme=scheme_key or "none",
-        hosts=len(campus.hosts),
-        partitions=len(fabric.partitions) if shards > 0 else 1,
-        shards=shards_used,
-        talkers=talkers,
-        sim_seconds=duration,
-        events=fabric.events_processed,
-        deliveries=int(perf_delta.get("batched_items", 0)),
-        wall_seconds=wall_seconds,
-        build_seconds=build_seconds,
-        alerts=alerts_in(obs_delta),
-    )
     # A finished fabric is tens of thousands of objects in reference
     # cycles, which only a full collection would free, and the batched
-    # plane allocates too little to trigger one often.  Releasing it here
-    # frees it by reference counting as soon as the last outside
-    # reference goes, before the next run builds its own.
-    if scheme is not None:
-        scheme.uninstall()
-    campus.release()
-    return result
+    # plane allocates too little to trigger one often.  Releasing it
+    # when the run ends, also when it raises, frees it by reference
+    # counting as soon as the last outside reference goes, before the
+    # next run builds its own.
+    try:
+        if scheme is not None:
+            campus.add_monitor()
+            scheme.install(campus)
+        build_seconds = time.perf_counter() - build_start
+
+        # ------------------------------------------------------------------
+        # Deterministic churn workload, fully scheduled before the run
+        # ------------------------------------------------------------------
+        stations = [
+            h for h in campus.hosts.values() if h is not campus.monitor
+        ]
+        n_stations = len(stations)
+        if talkers is None:
+            talkers = max(2, n_stations // 8)
+        talkers = min(talkers, n_stations)
+        stride = max(1, n_stations // talkers)
+        window = duration - _WARMUP - _TAIL
+        pings_each = 6
+        for host in stations[:: stride][:talkers]:
+            rng = host.sim.rng_stream(f"campus/talk/{host.name}")
+            for _ in range(pings_each):
+                peer = stations[rng.randrange(n_stations)]
+                if peer is host:
+                    continue
+                when = _WARMUP + rng.random() * window
+                host.sim.schedule_at(
+                    when, partial(host.ping, peer.ip), name="campus.talk"
+                )
+
+        run_start = time.perf_counter()
+        if shards >= 2:
+            summary = fabric.run_sharded(until=duration, jobs=shards)
+            shards_used = int(summary["shards"])
+        else:
+            fabric.run(until=duration)
+            shards_used = 1 if shards else 0
+        wall_seconds = time.perf_counter() - run_start
+
+        obs_delta = REGISTRY.delta(obs_before)
+        perf_delta = obs_delta["collectors"].get("perf", {})
+        return CampusScaleResult(
+            scheme=scheme_key or "none",
+            hosts=len(campus.hosts),
+            partitions=len(fabric.partitions) if shards > 0 else 1,
+            shards=shards_used,
+            talkers=talkers,
+            sim_seconds=duration,
+            events=fabric.events_processed,
+            deliveries=int(perf_delta.get("batched_items", 0)),
+            wall_seconds=wall_seconds,
+            build_seconds=build_seconds,
+            alerts=alerts_in(obs_delta),
+        )
+    finally:
+        if scheme is not None:
+            scheme.uninstall()
+        campus.release()
 
 
 # Polymorphic deserialization (campaign transport + result cache) — the

@@ -287,5 +287,12 @@ class Device:
         for data in datas:
             on_frame(port, data)
 
+    def release(self) -> None:
+        """Cut each port's device, peer and cable references, the cycles
+        that tie a topology together (see :meth:`repro.l2.topology.Lan.release`).
+        Port counters stay readable."""
+        for port in self.ports:
+            port.device = port.peer = port.link = None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, ports={len(self.ports)})"

@@ -37,6 +37,14 @@ DEFAULT_SWITCH_PORTS = 64
 _CAMPUS_MAC_BASE = 0x02_00_00_00_00_00
 
 
+def _release(fabric, devices) -> None:
+    """Release every device (its ports' device, peer and cable), then
+    ``fabric`` (a simulator, or a sharded one with its partitions)."""
+    for device in devices:
+        device.release()
+    fabric.release()
+
+
 class PortAllocator:
     """O(1) switch-port bookkeeping.
 
@@ -354,6 +362,19 @@ class Lan:
             host.ip: host.mac for host in self.hosts.values() if host.ip is not None
         }
 
+    def release(self) -> None:
+        """Break the reference cycles that tie this LAN together.
+
+        Ports point at their device, their peer and their cable, and
+        devices point at the simulator that holds their timers in its
+        queue, so a finished LAN is garbage that only a full collection
+        frees.  After this call it is freed by reference counting as
+        soon as its last outside reference goes.  Counters, caches,
+        names and cable totals stay readable; the LAN cannot carry
+        frames again.
+        """
+        _release(self.sim, (*self.hosts.values(), *self.switches.values()))
+
     def __repr__(self) -> str:
         return (
             f"Lan({self.network}, hosts={len(self.hosts)}, "
@@ -560,18 +581,10 @@ class Campus:
     def release(self) -> None:
         """Break the reference cycles that tie this campus together.
 
-        Ports point at their device, their peer and their cable, and
-        devices point at the simulator that holds them in its queue (and,
-        when sharded, in a partition's registry), so a finished campus is
-        garbage that only a full collection frees.  After this call it
-        is freed by reference counting as soon as its last outside
-        reference goes.  Counters, names and cable totals stay readable;
-        the campus cannot carry frames again.
+        Same contract as :meth:`Lan.release`; when sharded, each
+        partition's device registry is dropped too.
         """
-        for device in (*self.hosts.values(), *self.switches.values()):
-            for port in device.ports:
-                port.device = port.peer = port.link = None
-        self.fabric.release()
+        _release(self.fabric, (*self.hosts.values(), *self.switches.values()))
 
     # ------------------------------------------------------------------
     # Convenience

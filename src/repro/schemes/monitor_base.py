@@ -10,6 +10,7 @@ arpwatch-style detectors keep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.analysis.pcap import capture_filter
@@ -187,36 +188,42 @@ class MonitorScheme(Scheme):
         detection latency remains ``timeout`` regardless of retries.
         """
         self._pending[ip] = Verification(old_mac=old_mac, new_mac=new_mac, started=now)
+        self._probe(ip, old_mac, timeout, name, retries)
 
-        def answered() -> bool:
-            pending = self._pending.get(ip)
-            return pending is None or pending.answered
+    # The probe loop is methods bound with ``partial``: closures that call
+    # each other would leave a reference cycle per verification.
+    def _probe(
+        self, ip: Ipv4Address, old_mac: MacAddress, timeout: float, name: str,
+        remaining: int,
+    ) -> None:
+        self.probes_sent += 1
+        self.messages_sent += 1
+        self.monitor.ping_via(
+            dst_ip=ip, dst_mac=old_mac, on_reply=partial(self._probe_answered, ip),
+            timeout=timeout,
+        )
+        self.monitor.sim.schedule(
+            timeout, partial(self._probe_check, ip, old_mac, timeout, name, remaining),
+            name=name,
+        )
 
-        def on_reply(src, rtt) -> None:
-            pending = self._pending.get(ip)
+    def _probe_answered(self, ip: Ipv4Address, src, rtt) -> None:
+        pending = self._pending.get(ip)
+        if pending is not None:
+            pending.answered = True
+
+    def _probe_check(
+        self, ip: Ipv4Address, old_mac: MacAddress, timeout: float, name: str,
+        remaining: int,
+    ) -> None:
+        pending = self._pending.get(ip)
+        if pending is None or pending.answered or remaining <= 0:
+            pending = self._pending.pop(ip, None)
             if pending is not None:
-                pending.answered = True
-
-        def fire(remaining: int) -> None:
-            self.probes_sent += 1
-            self.messages_sent += 1
-            self.monitor.ping_via(
-                dst_ip=ip, dst_mac=old_mac, on_reply=on_reply, timeout=timeout
-            )
-            self.monitor.sim.schedule(
-                timeout, lambda: step(remaining), name=name
-            )
-
-        def step(remaining: int) -> None:
-            if answered() or remaining <= 0:
-                pending = self._pending.pop(ip, None)
-                if pending is not None:
-                    self.on_verdict(ip, pending, self.monitor.sim.now)
-                return
-            probe_retries_counter().labels(scheme=self.profile.key).inc()
-            fire(remaining - 1)
-
-        fire(retries)
+                self.on_verdict(ip, pending, self.monitor.sim.now)
+            return
+        probe_retries_counter().labels(scheme=self.profile.key).inc()
+        self._probe(ip, old_mac, timeout, name, remaining - 1)
 
     # ------------------------------------------------------------------
     def _tap(self, frame: EthernetFrame, raw: bytes) -> None:

@@ -204,6 +204,10 @@ class Controller(Device):
             channel.link.disconnect()
         self._channels.clear()
         self._by_switch.clear()
+        # The policy callbacks are the scheme's bound methods, and the
+        # scheme holds this controller: drop them and the dead ports.
+        self.arp_validator = self.dhcp_listener = None
+        self.release()
 
     def channel_for(self, switch_name: str) -> ControlChannel:
         return self._by_switch[switch_name]

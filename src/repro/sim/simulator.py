@@ -147,6 +147,49 @@ class _Flush(Event):
         self.sink.deliver_batch(items)
 
 
+class _Periodic:
+    """One :meth:`Simulator.call_every` timer.
+
+    ``fire`` and ``cancel`` are methods, not closures that refer to each
+    other, so a cancelled timer, which drops its event, holds no
+    reference cycle.  While armed, the queued event's action points back
+    at the timer; :meth:`Simulator.release` cuts that.
+    """
+
+    __slots__ = ("sim", "interval", "action", "name", "jitter", "event")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        interval: float,
+        action: Callable[[], None],
+        name: str,
+        jitter: Optional[Callable[[], float]],
+    ) -> None:
+        self.sim = sim
+        self.interval = interval
+        self.action = action
+        self.name = name
+        self.jitter = jitter
+        #: The armed event; ``None`` once cancelled.
+        self.event: Optional[Event] = None
+
+    def fire(self) -> None:
+        if self.event is None:
+            return
+        self.action()
+        if self.event is None:  # the action cancelled its own timer
+            return
+        extra = self.jitter() if self.jitter is not None else 0.0
+        delay = max(0.0, self.interval + extra)
+        self.event = self.sim.schedule(delay, self.fire, name=self.name)
+
+    def cancel(self) -> None:
+        event, self.event = self.event, None
+        if event is not None:
+            event.cancel()
+
+
 class Simulator:
     """Event loop with a virtual clock.
 
@@ -365,30 +408,10 @@ class Simulator:
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
-        state = {"event": None, "stopped": False}
-
-        def fire() -> None:
-            if state["stopped"]:
-                return
-            action()
-            reschedule()
-
-        def reschedule() -> None:
-            if state["stopped"]:
-                return
-            extra = jitter() if jitter is not None else 0.0
-            delay = max(0.0, interval + extra)
-            state["event"] = self.schedule(delay, fire, name=name)
-
-        def cancel() -> None:
-            state["stopped"] = True
-            event = state["event"]
-            if event is not None:
-                event.cancel()
-
+        timer = _Periodic(self, interval, action, name, jitter)
         first_delay = interval if start is None else max(0.0, start - self._now)
-        state["event"] = self.schedule(first_delay, fire, name=name)
-        return cancel
+        timer.event = self.schedule(first_delay, timer.fire, name=name)
+        return timer.cancel
 
     # ------------------------------------------------------------------
     # Cancellation accounting
@@ -543,9 +566,15 @@ class Simulator:
 
         A finished run's timers still point at the devices that armed
         them, and the devices point back at their simulator.  Dropping
-        the queue breaks those cycles, so a released topology is freed by
-        reference counting (see :meth:`repro.l2.topology.Campus.release`).
+        the queue breaks those cycles, and so does cutting each queued
+        event's action, for timers a device or a periodic task still
+        holds.  A released topology is then freed by reference counting
+        (see :meth:`repro.l2.topology.Lan.release`).
         """
+        for _when, _seq, event in self._heap:
+            event._sim = None
+            if not isinstance(event, _Flush):
+                event.action = None
         self._heap.clear()
         self._open_batches.clear()
         self._cancelled_in_heap = 0

@@ -205,6 +205,17 @@ class Host(Device):
     def udp_unbind(self, port: int) -> None:
         self._udp_handlers.pop(port, None)
 
+    def release(self) -> None:
+        """Also drop in-flight state: pending resolutions, echoes and TCP
+        probes, whose callbacks point back at this host, and the UDP
+        bindings of the services running on it.  Counters, the ARP cache
+        and resolution latencies stay readable."""
+        super().release()
+        self._pending_arp.clear()
+        self._pending_pings.clear()
+        self._pending_tcp.clear()
+        self._udp_handlers.clear()
+
     def add_arp_guard(
         self, guard: ArpGuard, priority: int = 0, owner: Optional[str] = None
     ) -> Callable[[], None]:

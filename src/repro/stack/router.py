@@ -26,6 +26,44 @@ __all__ = ["Router"]
 WanHook = Callable[[Ipv4Packet], Optional[Ipv4Packet]]
 
 
+# ----------------------------------------------------------------------
+# Built-in "the internet" behaviour.  A function, not a method: a router
+# holding a method bound to itself would be a reference cycle.
+# ----------------------------------------------------------------------
+def _default_wan(packet: Ipv4Packet) -> Optional[Ipv4Packet]:
+    """Echo-style remote endpoint: answers pings and UDP requests."""
+    if packet.proto == IpProto.ICMP:
+        try:
+            message = IcmpMessage.decode(packet.payload)
+        except CodecError:
+            return None
+        if not message.is_echo_request:
+            return None
+        return Ipv4Packet(
+            src=packet.dst,
+            dst=packet.src,
+            proto=IpProto.ICMP,
+            payload=message.reply_to().encode(),
+        )
+    if packet.proto == IpProto.UDP:
+        try:
+            datagram = UdpDatagram.decode(packet.payload)
+        except CodecError:
+            return None
+        answer = UdpDatagram(
+            src_port=datagram.dst_port,
+            dst_port=datagram.src_port,
+            payload=b"wan-echo:" + datagram.payload[:64],
+        )
+        return Ipv4Packet(
+            src=packet.dst,
+            dst=packet.src,
+            proto=IpProto.UDP,
+            payload=answer.encode(),
+        )
+    return None
+
+
 class Router(Host):
     """A gateway host: forwards on-link traffic and uplinks the rest."""
 
@@ -44,7 +82,7 @@ class Router(Host):
         )
         self.ip_forward = True
         self.wan_rtt = wan_rtt
-        self.wan_hook: WanHook = self._default_wan
+        self.wan_hook: WanHook = _default_wan
         self.wan_tx = 0
         self.wan_rx = 0
 
@@ -72,39 +110,3 @@ class Router(Host):
                 )
 
         self.sim.schedule(self.wan_rtt, deliver_response, name=f"{self.name}.wan")
-
-    # ------------------------------------------------------------------
-    # Built-in "the internet" behaviour
-    # ------------------------------------------------------------------
-    def _default_wan(self, packet: Ipv4Packet) -> Optional[Ipv4Packet]:
-        """Echo-style remote endpoint: answers pings and UDP requests."""
-        if packet.proto == IpProto.ICMP:
-            try:
-                message = IcmpMessage.decode(packet.payload)
-            except CodecError:
-                return None
-            if not message.is_echo_request:
-                return None
-            return Ipv4Packet(
-                src=packet.dst,
-                dst=packet.src,
-                proto=IpProto.ICMP,
-                payload=message.reply_to().encode(),
-            )
-        if packet.proto == IpProto.UDP:
-            try:
-                datagram = UdpDatagram.decode(packet.payload)
-            except CodecError:
-                return None
-            answer = UdpDatagram(
-                src_port=datagram.dst_port,
-                dst_port=datagram.src_port,
-                payload=b"wan-echo:" + datagram.payload[:64],
-            )
-            return Ipv4Packet(
-                src=packet.dst,
-                dst=packet.src,
-                proto=IpProto.UDP,
-                payload=answer.encode(),
-            )
-        return None

@@ -193,13 +193,11 @@ def _without_wall_clock(payload: dict) -> dict:
 
 
 def _executed(kind: str, scheme=None, variant=None, scenario=None, seed=7) -> dict:
-    """``execute_task``'s result for trial 0 of a cell, without ``_obs``."""
-    payload = execute_task(CampaignTask(
+    """``execute_task``'s result for trial 0 of a cell."""
+    return execute_task(CampaignTask(
         experiment=kind, scheme=scheme, variant=variant or {},
         scenario=scenario or {}, trial=0, seed=seed,
     ))
-    del payload["_obs"]
-    return payload
 
 
 #: The default variants of the two kinds too large for a quick cell.
