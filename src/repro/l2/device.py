@@ -20,14 +20,14 @@ on both paths.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import PortError, TopologyError
 from repro.hooks import HookPoint
 from repro.sim.simulator import Simulator
 from repro.sim.trace import Direction, TraceRecorder
 
-__all__ = ["Device", "Port", "Link"]
+__all__ = ["Device", "Port", "Link", "cable"]
 
 #: Default one-way propagation latency for a LAN segment, seconds.
 DEFAULT_LATENCY = 50e-6
@@ -47,6 +47,15 @@ def wire_delay(
     however a topology is split.
     """
     return latency + nbytes * seconds_per_byte + extra
+
+
+def cable(a: "Port", b: "Port", link) -> None:
+    """Join ``a`` and ``b`` by ``link`` (a :class:`Link`, or a
+    cross-partition :class:`~repro.sim.partition.Boundary`)."""
+    a.link = b.link = link
+    a.peer = b
+    b.peer = a
+    a.device._cabled = b.device._cabled = None
 
 
 class Port:
@@ -149,10 +158,7 @@ class Link:
         self.rate_bps = rate_bps
         self.recorder = recorder
         self._seconds_per_byte = 8.0 / rate_bps
-        a.link = self
-        b.link = self
-        a.peer = b
-        b.peer = a
+        cable(a, b, self)
         self.frames_carried = 0
         self.bytes_carried = 0
         #: Fault-injection surface (``repro.faults``): transform hooks
@@ -249,10 +255,9 @@ class Link:
 
     def disconnect(self) -> None:
         """Tear the link down (cable pull)."""
-        self.a.link = None
-        self.b.link = None
-        self.a.peer = None
-        self.b.peer = None
+        for port in (self.a, self.b):
+            port.link = port.peer = None
+            port.device._cabled = None
 
     def __repr__(self) -> str:
         return f"Link({self.a.name} <-> {self.b.name})"
@@ -265,6 +270,21 @@ class Device:
         self.sim = sim
         self.name = name
         self.ports: List[Port] = []
+        self._cabled: Optional[Tuple[int, ...]] = None
+
+    def cabled_ports(self) -> Tuple[int, ...]:
+        """Indices of the ports that have a cable, in index order.
+
+        Floods walk these instead of every port: an uncabled port would
+        transmit nothing.  Cached; :func:`cable` and
+        :meth:`Link.disconnect` clear it.
+        """
+        cabled = self._cabled
+        if cabled is None:
+            cabled = self._cabled = tuple(
+                port.index for port in self.ports if port.link is not None
+            )
+        return cabled
 
     def add_port(self, name: str = "") -> Port:
         port = Port(self, index=len(self.ports), name=name)

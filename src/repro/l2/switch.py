@@ -268,8 +268,7 @@ class Switch(Device):
         out_lists: Dict[int, List[bytes]] = {}
         ingress_index = port.index
         mirror_target = self._mirror_target
-        ports = self.ports
-        n_ports = len(ports)
+        cabled = self.cabled_ports()
         flood_count = 0
         forwarded = 0
         undecodable = 0
@@ -291,12 +290,12 @@ class Switch(Device):
                 else:
                     group.append(data)
             if entry is None:
-                # Unknown unicast or multicast: flood out every port but
-                # the ingress and the mirror target (which got its copy
-                # above).  This is the fail-open behaviour MAC flooding
-                # forces permanently by filling the CAM.
+                # Unknown unicast or multicast: flood out every cabled port
+                # but the ingress and the mirror target (which got its
+                # copy above).  This is the fail-open behaviour MAC
+                # flooding forces permanently by filling the CAM.
                 flood_count += 1
-                for index in range(n_ports):
+                for index in cabled:
                     if index == ingress_index or index == mirror_target:
                         continue
                     group = out_lists.get(index)
@@ -318,11 +317,8 @@ class Switch(Device):
         self.forwarded_frames += forwarded
         if flood_count:
             self.flooded_frames += flood_count
-            egress = n_ports - 1 - (
-                1 if mirror_target is not None and mirror_target != ingress_index
-                else 0
-            )
-            PERF.flood_buffer_reuses += flood_count * egress
+            PERF.flood_buffer_reuses += flood_count * self._flood_egress(ingress_index)
+        ports = self.ports
         for index, group in out_lists.items():
             ports[index].transmit_batch(group)
 
@@ -400,31 +396,47 @@ class Switch(Device):
         A flood to N trunk ports used to re-tag and re-encode the frame N
         times; both the tagged and the untagged wire forms are now built
         on first use and the same buffer is transmitted on every
-        remaining port.
+        remaining cabled port.
         """
         self.flooded_frames += 1
+        skip = {ingress.index, self._mirror_target}
         tagged: Optional[bytes] = None
         untagged: Optional[bytes] = None
-        for port in self.ports:
-            if port.index == ingress.index or port.index == self._mirror_target:
+        ports = self.ports
+        for index in self.cabled_ports():
+            if index in skip or not self._port_carries(index, vid):
                 continue
-            if not self._port_carries(port.index, vid):
-                continue
-            role, _ = self._port_role(port.index)
+            role, _ = self._port_role(index)
             if role == "trunk" and vid != 1:  # native VLAN leaves untagged
                 if tagged is None:
                     tagged = tag_frame(inner, vid).encode()
                     self._derive_buffer(tagged)
-                else:
-                    PERF.flood_buffer_reuses += 1
-                port.transmit(tagged)
+                ports[index].transmit(tagged)
             else:
                 if untagged is None:
                     untagged = inner.encode()
                     self._derive_buffer(untagged)
-                else:
-                    PERF.flood_buffer_reuses += 1
-                port.transmit(untagged)
+                ports[index].transmit(untagged)
+        PERF.flood_buffer_reuses += self._vlan_flood_reuses(skip, vid)
+
+    def _vlan_flood_reuses(self, skip: Set[Optional[int]], vid: int) -> int:
+        """Buffer reuses of one VLAN flood, counted like :meth:`_flood_egress`
+        over every port that carries ``vid``, cabled or not: each egress
+        form is encoded once and reused on the rest of its ports."""
+        config = self._vlan_config
+        tagged = untagged = 0
+        if vid == 1:  # unconfigured ports are access ports of VLAN 1
+            untagged = len(self.ports) - len(config) - sum(
+                1 for index in skip if index is not None and index not in config
+            )
+        for index, (role, _) in config.items():
+            if index in skip or not self._port_carries(index, vid):
+                continue
+            if role == "trunk" and vid != 1:
+                tagged += 1
+            else:
+                untagged += 1
+        return max(tagged - 1, 0) + max(untagged - 1, 0)
 
     def _vlan_egress(self, port_index: int, inner: EthernetFrame, vid: int, tag_frame) -> None:
         role, _ = self._port_role(port_index)
@@ -447,15 +459,23 @@ class Switch(Device):
 
     def _flood(self, ingress: Port, data: bytes) -> None:
         self.flooded_frames += 1
-        egress = 0
-        for port in self.ports:
-            if port.index == ingress.index:
-                continue
-            if port.index == self._mirror_target:
-                continue  # mirror port gets its copy via _mirror()
-            egress += 1
-            port.transmit(data)
-        PERF.flood_buffer_reuses += egress  # ingress buffer, never re-encoded
+        mirror_target = self._mirror_target
+        ports = self.ports
+        for index in self.cabled_ports():
+            if index == ingress.index or index == mirror_target:
+                continue  # the mirror port gets its copy via _mirror()
+            ports[index].transmit(data)
+        # The ingress buffer, never re-encoded.
+        PERF.flood_buffer_reuses += self._flood_egress(ingress.index)
+
+    def _flood_egress(self, ingress_index: int) -> int:
+        """Ports one flood leaves by, cabled or not: every port but the
+        ingress and the mirror target (``flood_buffer_reuses`` counts
+        these)."""
+        mirror_target = self._mirror_target
+        return len(self.ports) - 1 - (
+            1 if mirror_target is not None and mirror_target != ingress_index else 0
+        )
 
     def _send(self, port_index: int, data: bytes) -> None:
         self.ports[port_index].transmit(data)

@@ -89,12 +89,12 @@ def analyze(
     ``hybrid_options`` go to :class:`HybridDetector`.
     """
     report = CaptureAnalysis()
-    engine = ReplayEngine(inventory=inventory, observer=report)
-    hybrid = HybridDetector(**hybrid_options)
-    stack = engine.install(SchemeStack([hybrid, SnortArpspoof()]))
-    report.skew = int(engine.run(source)["skew"])
-    report.stations = len(hybrid.db)
-    report.rebindings = hybrid.dhcp_explained + hybrid.unverified_rebinds
-    report.dhcp_explained = hybrid.dhcp_explained
-    report.alerts = stack.alerts
+    with ReplayEngine(inventory=inventory, observer=report) as engine:
+        hybrid = HybridDetector(**hybrid_options)
+        stack = engine.install(SchemeStack([hybrid, SnortArpspoof()]))
+        report.skew = int(engine.run(source)["skew"])
+        report.stations = len(hybrid.db)
+        report.rebindings = hybrid.dhcp_explained + hybrid.unverified_rebinds
+        report.dhcp_explained = hybrid.dhcp_explained
+        report.alerts = stack.alerts
     return report

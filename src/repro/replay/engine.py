@@ -41,6 +41,7 @@ from repro.core.experiment import (
     SerializableResult,
 )
 from repro.errors import ReplayError, SchemeError
+from repro.l2.topology import _release
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.obs.registry import REGISTRY, alerts_in
 from repro.obs.trace import TRACER
@@ -178,6 +179,8 @@ class ReplayEngine:
     Construct, optionally :meth:`install` schemes, then :meth:`run` any
     number of sources.  The engine owns a :class:`ReplayLan`; the
     simulator may be shared (pass your own to attach telemetry first).
+    Free it with ``with ReplayEngine(...) as engine:`` or
+    :meth:`release`, which also drops the given simulator's queue.
     """
 
     def __init__(
@@ -245,6 +248,26 @@ class ReplayEngine:
         for scheme in self.schemes:
             scheme.uninstall()
         self.schemes.clear()
+
+    def __enter__(self) -> "ReplayEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+    def release(self) -> None:
+        """Free the station by reference counting, with no collection.
+
+        Uninstalls every scheme, then releases the monitor host and the
+        simulator (:func:`repro.l2.topology._release`): the simulator's
+        queued events are dropped, so a shared simulator cannot carry on
+        after this.  Scheme alerts and databases, host counters and run
+        statistics stay readable on any object a caller still holds.
+        ``with ReplayEngine(...) as engine:`` calls it on exit, also when
+        a run raises.  Idempotent.
+        """
+        self.uninstall_all()
+        _release(self.sim, (self.lan.monitor,))
 
     # ------------------------------------------------------------------
     def run(
@@ -351,26 +374,24 @@ def _run_replay(
     seed = (config or ScenarioConfig()).seed
     src = open_source(source)
     obs_before = REGISTRY.snapshot()
-    engine = ReplayEngine(Simulator(seed=seed), window=window)
-    scheme = None
-    if scheme_key is not None:
-        scheme = make_defense(scheme_key, **scheme_kwargs)
-        engine.install(scheme)
-    stats = engine.run(src, drain=drain)
-    first_ts = stats["first_ts"]
-    span = (stats["last_ts"] - first_ts) if first_ts is not None else 0.0
-    return ReplayResult(
-        source=str(stats["source"]),
-        scheme=scheme_key or "none",
-        frames=int(stats["frames"]),
-        bytes=int(stats["bytes"]),
-        delivered=int(stats["delivered"]),
-        alerts=alerts_in(REGISTRY.delta(obs_before)),
-        sim_seconds=float(span),
-        wall_seconds=float(stats["wall_seconds"]),
-        window=window,
-        peak_in_flight=int(stats["peak_in_flight"]),
-    )
+    with ReplayEngine(Simulator(seed=seed), window=window) as engine:
+        if scheme_key is not None:
+            engine.install(make_defense(scheme_key, **scheme_kwargs))
+        stats = engine.run(src, drain=drain)
+        first_ts = stats["first_ts"]
+        span = (stats["last_ts"] - first_ts) if first_ts is not None else 0.0
+        return ReplayResult(
+            source=str(stats["source"]),
+            scheme=scheme_key or "none",
+            frames=int(stats["frames"]),
+            bytes=int(stats["bytes"]),
+            delivered=int(stats["delivered"]),
+            alerts=alerts_in(REGISTRY.delta(obs_before)),
+            sim_seconds=float(span),
+            wall_seconds=float(stats["wall_seconds"]),
+            window=window,
+            peak_in_flight=int(stats["peak_in_flight"]),
+        )
 
 
 # Polymorphic deserialization (campaign transport + result cache).

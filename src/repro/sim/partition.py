@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError, TopologyError
-from repro.l2.device import wire_delay
+from repro.l2.device import cable, wire_delay
 from repro.obs.live import default_recorder as _default_recorder
 from repro.obs.registry import REGISTRY
 from repro.sim.simulator import Simulator
@@ -176,10 +176,7 @@ class Boundary:
         self._seconds_per_byte = 8.0 / rate_bps
         self.frames_carried = 0
         self.bytes_carried = 0
-        a.port.link = self
-        b.port.link = self
-        a.port.peer = b.port
-        b.port.peer = a.port
+        cable(a.port, b.port, self)
 
     def _ends(self, sender) -> Tuple[_Endpoint, _Endpoint]:
         if sender is self.a.port:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import PortError, TopologyError
@@ -11,6 +13,7 @@ from repro.l2.hub import Hub
 from repro.l2.switch import Switch
 from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.packets.ethernet import EtherType, EthernetFrame
+from repro.perf import PERF
 from repro.sim.simulator import Simulator
 
 M1 = MacAddress("02:00:00:00:00:01")
@@ -303,3 +306,108 @@ class TestHub:
     def test_needs_two_ports(self, sim):
         with pytest.raises(TopologyError):
             Hub(sim, "tiny", num_ports=1)
+
+
+class TestFloodEgress:
+    """Floods walk the switch's cabled ports only: a 64-port switch with
+    three stations makes two egress calls per broadcast, not 62."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the transmit and carry calls a switch port makes."""
+        counts = Counter()
+
+        def counting(cls, name, sender_of):
+            method = getattr(cls, name)
+
+            def wrapper(self, *args):
+                if isinstance(sender_of(self, args).device, Switch):
+                    counts[f"{cls.__name__}.{name}"] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in ("transmit", "transmit_batch"):
+            counting(Port, name, lambda port, args: port)
+        for name in ("carry", "carry_batch"):
+            counting(Link, name, lambda link, args: args[0])
+        return counts
+
+    @staticmethod
+    def build(sim, n=3):
+        switch = Switch(sim, "sw", num_ports=64)
+        sinks = [Sink(sim, f"h{i}") for i in range(n)]
+        for i, sink in enumerate(sinks):
+            Link(sim, sink.port, switch.ports[i])
+        return switch, sinks
+
+    def test_batched_flood(self, sim, calls):
+        switch, (a, b, c) = self.build(sim)
+        reuses = PERF.flood_buffer_reuses
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        assert calls == {"Port.transmit_batch": 2, "Link.carry_batch": 2}
+        assert len(b.received) == len(c.received) == 1
+        assert PERF.flood_buffer_reuses - reuses == 63  # every port but the ingress
+
+    def test_per_frame_flood(self, sim, calls):
+        switch, (a, b, c) = self.build(sim)
+        switch.add_ingress_filter(lambda port, fr: True)
+        reuses = PERF.flood_buffer_reuses
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        assert calls == {"Port.transmit": 2, "Link.carry": 2}
+        assert len(b.received) == len(c.received) == 1
+        assert PERF.flood_buffer_reuses - reuses == 63
+
+    @pytest.mark.parametrize("vid", [1, 10])
+    def test_vlan_flood(self, sim, calls, vid):
+        switch, (a, b, c) = self.build(sim)
+        for index in range(3):
+            switch.set_access_port(index, vid)
+        reuses = PERF.flood_buffer_reuses
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        assert calls == {"Port.transmit": 2, "Link.carry": 2}
+        assert len(b.received) == len(c.received) == 1
+        # One encode, reused on every other port of the VLAN, cabled or
+        # not: the 61 unconfigured ports are access ports of VLAN 1.
+        assert PERF.flood_buffer_reuses - reuses == (62 if vid == 1 else 1)
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_host_cabled_after_a_flood_gets_the_next(self, calls, batching):
+        sim = Simulator(seed=42, batching=batching)
+        switch, (a, b, c) = self.build(sim)
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        late = Sink(sim, "late")
+        Link(sim, late.port, switch.ports[40])
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        assert len(late.received) == 1
+        assert len(b.received) == len(c.received) == 2
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_disconnected_link_gets_nothing(self, calls, batching):
+        sim = Simulator(seed=42, batching=batching)
+        switch, (a, b, c) = self.build(sim)
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        c.port.link.disconnect()
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        assert len(b.received) == 2
+        assert len(c.received) == 1
+        assert sum(calls.values()) == 6  # 2 + 2 for the first flood, 1 + 1 now
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_mirror_target_gets_one_copy(self, calls, batching):
+        sim = Simulator(seed=42, batching=batching)
+        switch, (a, b, c) = self.build(sim)
+        switch.mirror_all_to(2)
+        reuses = PERF.flood_buffer_reuses
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        assert len(b.received) == len(c.received) == 1
+        assert sum(calls.values()) == 4
+        assert PERF.flood_buffer_reuses - reuses == 62  # not the mirror target

@@ -1,5 +1,5 @@
-"""Finished runs free their state: every experiment cell, campus fabrics
-and unawaited echoes."""
+"""Finished runs free their state: every experiment cell, campus fabrics,
+replay runs and unawaited echoes."""
 
 from __future__ import annotations
 
@@ -8,11 +8,15 @@ import weakref
 
 import pytest
 
+from repro.analysis.pcap import PcapWriter
 from repro.attacks.mitm import MitmAttack
 from repro.core import api, experiment, scale
 from repro.core.experiment import ScenarioConfig
+from repro.errors import PcapError
 from repro.l2.switch import Switch
 from repro.l2.topology import Lan
+from repro.replay.analyze import analyze
+from repro.replay.sources import open_source
 from repro.schemes.base import Scheme
 from repro.schemes.registry import all_profiles
 from repro.sim import ShardedSimulator, Simulator
@@ -88,8 +92,18 @@ def _alive(refs):
     return [obj for obj in (ref() for _, ref in refs) if obj is not None]
 
 
+#: The test that runs each kind and asserts its run frees itself.
+FREED_RUN_TESTS = {
+    **{kind: "test_experiment_cell_is_freed_when_the_run_returns" for kind in SMALL},
+    "campus-churn": "test_campus_fabric_is_freed_when_the_run_returns",
+    "replay": "test_replay_run_is_freed_when_the_run_returns",
+}
+
+
 def test_small_cells_cover_every_testbed_kind():
-    assert set(SMALL) == set(api.KINDS) - {"campus-churn", "replay"}
+    """Every kind ``api.run`` accepts has a freed-run test."""
+    assert set(FREED_RUN_TESTS) == set(api.KINDS)
+    assert all(callable(globals()[name]) for name in FREED_RUN_TESTS.values())
 
 
 @pytest.mark.parametrize("kind, scheme", list(_cells()))
@@ -188,6 +202,65 @@ def test_campus_fabric_is_freed_when_the_run_returns(monkeypatch, shards, scheme
     finally:
         if enabled:
             gc.enable()
+
+
+#: No scheme, every scheme the replay engine accepts (monitor-placed,
+#: not active-probe: arpwatch, snort-arpspoof, hybrid) and one stack.
+REPLAY_SCHEMES = [
+    None,
+    *(p.key for p in all_profiles() if p.placement == "monitor" and p.key != "active-probe"),
+    "arpwatch+snort-arpspoof",
+]
+
+SYNTHETIC = "synthetic:frames=3000,churn=0.3,hosts=16,seed=5"
+
+
+def _write_pcap(path):
+    """The ``SYNTHETIC`` stream as a capture file."""
+    with PcapWriter(path) as writer:
+        for ts, raw in open_source(SYNTHETIC):
+            writer.append_frame(ts, raw)
+    return path
+
+
+def _assert_replay_freed(built, scheme):
+    """The station, its simulator and every scheme are dead."""
+    built_types = {cls for cls, _ in built}
+    assert Simulator in built_types
+    assert any(issubclass(cls, Host) for cls in built_types)
+    assert any(issubclass(cls, Scheme) for cls in built_types) == (scheme is not None)
+    assert _alive(built) == []
+
+
+@pytest.mark.parametrize("source", ["synthetic", "pcap"])
+@pytest.mark.parametrize("scheme", REPLAY_SCHEMES)
+def test_replay_run_is_freed_when_the_run_returns(built, tmp_path, scheme, source):
+    """No collection needed: the engine releases its station on exit."""
+    spec = SYNTHETIC if source == "synthetic" else f"pcap:{_write_pcap(tmp_path / 't.pcap')}"
+    result = api.run("replay", scheme=scheme, source=spec, window=256)
+    assert result.frames == 3000
+    assert result.delivered > 0
+    _assert_replay_freed(built, scheme)
+
+
+@pytest.mark.parametrize("scheme", [None, "arpwatch", "hybrid"])
+def test_replay_that_raises_mid_run_is_freed(built, tmp_path, scheme):
+    """A capture cut mid-record fails the run after some windows went in."""
+    path = _write_pcap(tmp_path / "cut.pcap")
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(PcapError, match="byte offset"):
+        api.run("replay", scheme=scheme, source=f"pcap:{path}", window=256)
+    _assert_replay_freed(built, scheme)
+
+
+def test_analyze_is_freed_and_keeps_its_alerts_readable(built, tmp_path):
+    report = analyze(f"pcap:{_write_pcap(tmp_path / 'a.pcap')}")
+    _assert_replay_freed(built, "hybrid+snort-arpspoof")
+    assert report.frames == 3000
+    assert report.stations > 0
+    assert report.alerts
+    assert "findings:" in report.render()
+    assert all(str(alert) for alert in report.alerts)
 
 
 def test_unawaited_ping_keeps_no_state(sim):
