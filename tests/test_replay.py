@@ -8,6 +8,7 @@ api.run / campaign / CLI integration.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,26 @@ class TestSyntheticSource:
 
     def test_total_frames(self):
         assert SyntheticSource(frames="5k").total_frames == 5_000
+
+    @pytest.mark.parametrize(
+        "params,sha256",
+        [
+            (
+                dict(frames=20_000, arp=0.5, churn=0.5, hosts=8, seed=0),
+                "d5ab6d3e502f92c3c46abafcc2404db024906736c38e194834d3359c33b67655",
+            ),
+            (
+                dict(frames=100_000),
+                "63fa79e486ada2cb21ca709a801aba605032cf439c040920f966555fc4d80464",
+            ),
+        ],
+    )
+    def test_stream_is_pinned(self, params, sha256):
+        digest = hashlib.sha256()
+        for ts, raw in SyntheticSource(**params):
+            digest.update(repr(ts).encode())
+            digest.update(raw)
+        assert digest.hexdigest() == sha256
 
 
 class TestSpecGrammar:
