@@ -401,7 +401,10 @@ class SyntheticSource(FrameSource):
         owner: Dict[int, MacAddress] = {
             i: self._station_mac(i) for i in range(self.hosts)
         }
-        announce_cache: Dict[Tuple[int, MacAddress], bytes] = {}
+        #: station -> (its MAC, the announcement of that binding).  One
+        #: entry per station: a MAC a station churned away from is never
+        #: announced again, so keying by (station, MAC) only grew.
+        announce_cache: Dict[int, Tuple[MacAddress, bytes]] = {}
         churn_serial = 0
         dt = 1.0 / self.rate
         arp_share = self.arp
@@ -421,8 +424,10 @@ class SyntheticSource(FrameSource):
                         churn_serial += 1
                         owner[station] = self._churn_mac(churn_serial)
                     mac = owner[station]
-                    raw = announce_cache.get((station, mac))
-                    if raw is None:
+                    cached = announce_cache.get(station)
+                    if cached is not None and cached[0] is mac:
+                        raw = cached[1]
+                    else:
                         arp = ArpPacket.gratuitous(
                             sha=mac, spa=self._station_ip(station)
                         )
@@ -432,7 +437,7 @@ class SyntheticSource(FrameSource):
                             ethertype=EtherType.ARP,
                             payload=arp.encode(),
                         ).encode()
-                        announce_cache[(station, mac)] = raw
+                        announce_cache[station] = (mac, raw)
                 else:
                     raw = pool[i % pool_len]
                 frames_read += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -114,6 +115,24 @@ class TestSyntheticSource:
             digest.update(repr(ts).encode())
             digest.update(raw)
         assert digest.hexdigest() == sha256
+
+    def test_iteration_memory_does_not_grow_with_the_stream(self):
+        """Every ARP frame a churning station announces is cached per
+        station, not per (station, MAC): a MAC the station has left is
+        never announced again."""
+
+        def peak(frames: int) -> int:
+            source = SyntheticSource(frames=frames, arp=1.0, churn=1.0, hosts=4, seed=0)
+            tracemalloc.start()
+            try:
+                for _ in source:
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(1_000), peak(10_000)
+        assert long < short + 64 * 1024, (short, long)
 
 
 class TestSpecGrammar:
