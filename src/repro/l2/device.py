@@ -10,12 +10,12 @@ The wire is also where the batched data plane engages: :meth:`Link.carry`
 hands every arrival to :meth:`~repro.sim.simulator.Simulator.coalesce`,
 which — when the owning simulator has ``batching`` on and tracing is off
 — merges same-instant deliveries to one receiver into a single
-``deliver_batch`` flush instead of one event per frame,
-and :meth:`Port.transmit_batch` lets a flooding switch hand a whole
-frame batch to each egress link in one call.  Fault-injection hooks on
-:attr:`Link.faults` still transform every frame individually (same hook
-order, same RNG draw order), so ``repro.faults`` semantics are identical
-on both paths.
+``deliver_batch`` flush instead of one event per frame (otherwise each
+frame arrives as a batch of one), and :meth:`Port.transmit_batch` lets
+a flooding switch hand a whole frame batch to each egress link in one
+call.  Fault-injection hooks on :attr:`Link.faults` still transform
+every frame individually (same hook order, same RNG draw order), so
+``repro.faults`` semantics are identical on both paths.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def cable(a: "Port", b: "Port", link) -> None:
     a.link = b.link = link
     a.peer = b
     b.peer = a
-    a.device._cabled = b.device._cabled = None
+    a.device._live = b.device._live = None
 
 
 class Port:
@@ -67,6 +67,8 @@ class Port:
         self.name = name or f"{device.name}.eth{index}"
         self.link: Optional["Link"] = None
         self.peer: Optional["Port"] = None  # opposite end, set by Link
+        #: Administrative state.  Change it through :meth:`shut` and
+        #: :meth:`no_shut`, which keep the device's ``live_ports()`` current.
         self.up = True
         self.tx_frames = 0
         self.rx_frames = 0
@@ -96,20 +98,14 @@ class Port:
         self.tx_bytes += len(datas[0]) if n == 1 else sum(map(len, datas))
         link.carry_batch(self, datas)
 
-    def deliver(self, data: bytes) -> None:
-        """Called by the link when a frame arrives at this port."""
-        if not self.up:
-            return
-        self.rx_frames += 1
-        self.rx_bytes += len(data)
-        self.device.on_frame(self, data)
-
     def deliver_batch(self, datas: Sequence[bytes]) -> None:
-        """Coalesced-delivery sink: a batch of frames arriving together.
+        """The port's one delivery entry: frames arriving together.
 
-        The whole batch shares one administrative state: a port that went
-        down before the flush drops every frame in it, exactly as it
-        would have dropped each frame arriving individually.
+        The simulator's per-event plane and the replay engine hand over
+        batches of one.  The whole batch shares one administrative
+        state: a port that went down before the flush drops every frame
+        in it, exactly as it would have dropped each frame arriving
+        individually.
         """
         if not self.up:
             return
@@ -121,9 +117,16 @@ class Port:
     def shut(self) -> None:
         """Administratively disable the port (what port security does)."""
         self.up = False
+        self._state_changed()
 
     def no_shut(self) -> None:
         self.up = True
+        self._state_changed()
+
+    def _state_changed(self) -> None:
+        device = self.device
+        if device is not None:
+            device._live = None
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"
@@ -257,7 +260,7 @@ class Link:
         """Tear the link down (cable pull)."""
         for port in (self.a, self.b):
             port.link = port.peer = None
-            port.device._cabled = None
+            port.device._live = None
 
     def __repr__(self) -> str:
         return f"Link({self.a.name} <-> {self.b.name})"
@@ -270,42 +273,38 @@ class Device:
         self.sim = sim
         self.name = name
         self.ports: List[Port] = []
-        self._cabled: Optional[Tuple[int, ...]] = None
+        self._live: Optional[Tuple[int, ...]] = None
 
-    def cabled_ports(self) -> Tuple[int, ...]:
-        """Indices of the ports that have a cable, in index order.
+    def live_ports(self) -> Tuple[int, ...]:
+        """Indices of the ports a frame can leave by, in index order:
+        cabled and up.
 
-        Floods walk these instead of every port: an uncabled port would
-        transmit nothing.  Cached; :func:`cable` and
-        :meth:`Link.disconnect` clear it.
+        Floods walk these instead of every port: an uncabled or shut
+        port would transmit nothing.  Cached; :func:`cable`,
+        :meth:`Link.disconnect`, :meth:`Port.shut` and
+        :meth:`Port.no_shut` clear it.
         """
-        cabled = self._cabled
-        if cabled is None:
-            cabled = self._cabled = tuple(
-                port.index for port in self.ports if port.link is not None
+        live = self._live
+        if live is None:
+            live = self._live = tuple(
+                port.index
+                for port in self.ports
+                if port.link is not None and port.up
             )
-        return cabled
+        return live
 
     def add_port(self, name: str = "") -> Port:
         port = Port(self, index=len(self.ports), name=name)
         self.ports.append(port)
         return port
 
-    def on_frame(self, port: Port, data: bytes) -> None:
-        """Handle a frame arriving on ``port``.  Subclasses override."""
-        raise NotImplementedError
-
     def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """Handle a coalesced batch of frames arriving on ``port``.
+        """Handle frames arriving together on ``port``, in wire order.
 
-        The default simply unrolls to :meth:`on_frame` in batch (== wire)
-        order, so devices without a vectorized receive path behave exactly
-        as if each frame had arrived on its own event.  The switch and
-        host override this with batch-aware fast paths.
+        The device's one receive entry; a frame delivered on its own is
+        a batch of one.  Subclasses override.
         """
-        on_frame = self.on_frame
-        for data in datas:
-            on_frame(port, data)
+        raise NotImplementedError
 
     def release(self) -> None:
         """Cut each port's device, peer and cable references, the cycles

@@ -7,7 +7,7 @@ effectively degrades into under MAC flooding.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import TopologyError
 from repro.l2.device import Device, Port
@@ -30,11 +30,12 @@ class Hub(Device):
         self.recorder: Optional[TraceRecorder] = None
         self.repeated_frames = 0
 
-    def on_frame(self, port: Port, data: bytes) -> None:
+    def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
         recorder = self.recorder
-        if recorder is not None:
-            recorder.record(self.sim.now, port.name, Direction.RX, data)
-        self.repeated_frames += 1
-        for other in self.ports:
-            if other.index != port.index:
-                other.transmit(data)
+        for data in datas:
+            if recorder is not None:
+                recorder.record(self.sim.now, port.name, Direction.RX, data)
+            self.repeated_frames += 1
+            for other in self.ports:
+                if other.index != port.index:
+                    other.transmit(data)

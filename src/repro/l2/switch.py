@@ -20,6 +20,7 @@ from repro.errors import CodecError, TopologyError
 from repro.hooks import HookPoint, Pipeline
 from repro.l2.cam import CamTable, DEFAULT_AGING, DEFAULT_CAPACITY
 from repro.l2.device import Device, Port
+from repro.net.addresses import MacAddress
 from repro.obs.trace import TRACER
 from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.perf import PERF
@@ -147,103 +148,24 @@ class Switch(Device):
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def on_frame(self, port: Port, data: bytes) -> None:
-        if TRACER.enabled:
-            # Resolve the buffer to its frame id (free: buffers flow
-            # through transmit/carry/deliver unchanged) and keep it in
-            # scope so filters and alerts can attribute their decisions.
-            tracer = TRACER
-            fid = tracer.provenance.lookup(data)
-            previous = tracer.current_frame
-            tracer.current_frame = fid
-            try:
-                with tracer.span(
-                    "switch.forward", node=self.name, port=port.name, frame=fid
-                ):
-                    self._data_plane(port, data)
-            finally:
-                tracer.current_frame = previous
-        else:
-            self._data_plane(port, data)
-
-    def _data_plane(self, port: Port, data: bytes) -> None:
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record(self.sim.now, port.name, Direction.RX, data)
-        try:
-            # Lazy view: forwarding decisions need only the 14-byte header;
-            # the payload is materialized only if a filter/monitor reads it.
-            frame = EthernetFrame.lazy(data)
-        except CodecError:
-            self.undecodable_frames += 1
-            return
-
-        agent = self.sdn_agent
-        if agent is not None and agent.on_switch_frame(port, frame, data):
-            return
-
-        if self.vlan_aware:
-            self._vlan_on_frame(port, frame, data)
-            return
-
-        if self.ingress_filters.hooks:
-            if not self._run_ingress_filters(port, frame):
-                self.dropped_frames += 1
-                self._mirror(port, data)  # monitors still see dropped frames
-                return
-
-        self.cam.learn(frame.src, port.index, self.sim.now)
-        self._mirror(port, data)
-
-        if frame.dst.is_multicast:  # includes broadcast
-            self._flood(port, data)
-            return
-        out_index = self.cam.lookup(frame.dst, self.sim.now)
-        if out_index is None:
-            # Unknown unicast: flood.  This is the fail-open behaviour MAC
-            # flooding forces permanently by filling the CAM.
-            self._flood(port, data)
-            return
-        if out_index == port.index:
-            return  # hairpin; already on the right segment
-        self.forwarded_frames += 1
-        self._send(out_index, data)
-
     def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """Batched receive: vectorize the plain learning data plane.
+        """The switch's one receive entry: capture, learn, resolve, egress.
 
-        Traced, SDN-managed and VLAN-aware planes unroll to the per-frame
-        path (their semantics involve per-frame spans, controller state or
-        per-VID tables); the plain plane — the hot path every benchmark
-        and large-scale scenario exercises — runs the batch fast path.
-        """
-        if (
-            TRACER.enabled
-            or self.sdn_agent is not None
-            or self.vlan_aware
-            or self.ingress_filters.hooks  # one truthiness check per batch
-        ):
-            # Per-frame fallback: spans, controller state, per-VID tables
-            # and ingress filters all observe switch state *between*
-            # frames, so their view must not change when frames arrive
-            # batched.
-            on_frame = self.on_frame
-            for data in datas:
-                on_frame(port, data)
-            return
-        self._data_plane_batch(port, datas)
+        One pass over the frames in wire order.  While anything observes
+        the switch — an ingress filter, an SDN agent, the VLAN plane or
+        tracing — each frame runs past its observers and leaves at once
+        through :meth:`_flood`, :meth:`_send` and :meth:`_mirror`: the
+        observers see switch state *between* frames, so what they see
+        must not change when frames arrive together.
 
-    def _data_plane_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """One pass over a frame batch: capture, learn, resolve, egress.
-
-        Per-frame work is reduced to raw byte slicing: destination and
-        source MACs are read straight from the wire bytes and resolved
-        through the CAM's bytes-keyed index, no ``FrameView`` is built,
-        and CAM aging runs exactly once for the whole batch
-        (watermark-bounded) instead of once per frame.  Learning and
-        resolution stay interleaved in wire order — a frame whose source
-        completes a later frame's destination behaves identically on the
-        batched and per-frame planes.  Egress is grouped per output port
+        Otherwise per-frame work is reduced to raw byte slicing:
+        destination and source MACs are read straight from the wire
+        bytes and resolved through the CAM's bytes-keyed index, no
+        ``FrameView`` is built, and CAM aging runs exactly once for the
+        whole batch (watermark-bounded) instead of once per frame.
+        Learning and resolution stay interleaved in wire order — a frame
+        whose source completes a later frame's destination behaves as
+        if each had arrived alone.  Egress is grouped per output port
         and handed to each link as one batch, in wire order.
         """
         now = self.sim.now
@@ -254,8 +176,15 @@ class Switch(Device):
             for data in datas:
                 record(now, port_name, Direction.RX, data)
 
+        observed = (
+            TRACER.enabled
+            or self.sdn_agent is not None
+            or self.vlan_aware
+            or self.ingress_filters.hooks  # one truthiness check per batch
+        )
         cam = self.cam
-        cam.expire(now)  # the batch's one aging sweep
+        if not observed:
+            cam.expire(now)  # the batch's one aging sweep
         learn = cam.learn_wire
         # After the sweep nothing in the table is stale for `now`, so
         # destination probes are bare bytes-dict gets (the inlined form
@@ -268,14 +197,42 @@ class Switch(Device):
         out_lists: Dict[int, List[bytes]] = {}
         ingress_index = port.index
         mirror_target = self._mirror_target
-        cabled = self.cabled_ports()
+        flood_egress: Optional[List[int]] = None
         flood_count = 0
         forwarded = 0
         undecodable = 0
         for data in datas:
+            if observed:
+                with TRACER.frame_span(
+                    "switch.forward", data, node=self.name, port=port.name
+                ):
+                    try:
+                        # Lazy view: forwarding decisions need only the
+                        # 14-byte header; the payload is materialized only
+                        # if a filter or monitor reads it.
+                        frame = EthernetFrame.lazy(data)
+                    except CodecError:
+                        undecodable += 1
+                        continue
+                    agent = self.sdn_agent
+                    if agent is not None and agent.on_switch_frame(port, frame, data):
+                        continue
+                    if self.vlan_aware:
+                        self._vlan_on_frame(port, frame, data)
+                        continue
+                    if self.ingress_filters.hooks and not self._run_ingress_filters(
+                        port, frame
+                    ):
+                        self.dropped_frames += 1
+                        self._mirror(port, data)  # monitors still see dropped frames
+                        continue
+                    cam.learn(frame.src, ingress_index, now)
+                    self._mirror(port, data)
+                    self._forward(port, frame.dst, data)
+                continue
             if len(data) < 14 or data[12] < 6:
                 # A runt, or an 802.3 length (< 0x0600) where the type
-                # goes: the per-frame plane's FrameView rejects both.
+                # goes: a FrameView rejects both.
                 undecodable += 1
                 continue
             learn(data[6:12], ingress_index, now)
@@ -290,14 +247,18 @@ class Switch(Device):
                 else:
                     group.append(data)
             if entry is None:
-                # Unknown unicast or multicast: flood out every cabled port
+                # Unknown unicast or multicast: flood out every live port
                 # but the ingress and the mirror target (which got its
                 # copy above).  This is the fail-open behaviour MAC
                 # flooding forces permanently by filling the CAM.
                 flood_count += 1
-                for index in cabled:
-                    if index == ingress_index or index == mirror_target:
-                        continue
+                if flood_egress is None:
+                    flood_egress = [
+                        index
+                        for index in self.live_ports()
+                        if index != ingress_index and index != mirror_target
+                    ]
+                for index in flood_egress:
                     group = out_lists.get(index)
                     if group is None:
                         out_lists[index] = [data]
@@ -317,10 +278,28 @@ class Switch(Device):
         self.forwarded_frames += forwarded
         if flood_count:
             self.flooded_frames += flood_count
-            PERF.flood_buffer_reuses += flood_count * self._flood_egress(ingress_index)
+            # Every flood copy re-sends the ingress buffer.
+            PERF.flood_buffer_reuses += flood_count * len(flood_egress)
         ports = self.ports
         for index, group in out_lists.items():
             ports[index].transmit_batch(group)
+
+    def _forward(self, ingress: Port, dst: MacAddress, data: bytes) -> None:
+        """The learning plane's forward step for one frame: flood group
+        and unknown destinations, keep hairpins, send the rest."""
+        if dst.is_multicast:  # includes broadcast
+            self._flood(ingress, data)
+            return
+        out_index = self.cam.lookup(dst, self.sim.now)
+        if out_index is None:
+            # Unknown unicast: flood.  This is the fail-open behaviour MAC
+            # flooding forces permanently by filling the CAM.
+            self._flood(ingress, data)
+            return
+        if out_index == ingress.index:
+            return  # hairpin; already on the right segment
+        self.forwarded_frames += 1
+        self._send(out_index, data)
 
     def _run_ingress_filters(self, port: Port, frame: EthernetFrame) -> bool:
         """Run every ingress filter through the hook pipeline; False = drop.
@@ -396,14 +375,15 @@ class Switch(Device):
         A flood to N trunk ports used to re-tag and re-encode the frame N
         times; both the tagged and the untagged wire forms are now built
         on first use and the same buffer is transmitted on every
-        remaining cabled port.
+        remaining live port.
         """
         self.flooded_frames += 1
         skip = {ingress.index, self._mirror_target}
         tagged: Optional[bytes] = None
         untagged: Optional[bytes] = None
+        tagged_sends = untagged_sends = 0
         ports = self.ports
-        for index in self.cabled_ports():
+        for index in self.live_ports():
             if index in skip or not self._port_carries(index, vid):
                 continue
             role, _ = self._port_role(index)
@@ -412,31 +392,15 @@ class Switch(Device):
                     tagged = tag_frame(inner, vid).encode()
                     self._derive_buffer(tagged)
                 ports[index].transmit(tagged)
+                tagged_sends += 1
             else:
                 if untagged is None:
                     untagged = inner.encode()
                     self._derive_buffer(untagged)
                 ports[index].transmit(untagged)
-        PERF.flood_buffer_reuses += self._vlan_flood_reuses(skip, vid)
-
-    def _vlan_flood_reuses(self, skip: Set[Optional[int]], vid: int) -> int:
-        """Buffer reuses of one VLAN flood, counted like :meth:`_flood_egress`
-        over every port that carries ``vid``, cabled or not: each egress
-        form is encoded once and reused on the rest of its ports."""
-        config = self._vlan_config
-        tagged = untagged = 0
-        if vid == 1:  # unconfigured ports are access ports of VLAN 1
-            untagged = len(self.ports) - len(config) - sum(
-                1 for index in skip if index is not None and index not in config
-            )
-        for index, (role, _) in config.items():
-            if index in skip or not self._port_carries(index, vid):
-                continue
-            if role == "trunk" and vid != 1:
-                tagged += 1
-            else:
-                untagged += 1
-        return max(tagged - 1, 0) + max(untagged - 1, 0)
+                untagged_sends += 1
+        # Each form is encoded once; every further send re-sends it.
+        PERF.flood_buffer_reuses += max(tagged_sends - 1, 0) + max(untagged_sends - 1, 0)
 
     def _vlan_egress(self, port_index: int, inner: EthernetFrame, vid: int, tag_frame) -> None:
         role, _ = self._port_role(port_index)
@@ -461,21 +425,14 @@ class Switch(Device):
         self.flooded_frames += 1
         mirror_target = self._mirror_target
         ports = self.ports
-        for index in self.cabled_ports():
+        sends = 0
+        for index in self.live_ports():
             if index == ingress.index or index == mirror_target:
                 continue  # the mirror port gets its copy via _mirror()
             ports[index].transmit(data)
-        # The ingress buffer, never re-encoded.
-        PERF.flood_buffer_reuses += self._flood_egress(ingress.index)
-
-    def _flood_egress(self, ingress_index: int) -> int:
-        """Ports one flood leaves by, cabled or not: every port but the
-        ingress and the mirror target (``flood_buffer_reuses`` counts
-        these)."""
-        mirror_target = self._mirror_target
-        return len(self.ports) - 1 - (
-            1 if mirror_target is not None and mirror_target != ingress_index else 0
-        )
+            sends += 1
+        # Every copy re-sends the ingress buffer, never re-encoded.
+        PERF.flood_buffer_reuses += sends
 
     def _send(self, port_index: int, data: bytes) -> None:
         self.ports[port_index].transmit(data)

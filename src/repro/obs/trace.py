@@ -85,6 +85,31 @@ class _SpanHandle:
         self._attrs.update(attrs)
 
 
+class _FrameSpan(_SpanHandle):
+    """Context manager returned by :meth:`Tracer.frame_span`."""
+
+    __slots__ = ("_frame", "_previous")
+
+    def __init__(
+        self, tracer: "Tracer", name: str, attrs: Dict[str, object], frame: Optional[int]
+    ):
+        super().__init__(tracer, name, attrs)
+        self._frame = frame
+        self._previous: Optional[int] = None
+
+    def __enter__(self) -> "_FrameSpan":
+        tracer = self._tracer
+        self._previous = tracer.current_frame
+        tracer.current_frame = self._frame
+        return super().__enter__()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            super().__exit__(exc_type, exc, tb)
+        finally:
+            self._tracer.current_frame = self._previous
+
+
 class _NullSpan:
     """Shared no-op context manager for the disabled path."""
 
@@ -162,6 +187,21 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         return _SpanHandle(self, name, attrs)
+
+    def frame_span(self, name: str, data: bytes, **attrs: object):
+        """A span over one received buffer's handling.
+
+        Resolves ``data`` to its frame id (free: buffers flow through
+        transmit, carry and deliver unchanged), which the span carries
+        as ``frame`` and which stays :attr:`current_frame` inside it, so
+        filters and alerts deeper in the receive path can attribute
+        their decisions.  A no-op when disabled.
+        """
+        if not self.enabled:
+            return _NULL_SPAN
+        frame = self.provenance.lookup(data)
+        attrs["frame"] = frame
+        return _FrameSpan(self, name, attrs, frame)
 
     # ------------------------------------------------------------------
     # Inspection

@@ -10,8 +10,8 @@ switch mirror port.
 One delivery loop: the source hands over one
 :class:`~repro.analysis.pcap.FrameWindow` per bounded in-flight window
 (:meth:`FrameSource.windows`), and each kept frame goes through
-``Port.deliver`` → ``Host.on_frame`` at its own trace timestamp,
-clamped to the stream's running maximum.  The source runs arpwatch's
+``Port.deliver_batch`` → ``Host.on_frame_batch`` as a batch of one, at
+its own trace timestamp, clamped to the stream's running maximum.  The source runs arpwatch's
 capture filter (``arp or udp port 67 or 68``) while it builds the
 window — a pcap source inside its record walk — so the benign majority
 never reaches the engine.  The filter is off when a per-frame
@@ -45,7 +45,6 @@ from repro.l2.topology import _release
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.obs.registry import REGISTRY, alerts_in
 from repro.obs.trace import TRACER
-from repro.packets.ethernet import EtherType
 from repro.replay.sources import FrameSource, open_source
 from repro.schemes.active_probe import ActiveProbe
 from repro.schemes.base import Scheme
@@ -83,14 +82,8 @@ class _ObserverHost(Host):
     contains them.
     """
 
-    def _frame_dispatch(self, frame, data) -> None:
-        if self.frame_taps.hooks:
-            self.frame_taps.emit(frame, data)
-        if frame.dst == self.mac:
-            if frame.ethertype == EtherType.ARP:
-                self._arp_rx(frame)
-            elif frame.ethertype == EtherType.IPV4:
-                self._ip_rx(frame)
+    def _stack_takes(self, frame) -> bool:
+        return frame.dst == self.mac
 
 
 class ReplayLan:
@@ -293,7 +286,7 @@ class ReplayEngine:
         )
         provenance = TRACER.provenance if TRACER.enabled else None
         origin = f"replay:{src.kind}"
-        deliver = self.lan.monitor.nic.deliver
+        deliver = self.lan.monitor.nic.deliver_batch
         sim = self.sim
         frames = nbytes = delivered = skew = peak = 0
         first_ts: Optional[float] = None
@@ -316,7 +309,7 @@ class ReplayEngine:
                     provenance.new_frame(raw, origin=origin, time=ts, kind="rx")
                 if observer is not None:
                     observer(ts, raw)
-                deliver(raw)
+                deliver((raw,))
             frames += n
             nbytes += win.bytes
             delivered += len(win.kept)

@@ -256,7 +256,9 @@ class SwitchAgent:
             if self.fail_mode == FAIL_CLOSED:
                 self.switch.dropped_frames += 1
             else:
-                self._learning_forward(port, frame, data)
+                # Fail-open overflow: forward as the learning plane would;
+                # the CAM is already warm from shadow learning.
+                self.switch._forward(port, frame.dst, data)
             return
         buffer_id = next(self._buffer_ids) & 0xFFFFFFFF
         self._pending[buffer_id] = (port.index, data)
@@ -265,22 +267,6 @@ class SwitchAgent:
         self._send_control(
             PacketIn.for_frame(buffer_id, port.index, PacketInReason.NO_MATCH, data)
         )
-
-    def _learning_forward(self, port: Port, frame: EthernetFrame, data: bytes) -> None:
-        """Forward one frame the way the learning plane would (fail-open
-        overflow): the CAM is already warm from shadow learning."""
-        sw = self.switch
-        if frame.dst.is_multicast:
-            sw._flood(port, data)
-            return
-        out_index = sw.cam.lookup(frame.dst, sw.sim.now)
-        if out_index is None:
-            sw._flood(port, data)
-            return
-        if out_index == port.index:
-            return
-        sw.forwarded_frames += 1
-        sw._send(out_index, data)
 
     def _send_control(self, message) -> None:
         frame = EthernetFrame(

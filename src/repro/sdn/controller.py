@@ -26,7 +26,7 @@ to workloads, protection lists and the LAN's true-binding inventory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CodecError
 from repro.l2.device import Device, Link, Port
@@ -229,28 +229,29 @@ class Controller(Device):
     # ------------------------------------------------------------------
     # Control input
     # ------------------------------------------------------------------
-    def on_frame(self, port: Port, data: bytes) -> None:
+    def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
         channel = self._channels.get(port.index)
         if channel is None:
             return
-        try:
-            frame = EthernetFrame.lazy(data)
-        except CodecError:
-            return
-        if frame.ethertype != EtherType.EXPERIMENTAL:
-            return
-        try:
-            message = decode_message(frame.payload)
-        except CodecError:
-            return
-        if not channel.up:
-            # Any message over the channel proves it is back.
-            channel.up = True
-            self.reconnects += 1
-        if isinstance(message, PacketIn):
-            self._packet_in(channel, message)
-        elif isinstance(message, BarrierReply):
-            self._barrier_reply(channel, message)
+        for data in datas:
+            try:
+                frame = EthernetFrame.lazy(data)
+            except CodecError:
+                continue
+            if frame.ethertype != EtherType.EXPERIMENTAL:
+                continue
+            try:
+                message = decode_message(frame.payload)
+            except CodecError:
+                continue
+            if not channel.up:
+                # Any message over the channel proves it is back.
+                channel.up = True
+                self.reconnects += 1
+            if isinstance(message, PacketIn):
+                self._packet_in(channel, message)
+            elif isinstance(message, BarrierReply):
+                self._barrier_reply(channel, message)
 
     def _barrier_reply(self, channel: ControlChannel, reply: BarrierReply) -> None:
         sent_at = self._barrier_sent.pop(reply.xid, None)

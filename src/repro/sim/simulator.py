@@ -20,9 +20,9 @@ Same-timestamp deliveries to one sink can additionally be *coalesced*
 sink)`` pair share one flush event that hands ``sink.deliver_batch`` the
 whole batch at once, instead of one event per frame.  This is the batched
 data plane's entry point and the one place that picks the plane: with
-``batching=False`` or tracing on, the same call schedules one
-``sink.deliver`` event per item at the same timestamp, so fixed-seed
-runs stay reproducible either way.
+``batching=False`` or tracing on, the same call schedules one event per
+item at the same timestamp, each handing ``sink.deliver_batch`` a batch
+of one, so fixed-seed runs stay reproducible either way.
 
 Example
 -------
@@ -58,7 +58,7 @@ _COMPACT_MIN_CANCELLED = 64
 
 #: Process-wide default for :class:`Simulator` batching.  ``repro bench
 #: --no-batch`` (and the CI batch-off smoke job) flip this to prove the
-#: per-event fallback path still works and still meets its own gate.
+#: per-event plane still works and still meets its own gate.
 DEFAULT_BATCHING = True
 
 
@@ -307,8 +307,8 @@ class Simulator:
         with the sequence number of the batch's *first* item — so a batch
         fires exactly where its first frame would have, and items keep
         their arrival order inside the batch.  On the per-event plane
-        (the reference) each item gets its own ``sink.deliver(item)``
-        event at the same timestamp.
+        (the reference) each item gets its own event at the same
+        timestamp, which hands ``sink.deliver_batch`` a batch of one.
         """
         if delay < 0:
             raise ClockError(f"cannot schedule into the past (delay={delay})")
@@ -378,11 +378,12 @@ class Simulator:
         heap = self._heap
         counter = self._counter
         if not self.batching or TRACER.enabled:
-            deliver = sink.deliver
+            deliver = sink.deliver_batch
             for item in items:
                 seq = next(counter)
                 event = Event(
-                    time=when, seq=seq, action=partial(deliver, item), name=name, sim=self
+                    time=when, seq=seq, action=partial(deliver, (item,)), name=name,
+                    sim=self,
                 )
                 heapq.heappush(heap, (when, seq, event))
             return

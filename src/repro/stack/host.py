@@ -225,84 +225,68 @@ class Host(Device):
     # ==================================================================
     # Frame input
     # ==================================================================
-    def on_frame(self, port: Port, data: bytes) -> None:
-        if (
-            not self.frame_taps.hooks
-            and not self.promiscuous
-            and len(data) >= 14
-            and not data[0] & 1  # I/G bit clear: unicast destination
-            and data[:6] != self.mac.packed
-        ):
-            # NIC-level filter: a non-promiscuous NIC drops foreign
-            # unicast by comparing the first six wire bytes — no frame
-            # object is built and nothing is captured, exactly like a
-            # sniffer running without promiscuous mode.  Taps or the
-            # promiscuous flag disable the filter.
-            return
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record(self.sim.now, self.name, Direction.RX, data)
-        try:
-            # Lazy view: only the 14-byte header is parsed here.  A frame
-            # this host drops (foreign unicast, unhandled ethertype) is
-            # discarded without the payload ever being materialized.
-            frame = EthernetFrame.lazy(data)
-        except CodecError:
-            self.counters["decode_errors"] += 1
-            return
-        if TRACER.enabled:
-            tracer = TRACER
-            fid = tracer.provenance.lookup(data)
-            previous = tracer.current_frame
-            tracer.current_frame = fid
-            try:
-                with tracer.span("host.rx", node=self.name, frame=fid):
-                    self._frame_dispatch(frame, data)
-            finally:
-                tracer.current_frame = previous
-        else:
-            self._frame_dispatch(frame, data)
-
     def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """Vectorized NIC receive: filter the whole batch, then one loop.
+        """The NIC's one receive entry: filter the frames, then one loop.
 
         A non-promiscuous, untapped NIC compares destination MAC slices
         across every frame in the batch in one comprehension (a batch of
         one, the common flood delivery, is tested in place) — foreign
         unicast never produces a frame view, a capture record, or even a
-        per-frame Python call.  Every survivor is addressed to this host
-        (its own MAC or a group address), so the loop records it, builds
-        its view and dispatches on ethertype, one frame at a time in wire
-        order: capturing the whole batch first would reorder RX records
-        against the TX records their handling produces.  Anything that
-        makes the NIC see everything (taps, promiscuous mode, tracing)
-        falls back to the exact per-frame path, :meth:`on_frame`.
+        per-frame Python call.  Taps and promiscuous mode make the NIC
+        see everything.  The loop records each survivor, builds its view
+        and dispatches on ethertype, one frame at a time in wire order:
+        capturing the whole batch first would reorder RX records against
+        the TX records their handling produces.
+
+        A frame somebody observes (taps, promiscuous mode, tracing) runs
+        inside a ``host.rx`` span, past the taps, and reaches the stack
+        only if :meth:`_stack_takes` it.
         """
-        if self.frame_taps.hooks or self.promiscuous or TRACER.enabled:
-            on_frame = self.on_frame
-            for data in datas:
-                on_frame(port, data)
-            return
-        if len(datas) == 1:
-            data = datas[0]
-            if len(data) >= 14 and not data[0] & 1 and data[:6] != self.mac.packed:
-                PERF.nic_batch_filtered += 1
-                return
-            survivors = datas
-        else:
-            mine = self.mac.packed
-            survivors = [
-                d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
-            ]
-            PERF.nic_batch_filtered += len(datas) - len(survivors)
-            if not survivors:
-                return
+        taps = self.frame_taps
+        sees_all = self.promiscuous or bool(taps.hooks)
+        if not sees_all:
+            if len(datas) == 1:
+                data = datas[0]
+                if len(data) >= 14 and not data[0] & 1 and data[:6] != self.mac.packed:
+                    PERF.nic_batch_filtered += 1
+                    return
+            else:
+                mine = self.mac.packed
+                survivors = [
+                    d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
+                ]
+                PERF.nic_batch_filtered += len(datas) - len(survivors)
+                if not survivors:
+                    return
+                datas = survivors
+        observed = sees_all or TRACER.enabled
         global _shared_data, _shared_view
         recorder = self.recorder
         arp, ipv4 = EtherType.ARP, EtherType.IPV4
-        for data in survivors:
+        for data in datas:
             if recorder is not None:
                 recorder.record(self.sim.now, self.name, Direction.RX, data)
+            if observed:
+                # A view of its own, outside the memo: the memo's counting
+                # below assumes its reader is the stack, which reads every
+                # ARP and IPv4 payload, while a tap reads what it likes.
+                try:
+                    frame = FrameView(data)
+                except CodecError:
+                    self.counters["decode_errors"] += 1
+                    continue
+                with TRACER.frame_span("host.rx", data, node=self.name):
+                    if taps.hooks:
+                        # The hook point handles tracing (one scheme.inspect
+                        # span per labeled tap) and isolates tap exceptions.
+                        taps.emit(frame, data)
+                    if self._stack_takes(frame):
+                        ethertype = frame.ethertype
+                        if ethertype == arp:
+                            self._arp_rx(frame)
+                        elif ethertype == ipv4:
+                            self._ip_rx(frame)
+                continue
             if data is _shared_data:
                 # The previous receiver's view of this flooded buffer.
                 # Count what a fresh view would: its construction, and
@@ -328,21 +312,11 @@ class Host(Device):
             elif ethertype == ipv4:
                 self._ip_rx(frame)
 
-    def _frame_dispatch(self, frame: EthernetFrame, data: bytes) -> None:
-        if self.frame_taps.hooks:
-            # The hook point handles tracing (one scheme.inspect span per
-            # labeled tap) and isolates tap exceptions.
-            self.frame_taps.emit(frame, data)
-        addressed = frame.dst == self.mac or frame.dst.is_multicast
-        if not addressed:
-            # NIC in non-promiscuous mode filters foreign unicast; in
-            # promiscuous mode the taps above already saw it, but the
-            # protocol stack still ignores it.
-            return
-        if frame.ethertype == EtherType.ARP:
-            self._arp_rx(frame)
-        elif frame.ethertype == EtherType.IPV4:
-            self._ip_rx(frame)
+    def _stack_takes(self, frame: FrameView) -> bool:
+        """Does the protocol stack handle ``frame``?  Frames to this
+        station or a group address; a promiscuous NIC's taps see the
+        rest, the stack ignores them."""
+        return frame.dst == self.mac or frame.dst.is_multicast
 
     # ==================================================================
     # ARP

@@ -126,19 +126,15 @@ class TestCoalesce:
 
     def test_per_event_plane_delivers_each_item_on_its_own_event(self):
         """Batching off, or tracing on, picks the per-event plane: every
-        item becomes one ``sink.deliver`` event, in call order."""
-
-        class PlainSink(_Sink):
-            def deliver(self, item):
-                self.batches.append((self.sim.now, item))
-
+        item becomes one event handing ``sink.deliver_batch`` a batch of
+        one, in call order."""
         for batching, traced in ((False, False), (True, True)):
             if traced:
                 TRACER.reset()
                 TRACER.enable()
             try:
                 sim = Simulator(seed=1, batching=batching)
-                sink = PlainSink(sim)
+                sink = _Sink(sim)
                 flushes = PERF.batch_flushes
                 sim.coalesce(1.0, sink, "a")
                 sim.coalesce_many(1.0, sink, ["b", "c"])
@@ -149,7 +145,9 @@ class TestCoalesce:
                 if traced:
                     TRACER.disable()
                     TRACER.reset()
-            assert sink.batches == [(1.0, "a"), (1.0, "b"), (1.0, "c"), (1.0, "d")]
+            assert sink.batches == [
+                (1.0, ["a"]), (1.0, ["b"]), (1.0, ["c"]), (1.0, ["d"])
+            ]
             assert PERF.batch_flushes == flushes
 
     def test_negative_delay_rejected(self):

@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 
 from repro.errors import CodecError, TruncatedPacketError
+from repro.l2.device import Link
 from repro.l2.switch import Switch
 from repro.l2.topology import Lan
 from repro.net.addresses import (
@@ -202,16 +203,19 @@ class TestFloodSerialization:
 
     def test_vlan_flood_encodes_each_form_once(self):
         sim = Simulator(seed=3)
-        switch = Switch(sim, "sw", num_ports=6)
+        switch = Switch(sim, "sw", num_ports=8)
         switch.set_access_port(0, 10)
         for index in range(1, 6):
             switch.set_trunk_port(index)  # all carry VLAN 10 -> tagged egress
+            peer = Switch(sim, f"peer{index}", num_ports=2)
+            Link(sim, switch.ports[index], peer.ports[0])
         frame = EthernetFrame(BROADCAST_MAC, MAC_A, EtherType.IPV4, b"v" * 46)
         wire = frame.encode()
         encodes_before = PERF.packet_encodes
         reuses_before = PERF.flood_buffer_reuses
-        switch.on_frame(switch.ports[0], wire)
-        # Five trunk egress ports, one tagged serialization, four reuses.
+        switch.on_frame_batch(switch.ports[0], [wire])
+        # Five cabled trunk egress ports (two more stay uncabled), one
+        # tagged serialization, four re-sends of it.
         assert PERF.flood_buffer_reuses == reuses_before + 4
         # The tagged form was built exactly once (one frame encode).
         assert PERF.packet_encodes - encodes_before <= 2
