@@ -286,7 +286,7 @@ class Switch(Device):
 
     def _forward(self, ingress: Port, dst: MacAddress, data: bytes) -> None:
         """The learning plane's forward step for one frame: flood group
-        and unknown destinations, keep hairpins, send the rest."""
+        and unknown destinations, drop hairpins, send the rest."""
         if dst.is_multicast:  # includes broadcast
             self._flood(ingress, data)
             return

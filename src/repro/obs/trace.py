@@ -86,21 +86,14 @@ class _SpanHandle:
 
 
 class _FrameSpan(_SpanHandle):
-    """Context manager returned by :meth:`Tracer.frame_span`."""
+    """A span whose ``frame`` is the tracer's current frame inside it."""
 
-    __slots__ = ("_frame", "_previous")
-
-    def __init__(
-        self, tracer: "Tracer", name: str, attrs: Dict[str, object], frame: Optional[int]
-    ):
-        super().__init__(tracer, name, attrs)
-        self._frame = frame
-        self._previous: Optional[int] = None
+    __slots__ = ("_previous",)
 
     def __enter__(self) -> "_FrameSpan":
         tracer = self._tracer
         self._previous = tracer.current_frame
-        tracer.current_frame = self._frame
+        tracer.current_frame = self._attrs["frame"]
         return super().__enter__()
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -199,9 +192,8 @@ class Tracer:
         """
         if not self.enabled:
             return _NULL_SPAN
-        frame = self.provenance.lookup(data)
-        attrs["frame"] = frame
-        return _FrameSpan(self, name, attrs, frame)
+        attrs["frame"] = self.provenance.lookup(data)
+        return _FrameSpan(self, name, attrs)
 
     # ------------------------------------------------------------------
     # Inspection

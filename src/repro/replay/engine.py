@@ -82,8 +82,7 @@ class _ObserverHost(Host):
     contains them.
     """
 
-    def _stack_takes(self, frame) -> bool:
-        return frame.dst == self.mac
+    _stack_takes_group = False
 
 
 class ReplayLan:

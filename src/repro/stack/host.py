@@ -101,6 +101,12 @@ class Host(Device):
         The OS cache-update policy (:mod:`repro.stack.os_profiles`).
     """
 
+    #: Does the protocol stack take frames sent to a group address?  A
+    #: NIC that sees everything (taps, promiscuous mode) hands the
+    #: stack only frames to this station and, while this is set, group
+    #: frames; the taps see the rest.
+    _stack_takes_group = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -239,11 +245,12 @@ class Host(Device):
         the TX records their handling produces.
 
         A frame somebody observes (taps, promiscuous mode, tracing) runs
-        inside a ``host.rx`` span, past the taps, and reaches the stack
-        only if :meth:`_stack_takes` it.
+        inside a ``host.rx`` span and past the taps, and reaches the
+        stack only when it is addressed to this station or, with
+        :attr:`_stack_takes_group` set, to a group address.
         """
         taps = self.frame_taps
-        sees_all = self.promiscuous or bool(taps.hooks)
+        sees_all = self.promiscuous or taps.hooks
         if not sees_all:
             if len(datas) == 1:
                 data = datas[0]
@@ -260,6 +267,9 @@ class Host(Device):
                     return
                 datas = survivors
         observed = sees_all or TRACER.enabled
+        if observed:
+            mine = self.mac.packed
+            takes_group = self._stack_takes_group
         global _shared_data, _shared_view
         recorder = self.recorder
         arp, ipv4 = EtherType.ARP, EtherType.IPV4
@@ -280,7 +290,7 @@ class Host(Device):
                         # The hook point handles tracing (one scheme.inspect
                         # span per labeled tap) and isolates tap exceptions.
                         taps.emit(frame, data)
-                    if self._stack_takes(frame):
+                    if data[:6] == mine or (takes_group and data[0] & 1):
                         ethertype = frame.ethertype
                         if ethertype == arp:
                             self._arp_rx(frame)
@@ -311,12 +321,6 @@ class Host(Device):
                 self._arp_rx(frame)
             elif ethertype == ipv4:
                 self._ip_rx(frame)
-
-    def _stack_takes(self, frame: FrameView) -> bool:
-        """Does the protocol stack handle ``frame``?  Frames to this
-        station or a group address; a promiscuous NIC's taps see the
-        rest, the stack ignores them."""
-        return frame.dst == self.mac or frame.dst.is_multicast
 
     # ==================================================================
     # ARP
