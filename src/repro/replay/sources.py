@@ -401,9 +401,10 @@ class SyntheticSource(FrameSource):
         owner: Dict[int, MacAddress] = {
             i: self._station_mac(i) for i in range(self.hosts)
         }
-        #: station -> (its MAC, the announcement of that binding).  One
-        #: entry per station: a MAC a station churned away from is never
-        #: announced again, so keying by (station, MAC) only grew.
+        # station -> (its MAC, the announcement of that binding).  One
+        # entry per station, so memory stays bounded by the station
+        # count: a MAC a station churned away from is never announced
+        # again.
         announce_cache: Dict[int, Tuple[MacAddress, bytes]] = {}
         churn_serial = 0
         dt = 1.0 / self.rate

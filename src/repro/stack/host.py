@@ -249,8 +249,7 @@ class Host(Device):
         stack only when it is addressed to this station or, with
         :attr:`_stack_takes_group` set, to a group address.
         """
-        taps = self.frame_taps
-        sees_all = self.promiscuous or taps.hooks
+        sees_all = self.promiscuous or self.frame_taps.hooks
         if not sees_all:
             if len(datas) == 1:
                 data = datas[0]
@@ -268,6 +267,7 @@ class Host(Device):
                 datas = survivors
         observed = sees_all or TRACER.enabled
         if observed:
+            taps = self.frame_taps
             mine = self.mac.packed
             takes_group = self._stack_takes_group
         global _shared_data, _shared_view
