@@ -151,22 +151,23 @@ class Switch(Device):
     def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
         """The switch's one receive entry: capture, learn, resolve, egress.
 
-        One pass over the frames in wire order.  While anything observes
-        the switch — an ingress filter, an SDN agent, the VLAN plane or
-        tracing — each frame runs past its observers and leaves at once
-        through :meth:`_flood`, :meth:`_send` and :meth:`_mirror`: the
-        observers see switch state *between* frames, so what they see
-        must not change when frames arrive together.
+        While anything observes the switch — an ingress filter, an SDN
+        agent, the VLAN plane or tracing — each frame goes through
+        :meth:`on_frame` in wire order (inside its ``switch.forward``
+        span when tracing) and leaves at once: the observers see switch
+        state *between* frames, so what they see must not change when
+        frames arrive together.
 
-        Otherwise per-frame work is reduced to raw byte slicing:
-        destination and source MACs are read straight from the wire
-        bytes and resolved through the CAM's bytes-keyed index, no
-        ``FrameView`` is built, and CAM aging runs exactly once for the
-        whole batch (watermark-bounded) instead of once per frame.
-        Learning and resolution stay interleaved in wire order — a frame
-        whose source completes a later frame's destination behaves as
-        if each had arrived alone.  Egress is grouped per output port
-        and handed to each link as one batch, in wire order.
+        Otherwise the whole batch runs one pass in which per-frame work
+        is reduced to raw byte slicing: destination and source MACs are
+        read straight from the wire bytes and resolved through the CAM's
+        bytes-keyed index, no ``FrameView`` is built, and CAM aging runs
+        exactly once for the whole batch (watermark-bounded) instead of
+        once per frame.  Learning and resolution stay interleaved in
+        wire order — a frame whose source completes a later frame's
+        destination behaves as if each had arrived alone.  Egress is
+        grouped per output port and handed to each link as one batch, in
+        wire order.
         """
         now = self.sim.now
         recorder = self.recorder
@@ -176,15 +177,27 @@ class Switch(Device):
             for data in datas:
                 record(now, port_name, Direction.RX, data)
 
-        observed = (
+        if (
             TRACER.enabled
             or self.sdn_agent is not None
             or self.vlan_aware
             or self.ingress_filters.hooks  # one truthiness check per batch
-        )
+        ):
+            on_frame = self.on_frame
+            if TRACER.enabled:
+                frame_span = TRACER.frame_span
+                for data in datas:
+                    with frame_span(
+                        "switch.forward", data, node=self.name, port=port.name
+                    ):
+                        on_frame(port, data)
+            else:
+                for data in datas:
+                    on_frame(port, data)
+            return
+
         cam = self.cam
-        if not observed:
-            cam.expire(now)  # the batch's one aging sweep
+        cam.expire(now)  # the batch's one aging sweep
         learn = cam.learn_wire
         # After the sweep nothing in the table is stale for `now`, so
         # destination probes are bare bytes-dict gets (the inlined form
@@ -197,39 +210,11 @@ class Switch(Device):
         out_lists: Dict[int, List[bytes]] = {}
         ingress_index = port.index
         mirror_target = self._mirror_target
-        flood_egress: Optional[List[int]] = None
+        live = self.live_ports()
         flood_count = 0
         forwarded = 0
         undecodable = 0
         for data in datas:
-            if observed:
-                with TRACER.frame_span(
-                    "switch.forward", data, node=self.name, port=port.name
-                ):
-                    try:
-                        # Lazy view: forwarding decisions need only the
-                        # 14-byte header; the payload is materialized only
-                        # if a filter or monitor reads it.
-                        frame = EthernetFrame.lazy(data)
-                    except CodecError:
-                        undecodable += 1
-                        continue
-                    agent = self.sdn_agent
-                    if agent is not None and agent.on_switch_frame(port, frame, data):
-                        continue
-                    if self.vlan_aware:
-                        self._vlan_on_frame(port, frame, data)
-                        continue
-                    if self.ingress_filters.hooks and not self._run_ingress_filters(
-                        port, frame
-                    ):
-                        self.dropped_frames += 1
-                        self._mirror(port, data)  # monitors still see dropped frames
-                        continue
-                    cam.learn(frame.src, ingress_index, now)
-                    self._mirror(port, data)
-                    self._forward(port, frame.dst, data)
-                continue
             if len(data) < 14 or data[12] < 6:
                 # A runt, or an 802.3 length (< 0x0600) where the type
                 # goes: a FrameView rejects both.
@@ -252,13 +237,9 @@ class Switch(Device):
                 # copy above).  This is the fail-open behaviour MAC
                 # flooding forces permanently by filling the CAM.
                 flood_count += 1
-                if flood_egress is None:
-                    flood_egress = [
-                        index
-                        for index in self.live_ports()
-                        if index != ingress_index and index != mirror_target
-                    ]
-                for index in flood_egress:
+                for index in live:
+                    if index == ingress_index or index == mirror_target:
+                        continue
                     group = out_lists.get(index)
                     if group is None:
                         out_lists[index] = [data]
@@ -278,11 +259,43 @@ class Switch(Device):
         self.forwarded_frames += forwarded
         if flood_count:
             self.flooded_frames += flood_count
-            # Every flood copy re-sends the ingress buffer.
-            PERF.flood_buffer_reuses += flood_count * len(flood_egress)
+            # Every flood copy re-sends the ingress buffer: one copy per
+            # live port but the ingress and the mirror target.
+            copies = len(live) - len({ingress_index, mirror_target}.intersection(live))
+            PERF.flood_buffer_reuses += flood_count * copies
         ports = self.ports
         for index, group in out_lists.items():
             ports[index].transmit_batch(group)
+
+    def on_frame(self, port: Port, data: bytes) -> None:
+        """One observed frame: the per-frame step of
+        :meth:`on_frame_batch` (ports deliver only through that entry).
+
+        The frame runs past the SDN agent, the VLAN plane and the
+        ingress filters, then leaves at once through :meth:`_mirror`
+        and :meth:`_forward`.
+        """
+        try:
+            # Lazy view: forwarding decisions need only the 14-byte header;
+            # the payload is materialized only if a filter/monitor reads it.
+            frame = EthernetFrame.lazy(data)
+        except CodecError:
+            self.undecodable_frames += 1
+            return
+        agent = self.sdn_agent
+        if agent is not None and agent.on_switch_frame(port, frame, data):
+            return
+        if self.vlan_aware:
+            self._vlan_on_frame(port, frame, data)
+            return
+        if self.ingress_filters.hooks:
+            if not self._run_ingress_filters(port, frame):
+                self.dropped_frames += 1
+                self._mirror(port, data)  # monitors still see dropped frames
+                return
+        self.cam.learn(frame.src, port.index, self.sim.now)
+        self._mirror(port, data)
+        self._forward(port, frame.dst, data)
 
     def _forward(self, ingress: Port, dst: MacAddress, data: bytes) -> None:
         """The learning plane's forward step for one frame: flood group

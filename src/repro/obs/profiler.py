@@ -55,7 +55,9 @@ DEFAULT_INTERVAL = 0.002
 _MAX_DEPTH = 64
 
 #: Function names that mark the *batched* data plane inside ``repro/l2/``
-#: (PR 7's batch entry points); everything else there is per-frame.
+#: (the batch entry points and the grouped pass of ``on_frame_batch``);
+#: everything else there is per-frame, ``Switch.on_frame`` (the step an
+#: observed frame takes) included.
 _BATCH_FUNCS = frozenset(
     {
         "carry_batch",

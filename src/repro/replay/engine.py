@@ -10,15 +10,15 @@ switch mirror port.
 One delivery loop: the source hands over one
 :class:`~repro.analysis.pcap.FrameWindow` per bounded in-flight window
 (:meth:`FrameSource.windows`), and each kept frame goes through
-``Port.deliver_batch`` → ``Host.on_frame_batch`` as a batch of one, at
-its own trace timestamp, clamped to the stream's running maximum.  The
-source runs arpwatch's capture filter (``arp or udp port 67 or 68``)
-while it builds the window — a pcap source inside its record walk —
-so the benign majority never reaches the engine.  The filter is off
-when a per-frame ``observer`` is attached, when ``TRACER`` is enabled
-(so frame provenance ids number every capture position), and when an
-installed scheme overrides ``on_any_frame`` and therefore inspects
-non-ARP/DHCP traffic.
+``Port.deliver_batch`` → ``Host.on_frame_batch`` → ``Host.on_frame``
+as a batch of one, at its own trace timestamp, clamped to the stream's
+running maximum.  The source runs arpwatch's capture filter (``arp or
+udp port 67 or 68``) while it builds the window — a pcap source inside
+its record walk — so the benign majority never reaches the engine.
+The filter is off when a per-frame ``observer`` is attached, when
+``TRACER`` is enabled (so frame provenance ids number every capture
+position), and when an installed scheme overrides ``on_any_frame`` and
+therefore inspects non-ARP/DHCP traffic.
 
 The source is consumed *pull-based* behind the window, so a multi-GB
 trace replays in O(window) memory — ``peak_in_flight`` records the

@@ -22,6 +22,7 @@ and safe against removal during dispatch.  They keep a list-compatible
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +64,9 @@ UdpHandler = Callable[["Host", Ipv4Address, UdpDatagram], None]
 #: buffer, so sharing one across hosts and simulators is safe.
 _shared_data: Optional[bytes] = None
 _shared_view: Optional[FrameView] = None
+
+#: Stands in for the ``host.rx`` span when tracing is off.
+_NO_SPAN = nullcontext()
 
 
 @dataclass
@@ -234,69 +238,46 @@ class Host(Device):
     def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
         """The NIC's one receive entry: filter the frames, then one loop.
 
-        A non-promiscuous, untapped NIC compares destination MAC slices
-        across every frame in the batch in one comprehension (a batch of
-        one, the common flood delivery, is tested in place) — foreign
-        unicast never produces a frame view, a capture record, or even a
-        per-frame Python call.  Taps and promiscuous mode make the NIC
-        see everything.  The loop records each survivor, builds its view
-        and dispatches on ethertype, one frame at a time in wire order:
-        capturing the whole batch first would reorder RX records against
-        the TX records their handling produces.
+        Anything that makes the NIC see everything (taps, promiscuous
+        mode) or that follows each frame (tracing) sends every frame
+        through :meth:`on_frame`, one at a time in wire order.
 
-        A frame somebody observes (taps, promiscuous mode, tracing) runs
-        inside a ``host.rx`` span and past the taps, and reaches the
-        stack only when it is addressed to this station or, with
-        :attr:`_stack_takes_group` set, to a group address.
+        Otherwise a non-promiscuous, untapped NIC compares destination
+        MAC slices across every frame in the batch in one comprehension
+        (a batch of one, the common flood delivery, is tested in place)
+        — foreign unicast never produces a frame view, a capture record,
+        or even a per-frame Python call.  Every survivor is addressed to
+        this host (its own MAC or a group address), so the loop records
+        it, builds its view and dispatches on ethertype, one frame at a
+        time in wire order: capturing the whole batch first would
+        reorder RX records against the TX records their handling
+        produces.
         """
-        sees_all = self.promiscuous or self.frame_taps.hooks
-        if not sees_all:
-            if len(datas) == 1:
-                data = datas[0]
-                if len(data) >= 14 and not data[0] & 1 and data[:6] != self.mac.packed:
-                    PERF.nic_batch_filtered += 1
-                    return
-            else:
-                mine = self.mac.packed
-                survivors = [
-                    d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
-                ]
-                PERF.nic_batch_filtered += len(datas) - len(survivors)
-                if not survivors:
-                    return
-                datas = survivors
-        observed = sees_all or TRACER.enabled
-        if observed:
-            taps = self.frame_taps
+        if self.frame_taps.hooks or self.promiscuous or TRACER.enabled:
+            on_frame = self.on_frame
+            for data in datas:
+                on_frame(port, data)
+            return
+        if len(datas) == 1:
+            data = datas[0]
+            if len(data) >= 14 and not data[0] & 1 and data[:6] != self.mac.packed:
+                PERF.nic_batch_filtered += 1
+                return
+        else:
             mine = self.mac.packed
-            takes_group = self._stack_takes_group
+            survivors = [
+                d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
+            ]
+            PERF.nic_batch_filtered += len(datas) - len(survivors)
+            if not survivors:
+                return
+            datas = survivors
         global _shared_data, _shared_view
         recorder = self.recorder
         arp, ipv4 = EtherType.ARP, EtherType.IPV4
         for data in datas:
             if recorder is not None:
                 recorder.record(self.sim.now, self.name, Direction.RX, data)
-            if observed:
-                # A view of its own, outside the memo: the memo's counting
-                # below assumes its reader is the stack, which reads every
-                # ARP and IPv4 payload, while a tap reads what it likes.
-                try:
-                    frame = FrameView(data)
-                except CodecError:
-                    self.counters["decode_errors"] += 1
-                    continue
-                with TRACER.frame_span("host.rx", data, node=self.name):
-                    if taps.hooks:
-                        # The hook point handles tracing (one scheme.inspect
-                        # span per labeled tap) and isolates tap exceptions.
-                        taps.emit(frame, data)
-                    if data[:6] == mine or (takes_group and data[0] & 1):
-                        ethertype = frame.ethertype
-                        if ethertype == arp:
-                            self._arp_rx(frame)
-                        elif ethertype == ipv4:
-                            self._ip_rx(frame)
-                continue
             if data is _shared_data:
                 # The previous receiver's view of this flooded buffer.
                 # Count what a fresh view would: its construction, and
@@ -321,6 +302,53 @@ class Host(Device):
                 self._arp_rx(frame)
             elif ethertype == ipv4:
                 self._ip_rx(frame)
+
+    def on_frame(self, port: Port, data: bytes) -> None:
+        """One observed frame: the per-frame step of
+        :meth:`on_frame_batch` (ports deliver only through that entry).
+
+        Without taps or promiscuous mode the NIC still drops foreign
+        unicast on its first six bytes.  A frame it keeps is recorded,
+        gets a view of its own (outside the flood memo, whose counting
+        assumes its reader is the stack, while a tap reads what it
+        likes) and runs past the taps, inside a ``host.rx`` span when
+        tracing.  It
+        reaches the stack only when it is addressed to this station or,
+        with :attr:`_stack_takes_group` set, to a group address.
+        """
+        taps = self.frame_taps
+        mine = self.mac.packed
+        if (
+            not taps.hooks
+            and not self.promiscuous
+            and len(data) >= 14
+            and not data[0] & 1  # I/G bit clear: unicast destination
+            and data[:6] != mine
+        ):
+            return
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(self.sim.now, self.name, Direction.RX, data)
+        try:
+            frame = FrameView(data)
+        except CodecError:
+            self.counters["decode_errors"] += 1
+            return
+        with (
+            TRACER.frame_span("host.rx", data, node=self.name)
+            if TRACER.enabled
+            else _NO_SPAN
+        ):
+            if taps.hooks:
+                # The hook point handles tracing (one scheme.inspect span
+                # per labeled tap) and isolates tap exceptions.
+                taps.emit(frame, data)
+            if data[:6] == mine or (self._stack_takes_group and data[0] & 1):
+                ethertype = frame.ethertype
+                if ethertype == EtherType.ARP:
+                    self._arp_rx(frame)
+                elif ethertype == EtherType.IPV4:
+                    self._ip_rx(frame)
 
     # ==================================================================
     # ARP

@@ -19,26 +19,6 @@ settings.register_profile(
 )
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "paper_size: runs only when selected with -m (CI's mode-pins job)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    """Leave ``paper_size`` tests out unless ``-m`` names them: tier-1
-    runs the quick pins, CI's ``mode-pins`` job the paper-size ones."""
-    if "paper_size" in (config.getoption("markexpr") or ""):
-        return
-    kept = [item for item in items if "paper_size" not in item.keywords]
-    if len(kept) != len(items):
-        config.hook.pytest_deselected(
-            items=[item for item in items if "paper_size" in item.keywords]
-        )
-        items[:] = kept
-
-
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=42)
