@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -22,30 +22,70 @@ times = st.floats(min_value=0, max_value=1e4, allow_nan=False)
 
 
 class CamMachine(RuleBasedStateMachine):
-    """CAM table never exceeds capacity and lookups reflect learns."""
+    """CAM table never exceeds capacity, lookups reflect learns, and every
+    view of the table (``len``, iteration, ``in``, ``entries_on_port``)
+    agrees with :meth:`CamTable.lookup`."""
 
     def __init__(self):
         super().__init__()
         self.cam = CamTable(capacity=8, aging=100.0)
         self.now = 0.0
         self.model: dict = {}  # mac -> (port, expiry) for non-static
+        self.static: dict = {}  # mac -> port
+
+    def _live(self) -> dict:
+        live = {m: p for m, (p, exp) in self.model.items() if exp > self.now}
+        live.update(self.static)
+        return live
+
+    def _expect_learn(self, mac, port) -> bool:
+        """Update the model for a learn at ``self.now``; returns whether
+        the table must accept it."""
+        if mac in self.static:
+            return True
+        live = self._live()
+        if mac not in live and len(live) >= self.cam.capacity:
+            return False
+        self.model[mac] = (port, self.now + 100.0)
+        return True
 
     @rule(mac=macs, port=ports, dt=st.floats(min_value=0, max_value=50))
     def learn(self, mac, port, dt):
         self.now += dt
         accepted = self.cam.learn(mac, port, now=self.now)
-        if accepted and not mac.is_multicast:
-            self.model[mac] = (port, self.now + 100.0)
+        assert accepted == self._expect_learn(mac, port)
+
+    @rule(mac=macs, port=ports, dt=st.floats(min_value=0, max_value=50))
+    def expire_then_learn_wire(self, mac, port, dt):
+        self.now += dt
+        self.cam.expire(self.now)
+        accepted = self.cam.learn_wire(mac.packed, port, self.now)
+        assert accepted == self._expect_learn(mac, port)
+
+    @rule(mac=macs, port=ports)
+    def add_static(self, mac, port):
+        # Static entries bypass the capacity check; keep the table within
+        # it so the capacity invariant stays meaningful.
+        assume(mac in self.cam or len(self.cam) < self.cam.capacity)
+        self.cam.add_static(mac, port, self.now)
+        self.model.pop(mac, None)
+        self.static[mac] = port
+
+    @rule(port=ports)
+    def flush_port(self, port):
+        dynamic = [e.mac for e in self.cam.entries_on_port(port) if not e.static]
+        assert self.cam.flush_port(port) == len(dynamic)
+        for mac in dynamic:
+            assert mac not in self.cam
+            del self.model[mac]
 
     @rule(mac=macs, dt=st.floats(min_value=0, max_value=50))
     def lookup(self, mac, dt):
         self.now += dt
         got = self.cam.lookup(mac, now=self.now)
-        expected = self.model.get(mac)
-        if expected is not None and expected[1] > self.now:
-            assert got == expected[0]
-        else:
-            assert got is None
+        expected = self._live().get(mac)
+        assert got == expected
+        if expected is None:
             self.model.pop(mac, None)
 
     @invariant()
@@ -55,6 +95,30 @@ class CamMachine(RuleBasedStateMachine):
     @invariant()
     def utilization_in_unit_interval(self):
         assert 0.0 <= self.cam.utilization() <= 1.0
+
+    @invariant()
+    def views_agree_with_lookup(self):
+        entries = list(self.cam)
+        assert len(self.cam) == len(entries)
+        assert len({e.mac for e in entries}) == len(entries)
+        for port in range(16):
+            assert self.cam.entries_on_port(port) == [
+                e for e in entries if e.port_index == port
+            ]
+        held = {e.mac for e in entries}
+        for mac in held | set(self.model) | set(self.static):
+            assert (mac in self.cam) == (mac in held)
+        live = self._live()
+        for entry in entries:
+            if entry.static or entry.expires_at > self.now:
+                assert live.get(entry.mac) == entry.port_index
+                assert self.cam.lookup(entry.mac, self.now) == entry.port_index
+            else:
+                # Aged out but not yet swept: lookup would drop it.
+                assert entry.mac not in live
+        for mac, port in live.items():
+            assert mac in held
+            assert self.cam.lookup(mac, self.now) == port
 
 
 TestCamMachine = CamMachine.TestCase
