@@ -53,7 +53,7 @@ def run_session(with_scheme: Optional[str]) -> tuple[int, List[bytes], int]:
         return None
 
     mitm = MitmAttack(mallory, alice, lan.gateway)
-    mallory.forward_taps.append(sniff)
+    mallory.forward_taps.add(sniff)
     mitm.start()
     sim.run(until=8.0)
 

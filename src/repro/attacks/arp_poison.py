@@ -96,10 +96,7 @@ class ArpPoisoner(Attack):
     # ------------------------------------------------------------------
     def _start(self) -> None:
         if self.technique == "reactive":
-            self.attacker.frame_taps.append(self._on_sniffed_frame)
-            self._untap = lambda: self.attacker.frame_taps.remove(
-                self._on_sniffed_frame
-            )
+            self._untap = self.attacker.frame_taps.add(self._on_sniffed_frame)
             self.attacker.promiscuous = True
             return
         self._volley()  # poison immediately, then keep refreshing

@@ -57,8 +57,7 @@ class ArpScan(Attack):
             for ip in self.attacker.network.hosts()
             if self.attacker.ip is None or ip != self.attacker.ip
         ]
-        self.attacker.frame_taps.append(self._on_frame)
-        self._untap = lambda: self.attacker.frame_taps.remove(self._on_frame)
+        self._untap = self.attacker.frame_taps.add(self._on_frame)
         interval = self.stealth_interval if self.stealth else 1.0 / self.rate
         self._probe_next()
         self._cancel = self.attacker.sim.call_every(

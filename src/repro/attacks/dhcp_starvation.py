@@ -52,12 +52,13 @@ class DhcpStarvation(Attack):
         self.greedy = greedy
         self._rng = attacker.sim.rng_stream(f"starve/{attacker.name}")
         self._cancel = None
+        self._untap = None
         self._fake_xids: Dict[int, MacAddress] = {}
         self.leases_captured = 0
 
     def _start(self) -> None:
         if self.greedy:
-            self.attacker.frame_taps.append(self._on_sniffed_frame)
+            self._untap = self.attacker.frame_taps.add(self._on_sniffed_frame)
         self._emit_discover()
         self._cancel = self.attacker.sim.call_every(
             1.0 / self.rate, self._emit_discover, name=self.kind
@@ -67,8 +68,9 @@ class DhcpStarvation(Attack):
         if self._cancel is not None:
             self._cancel()
             self._cancel = None
-        if self._on_sniffed_frame in self.attacker.frame_taps:
-            self.attacker.frame_taps.remove(self._on_sniffed_frame)
+        if self._untap is not None:
+            self._untap()
+            self._untap = None
 
     # ------------------------------------------------------------------
     def _emit_discover(self) -> None:

@@ -86,18 +86,20 @@ class MitmAttack(Attack):
         )
         self.intercepted: List[InterceptedPacket] = []
         self._saved_forwarding: Optional[bool] = None
+        self._untap = None
 
     # ------------------------------------------------------------------
     def _start(self) -> None:
         self._saved_forwarding = self.attacker.ip_forward
         self.attacker.ip_forward = True
-        self.attacker.forward_taps.append(self._on_forward)
+        self._untap = self.attacker.forward_taps.add(self._on_forward)
         self.poisoner.start()
 
     def _stop(self) -> None:
         self.poisoner.stop()
-        if self._on_forward in self.attacker.forward_taps:
-            self.attacker.forward_taps.remove(self._on_forward)
+        if self._untap is not None:
+            self._untap()
+            self._untap = None
         if self._saved_forwarding is not None:
             self.attacker.ip_forward = self._saved_forwarding
 

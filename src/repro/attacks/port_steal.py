@@ -57,8 +57,7 @@ class PortStealing(Attack):
             if frame.dst in self.victim_macs:
                 self.frames_captured += 1
 
-        self.attacker.frame_taps.append(tap)
-        self._untap = lambda: self.attacker.frame_taps.remove(tap)
+        self._untap = self.attacker.frame_taps.add(tap)
         self._steal()
         self._cancel = self.attacker.sim.call_every(
             self.interval, self._steal, name=self.kind

@@ -57,14 +57,16 @@ class SessionHijacker(Attack):
         self.flows: Dict[Tuple[Ipv4Address, Ipv4Address, int, int], FlowState] = {}
         self.injections = 0
         self.resets = 0
+        self._untap = None
 
     # ------------------------------------------------------------------
     def _start(self) -> None:
-        self.attacker.forward_taps.append(self._observe)
+        self._untap = self.attacker.forward_taps.add(self._observe)
 
     def _stop(self) -> None:
-        if self._observe in self.attacker.forward_taps:
-            self.attacker.forward_taps.remove(self._observe)
+        if self._untap is not None:
+            self._untap()
+            self._untap = None
 
     def _observe(self, packet: Ipv4Packet) -> None:
         if packet.proto != IpProto.TCP:

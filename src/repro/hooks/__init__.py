@@ -39,12 +39,9 @@ Dispatch modes match the calling conventions of the legacy surfaces:
 :meth:`~HookPoint.emit` (notify-all: frame taps), :meth:`~HookPoint.verdict`
 (first non-``None`` wins: ARP guards), :meth:`~HookPoint.allow`
 (all-must-allow: ingress filters) and :meth:`~HookPoint.transform`
-(value-rewriting chain: forward taps).  The batched data plane adds
-opt-in batch modes — :meth:`~HookPoint.emit_batch` and
-:meth:`~HookPoint.transform_batch` — which cost an idle pipeline one
-truthiness check per *batch* instead of per frame, unroll per-frame
-hooks transparently, and hand the whole batch to hooks registered with
-``add(..., batch=True)``.  :class:`TeardownStack` gives
+(value-rewriting chain: forward taps and link faults).  Every mode
+takes one item; a caller holding a frame batch dispatches per frame,
+in wire order.  :class:`TeardownStack` gives
 scheme teardown the same isolation guarantees; :class:`Pipeline` groups
 the hook points of one device under its node label.
 """
@@ -131,25 +128,16 @@ def _record_fault(
 class Hook:
     """One installed hook: the callable plus its dispatch metadata."""
 
-    __slots__ = ("fn", "priority", "owner", "seq", "active", "batch")
+    __slots__ = ("fn", "priority", "owner", "seq", "active")
 
     def __init__(
-        self,
-        fn: Callable,
-        priority: int,
-        owner: Optional[str],
-        seq: int,
-        batch: bool = False,
+        self, fn: Callable, priority: int, owner: Optional[str], seq: int
     ) -> None:
         self.fn = fn
         self.priority = priority
         self.owner = owner
         self.seq = seq
         self.active = True
-        #: Batch-aware hooks opt in to receiving a whole item batch in one
-        #: call from the ``*_batch`` dispatch modes; per-frame hooks get an
-        #: unrolled loop instead.
-        self.batch = batch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self.active else "removed"
@@ -182,7 +170,6 @@ class HookPoint:
         "_entries",
         "hooks",
         "_seq",
-        "has_batch_hooks",
     )
 
     def __init__(
@@ -202,9 +189,6 @@ class HookPoint:
         #: Snapshot tuple for hot paths: ``if point.hooks:`` is as cheap
         #: as the old empty-list check and is what dispatch iterates.
         self.hooks: Tuple[Hook, ...] = ()
-        #: True when any installed hook opted into batch dispatch
-        #: (precomputed so ``*_batch`` modes pick their path in O(1)).
-        self.has_batch_hooks = False
         self._seq = itertools.count()
 
     # ------------------------------------------------------------------
@@ -215,7 +199,6 @@ class HookPoint:
         fn: Callable,
         priority: int = 0,
         owner: Optional[str] = None,
-        batch: bool = False,
     ) -> Callable[[], None]:
         """Install ``fn``; returns a one-shot, idempotent removal token.
 
@@ -223,15 +206,10 @@ class HookPoint:
         ``_obs_scheme`` label applied by ``Scheme._mark_hook`` is used
         (bound methods proxy attribute reads to their function).  Lower
         ``priority`` runs earlier; ties keep insertion order.
-
-        ``batch=True`` opts the hook into batch dispatch: the ``*_batch``
-        modes call it once per batch with the whole item sequence instead
-        of once per item.  Opting in trades the per-frame interleaving
-        guarantee for throughput — see :meth:`emit_batch`.
         """
         if owner is None:
             owner = getattr(fn, "_obs_scheme", None)
-        hook = Hook(fn, priority, owner, next(self._seq), batch=batch)
+        hook = Hook(fn, priority, owner, next(self._seq))
         self._entries.append(hook)
         self._entries.sort(key=lambda h: (h.priority, h.seq))
         self._rebuild()
@@ -250,31 +228,12 @@ class HookPoint:
 
     def _rebuild(self) -> None:
         self.hooks = tuple(self._entries)
-        self.has_batch_hooks = any(hook.batch for hook in self._entries)
-
-    # -- list-compatible surface (attack tools, ad-hoc test taps) -------
-    def append(self, fn: Callable) -> None:
-        """``list.append`` shim: install at default priority, no owner."""
-        self.add(fn)
-
-    def remove(self, fn: Callable) -> None:
-        """``list.remove`` shim: drop the first entry wrapping ``fn``."""
-        for hook in self._entries:
-            if hook.fn == fn:
-                hook.active = False
-                self._entries.remove(hook)
-                self._rebuild()
-                return
-        raise ValueError(f"{self.name}: hook not installed: {fn!r}")
 
     def clear(self) -> None:
         for hook in self._entries:
             hook.active = False
         self._entries.clear()
         self._rebuild()
-
-    def __contains__(self, fn: object) -> bool:
-        return any(hook.fn == fn for hook in self._entries)
 
     def __iter__(self) -> Iterator[Callable]:
         return iter(hook.fn for hook in self.hooks)
@@ -454,80 +413,6 @@ class HookPoint:
             if replacement is not None:
                 value = replacement
         return value
-
-    # ------------------------------------------------------------------
-    # Batch dispatch modes (the batched data plane)
-    # ------------------------------------------------------------------
-    def emit_batch(self, items, *args) -> None:
-        """Notify hooks of a whole item batch in one dispatch.
-
-        ``items`` is a sequence of argument tuples (one per frame); each
-        hook also receives ``*args`` appended.  An idle pipeline costs
-        exactly one truthiness check for the entire batch.  When no hook
-        opted into batch dispatch, items are unrolled item-outer — each
-        item visits every hook before the next item, byte-for-byte the
-        per-frame :meth:`emit` order.  Batch-aware hooks
-        (``add(..., batch=True)``) are called once with the whole batch
-        at their priority position; mixing batch-aware and per-frame
-        hooks switches the loop to hook-outer, which is part of what a
-        hook opts into.
-        """
-        hooks = self.hooks
-        if not hooks:
-            return
-        if not self.has_batch_hooks:
-            emit = self.emit
-            for item in items:
-                emit(*item, *args)
-            return
-        for hook in hooks:
-            if not hook.active:
-                continue
-            try:
-                if hook.batch:
-                    hook.fn(items, *args)
-                else:
-                    fn = hook.fn
-                    for item in items:
-                        fn(*item, *args)
-            except Exception as exc:
-                self._isolate(hook, exc)
-
-    def transform_batch(self, values, *args):
-        """Value-rewriting chain over a batch of values.
-
-        Semantics match running :meth:`transform` on each value in order
-        — per-frame hooks see one value at a time, in batch order, with
-        identical fault isolation — so the fault injector's per-link
-        impairments draw randomness in exactly the wire order whether or
-        not frames arrive batched.  Batch-aware hooks receive (and may
-        replace) the whole value list in one call.  Returns the (new)
-        list of transformed values.
-        """
-        hooks = self.hooks
-        if not hooks:
-            return list(values)
-        if not self.has_batch_hooks:
-            transform = self.transform
-            return [transform(value, *args) for value in values]
-        out = list(values)
-        for hook in hooks:
-            if not hook.active:
-                continue
-            try:
-                if hook.batch:
-                    replacement = hook.fn(out, *args)
-                    if replacement is not None:
-                        out = list(replacement)
-                else:
-                    fn = hook.fn
-                    for i, value in enumerate(out):
-                        replacement = fn(value, *args)
-                        if replacement is not None:
-                            out[i] = replacement
-            except Exception as exc:
-                self._isolate(hook, exc)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -13,11 +13,12 @@ sweep per frame — and the sweep/skip counts surface in
 :data:`repro.perf.PERF` (``cam_sweeps`` / ``cam_sweep_skips``) so the
 one-sweep-per-batch claim is measurable, not aspirational.
 
-Entries are indexed twice: by :class:`~repro.net.addresses.MacAddress`
-(the classic API) and by the packed 6-byte wire form, so the switch's
-batch path can resolve destination MACs straight from frame buffers
-(:meth:`lookup_wire`, :meth:`lookup_batch`) without constructing an
-address object per frame.
+Entries live in one dict keyed by the packed 6-byte wire form, so the
+switch's batch path resolves MACs straight from frame buffers
+(:meth:`learn_wire`, :meth:`lookup_batch`) without constructing an
+address object per frame; the :class:`~repro.net.addresses.MacAddress`
+API (:meth:`learn`, :meth:`lookup`) reads the same dict through
+``mac.packed``.
 """
 
 from __future__ import annotations
@@ -67,9 +68,7 @@ class CamTable:
             raise ValueError(f"aging must be positive, got {aging}")
         self.capacity = capacity
         self.aging = aging
-        self._entries: Dict[MacAddress, CamEntry] = {}
-        #: Mirror index keyed by the packed wire bytes — kept in lockstep
-        #: with ``_entries`` so batch lookups skip MacAddress construction.
+        #: The one index: packed wire bytes -> entry.
         self._by_wire: Dict[bytes, CamEntry] = {}
         #: Earliest instant any dynamic entry can expire.  Conservative:
         #: refreshes raise an entry's expiry without raising the watermark,
@@ -83,17 +82,17 @@ class CamTable:
         self.sweeps_skipped = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_wire)
 
     def __contains__(self, mac: MacAddress) -> bool:
-        return mac in self._entries
+        return mac.packed in self._by_wire
 
     def __iter__(self) -> Iterator[CamEntry]:
-        return iter(self._entries.values())
+        return iter(self._by_wire.values())
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self._by_wire) >= self.capacity
 
     def expire(self, now: float) -> int:
         """Drop aged-out entries; returns how many were removed.
@@ -109,15 +108,14 @@ class CamTable:
             return 0
         self.sweeps += 1
         PERF.cam_sweeps += 1
-        entries = self._entries
+        entries = self._by_wire
         dead = [
-            mac
-            for mac, entry in entries.items()
+            packed
+            for packed, entry in entries.items()
             if not entry.static and entry.expires_at <= now
         ]
-        by_wire = self._by_wire
-        for mac in dead:
-            del by_wire[entries.pop(mac).mac.packed]
+        for packed in dead:
+            del entries[packed]
         self._next_expiry = min(
             (e.expires_at for e in entries.values() if not e.static),
             default=_INF,
@@ -134,29 +132,7 @@ class CamTable:
         if mac.is_multicast:
             return False
         self.expire(now)
-        entry = self._entries.get(mac)
-        if entry is not None:
-            if entry.static:
-                return True
-            if entry.port_index != port_index:
-                self.moves += 1
-                entry.port_index = port_index
-            entry.expires_at = now + self.aging
-            return True
-        if self.is_full:
-            self.learn_failures += 1
-            return False
-        entry = CamEntry(
-            mac=mac,
-            port_index=port_index,
-            learned_at=now,
-            expires_at=now + self.aging,
-        )
-        self._entries[mac] = entry
-        self._by_wire[mac.packed] = entry
-        if entry.expires_at < self._next_expiry:
-            self._next_expiry = entry.expires_at
-        return True
+        return self.learn_wire(mac.packed, port_index, now)
 
     def learn_wire(self, packed: bytes, port_index: int, now: float) -> bool:
         """:meth:`learn` from packed wire bytes, for a *pre-expired* table.
@@ -187,7 +163,6 @@ class CamTable:
             learned_at=now,
             expires_at=now + self.aging,
         )
-        self._entries[mac] = entry
         self._by_wire[mac.packed] = entry
         if entry.expires_at < self._next_expiry:
             self._next_expiry = entry.expires_at
@@ -202,27 +177,15 @@ class CamTable:
             expires_at=_INF,
             static=True,
         )
-        self._entries[mac] = entry
         self._by_wire[mac.packed] = entry
 
     def lookup(self, mac: MacAddress, now: float) -> Optional[int]:
         """Port index for ``mac``, or ``None`` (flood)."""
-        entry = self._entries.get(mac)
-        if entry is None:
-            return None
-        if not entry.static and entry.expires_at <= now:
-            del self._entries[mac]
-            del self._by_wire[entry.mac.packed]
-            return None
-        return entry.port_index
-
-    def lookup_wire(self, packed: bytes, now: float) -> Optional[int]:
-        """:meth:`lookup` keyed by packed wire bytes."""
+        packed = mac.packed
         entry = self._by_wire.get(packed)
         if entry is None:
             return None
         if not entry.static and entry.expires_at <= now:
-            del self._entries[entry.mac]
             del self._by_wire[packed]
             return None
         return entry.port_index
@@ -247,10 +210,9 @@ class CamTable:
         return out
 
     def entries_on_port(self, port_index: int) -> list[CamEntry]:
-        return [e for e in self._entries.values() if e.port_index == port_index]
+        return [e for e in self._by_wire.values() if e.port_index == port_index]
 
     def flush(self) -> None:
-        self._entries.clear()
         self._by_wire.clear()
         self._next_expiry = _INF
 
@@ -260,15 +222,16 @@ class CamTable:
         Static entries survive — port security re-validates them itself.
         Returns how many entries were dropped.
         """
+        entries = self._by_wire
         dead = [
-            mac
-            for mac, entry in self._entries.items()
+            packed
+            for packed, entry in entries.items()
             if entry.port_index == port_index and not entry.static
         ]
-        for mac in dead:
-            del self._by_wire[self._entries.pop(mac).mac.packed]
+        for packed in dead:
+            del entries[packed]
         return len(dead)
 
     def utilization(self) -> float:
         """Fill fraction in [0, 1] — MAC-flood detectors watch this."""
-        return len(self._entries) / self.capacity
+        return len(self._by_wire) / self.capacity

@@ -6,16 +6,17 @@ propagation latency and serialization rate.  Every link can host a
 :class:`~repro.sim.trace.TraceRecorder`, which is how sniffers and the
 evaluation's overhead accounting observe traffic.
 
-The wire is also where the batched data plane engages: :meth:`Link.carry`
-hands every arrival to :meth:`~repro.sim.simulator.Simulator.coalesce`,
-which — when the owning simulator has ``batching`` on and tracing is off
-— merges same-instant deliveries to one receiver into a single
-``deliver_batch`` flush instead of one event per frame (otherwise each
-frame arrives as a batch of one), and :meth:`Port.transmit_batch` lets
-a flooding switch hand a whole frame batch to each egress link in one
-call.  Fault-injection hooks on :attr:`Link.faults` still transform
-every frame individually (same hook order, same RNG draw order), so
-``repro.faults`` semantics are identical on both paths.
+Sending, like receiving, has one entry per layer: :meth:`Port.transmit_batch`
+hands frames to :meth:`Link.carry_batch`, and a frame sent on its own is
+a batch of one.  The wire is also where the batched data plane engages:
+:meth:`Link.carry_batch` hands every arrival to
+:meth:`~repro.sim.simulator.Simulator.coalesce`, which — when the owning
+simulator has ``batching`` on and tracing is off — merges same-instant
+deliveries to one receiver into a single ``deliver_batch`` flush instead
+of one event per frame (otherwise each frame arrives as a batch of one).
+Fault-injection hooks on :attr:`Link.faults` transform every frame
+individually (same hook order, same RNG draw order), however many frames
+a call carries.
 """
 
 from __future__ import annotations
@@ -79,17 +80,12 @@ class Port:
     def attached(self) -> bool:
         return self.link is not None
 
-    def transmit(self, data: bytes) -> None:
-        """Send raw frame bytes out this port (no-op when down/unattached)."""
-        link = self.link
-        if link is None or not self.up:
-            return
-        self.tx_frames += 1
-        self.tx_bytes += len(data)
-        link.carry(self, data)
-
     def transmit_batch(self, datas: Sequence[bytes]) -> None:
-        """Send many frames out this port in one call (flood egress)."""
+        """The port's one send entry: frames leaving together, in wire
+        order (no-op when down or unattached).
+
+        A frame sent on its own is a batch of one.
+        """
         link = self.link
         if link is None or not self.up or not datas:
             return
@@ -177,43 +173,19 @@ class Link:
             return self.a
         raise PortError(f"{port.name} is not an endpoint of this link")
 
-    def carry(self, sender: Port, data: bytes) -> None:
-        """Propagate ``data`` from ``sender`` to the opposite port."""
-        receiver = sender.peer
-        if receiver is None:
-            receiver = self.other_end(sender)  # defensive; peers are set on link-up
-        self.frames_carried += 1
-        self.bytes_carried += len(data)
-        sim = self.sim
-        if self.recorder is not None:
-            self.recorder.record(sim.now, sender.name, Direction.TX, data)
-        if self.faults.hooks:
-            # Impairment hooks rewrite the delivery plan: each entry is
-            # (extra_delay, payload); an empty plan means the frame is lost.
-            plan = self.faults.transform(((0.0, data),), self, sender)
-            for extra, payload in plan:
-                sim.coalesce(
-                    wire_delay(self.latency, len(payload), self._seconds_per_byte, extra),
-                    receiver,
-                    payload,
-                )
-            return
-        sim.coalesce(
-            wire_delay(self.latency, len(data), self._seconds_per_byte), receiver, data
-        )
-
     def carry_batch(self, sender: Port, datas: Sequence[bytes]) -> None:
-        """Propagate a whole frame batch from ``sender`` in one call.
+        """The link's one carry entry: propagate frames from ``sender``
+        to the opposite port.
 
-        Used by the switch's batched flood/forward egress: counters and
-        capture are updated per frame (a sniffer on the link sees exactly
-        the per-frame trace), faults transform each frame in batch order
-        with unchanged RNG draw order, and delivery coalesces frames by
-        computed arrival time — frames of equal length land in one batch.
+        Counters and capture are updated per frame (a sniffer on the link
+        sees exactly the per-frame trace), fault hooks transform each
+        frame in batch order with unchanged RNG draw order, and delivery
+        coalesces frames by computed arrival time — frames of equal
+        length land in one batch.
         """
         receiver = sender.peer
         if receiver is None:
-            receiver = self.other_end(sender)
+            receiver = self.other_end(sender)  # defensive; peers are set on link-up
         sim = self.sim
         n = len(datas)
         self.frames_carried += n
@@ -227,11 +199,11 @@ class Link:
         latency = self.latency
         spb = self._seconds_per_byte
         if self.faults.hooks:
-            # Per-frame transform inside the batch: each frame gets its own
-            # delivery plan, drawn in batch (== wire) order.
-            plans = self.faults.transform_batch(
-                [((0.0, data),) for data in datas], self, sender
-            )
+            # Impairment hooks rewrite each frame's delivery plan, drawn in
+            # batch (== wire) order: each entry is (extra_delay, payload);
+            # an empty plan means the frame is lost.
+            transform = self.faults.transform
+            plans = [transform(((0.0, data),), self, sender) for data in datas]
             for plan in plans:
                 for extra, payload in plan:
                     sim.coalesce(

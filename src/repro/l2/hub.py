@@ -38,4 +38,4 @@ class Hub(Device):
             self.repeated_frames += 1
             for other in self.ports:
                 if other.index != port.index:
-                    other.transmit(data)
+                    other.transmit_batch((data,))

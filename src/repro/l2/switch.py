@@ -404,13 +404,13 @@ class Switch(Device):
                 if tagged is None:
                     tagged = tag_frame(inner, vid).encode()
                     self._derive_buffer(tagged)
-                ports[index].transmit(tagged)
+                ports[index].transmit_batch((tagged,))
                 tagged_sends += 1
             else:
                 if untagged is None:
                     untagged = inner.encode()
                     self._derive_buffer(untagged)
-                ports[index].transmit(untagged)
+                ports[index].transmit_batch((untagged,))
                 untagged_sends += 1
         # Each form is encoded once; every further send re-sends it.
         PERF.flood_buffer_reuses += max(tagged_sends - 1, 0) + max(untagged_sends - 1, 0)
@@ -422,7 +422,7 @@ class Switch(Device):
         else:
             out = inner.encode()
         self._derive_buffer(out)
-        self.ports[port_index].transmit(out)
+        self.ports[port_index].transmit_batch((out,))
 
     def _derive_buffer(self, data: bytes) -> None:
         """Provenance: a re-encoded (re-tagged) egress buffer keeps its
@@ -442,19 +442,19 @@ class Switch(Device):
         for index in self.live_ports():
             if index == ingress.index or index == mirror_target:
                 continue  # the mirror port gets its copy via _mirror()
-            ports[index].transmit(data)
+            ports[index].transmit_batch((data,))
             sends += 1
         # Every copy re-sends the ingress buffer, never re-encoded.
         PERF.flood_buffer_reuses += sends
 
     def _send(self, port_index: int, data: bytes) -> None:
-        self.ports[port_index].transmit(data)
+        self.ports[port_index].transmit_batch((data,))
 
     def _mirror(self, ingress: Port, data: bytes) -> None:
         if self._mirror_target is None:
             return
         if ingress.index in self._mirror_sources:
-            self.ports[self._mirror_target].transmit(data)
+            self.ports[self._mirror_target].transmit_batch((data,))
 
     def link_down(self, port_index: int) -> int:
         """React to a link-down on ``port_index`` (cable pull, flap).

@@ -14,8 +14,7 @@ package:
 
 =====================  =================================================
 ``sim-loop``           ``repro/sim/`` — the event heap and dispatch
-``switch-plane``       ``repro/l2/`` per-frame paths
-``switch-plane-batched``  ``repro/l2/`` batch entry points (PR 7)
+``switch-plane``       ``repro/l2/`` — switch, hub, CAM, ports and links
 ``scheme-hooks``       ``repro/schemes/`` + ``repro/hooks/``
 ``fault-transforms``   ``repro/faults/``
 ``sdn-control-plane``  ``repro/sdn/``
@@ -54,21 +53,6 @@ __all__ = [
 DEFAULT_INTERVAL = 0.002
 _MAX_DEPTH = 64
 
-#: Function names that mark the *batched* data plane inside ``repro/l2/``
-#: (the batch entry points and the grouped pass of ``on_frame_batch``);
-#: everything else there is per-frame, ``Switch.on_frame`` (the step an
-#: observed frame takes) included.
-_BATCH_FUNCS = frozenset(
-    {
-        "carry_batch",
-        "deliver_batch",
-        "on_frame_batch",
-        "lookup_batch",
-        "transmit_batch",
-    }
-)
-
-
 def classify_frame(filename: str, funcname: str) -> Optional[str]:
     """Subsystem for one frame, or ``None`` for non-repro code."""
     path = filename.replace("\\", "/")
@@ -81,7 +65,7 @@ def classify_frame(filename: str, funcname: str) -> Optional[str]:
     if top == "sim":
         return "sim-loop"
     if top == "l2":
-        return "switch-plane-batched" if funcname in _BATCH_FUNCS else "switch-plane"
+        return "switch-plane"
     if top in ("schemes", "hooks"):
         return "scheme-hooks"
     if top == "faults":

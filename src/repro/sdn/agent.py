@@ -278,7 +278,7 @@ class SwitchAgent:
         self.control_messages_sent += 1
         # Silently lost while the control link is down — exactly the
         # semantics of a dead TCP channel, surfaced by keepalive timeouts.
-        self.switch.ports[self.control_port].transmit(frame.encode())
+        self.switch.ports[self.control_port].transmit_batch((frame.encode(),))
 
     # ------------------------------------------------------------------
     def pending_packet_ins(self) -> int:

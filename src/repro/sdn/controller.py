@@ -427,7 +427,7 @@ class Controller(Device):
             payload=message.encode(),
         )
         self.control_messages_sent += 1
-        channel.port.transmit(frame.encode())
+        channel.port.transmit_batch((frame.encode(),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

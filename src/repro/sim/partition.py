@@ -137,7 +137,7 @@ class Boundary:
     """A cross-partition link.
 
     Duck-types the transmit half of :class:`~repro.l2.device.Link` (ports
-    call ``link.carry`` / ``link.carry_batch``), computes arrival times
+    call ``link.carry_batch``, their one carry entry), computes arrival times
     with Link's own :func:`~repro.l2.device.wire_delay`, and posts
     envelopes to the coordinator instead of scheduling — the destination
     partition schedules the delivery itself at flush time, through the
@@ -185,25 +185,14 @@ class Boundary:
             return self.b, self.a
         raise TopologyError(f"{sender.name} is not an endpoint of this boundary")
 
-    def carry(self, sender, data: bytes) -> None:
-        """Post ``data`` toward the opposite partition as an envelope."""
-        src, dst = self._ends(sender)
-        self.frames_carried += 1
-        self.bytes_carried += len(data)
-        # Evaluated against the *sending* partition's clock, as Link.carry
-        # does through Simulator.coalesce: now + delay.
-        when = src.partition.now + wire_delay(
-            self.latency, len(data), self._seconds_per_byte
-        )
-        self._coordinator._post(
-            Envelope(when, dst.partition.name, dst.device, dst.index, bytes(data))
-        )
-
     def carry_batch(self, sender, datas) -> None:
-        """Batch egress: one envelope per frame, in batch (== wire) order."""
+        """Post frames toward the opposite partition: one envelope per
+        frame, in batch (== wire) order."""
         src, dst = self._ends(sender)
         self.frames_carried += len(datas)
         self.bytes_carried += sum(map(len, datas))
+        # Evaluated against the *sending* partition's clock, as
+        # Link.carry_batch does through Simulator.coalesce: now + delay.
         now = src.partition.now
         latency = self.latency
         spb = self._seconds_per_byte

@@ -217,7 +217,3 @@ class ArpCache:
 
     def __iter__(self) -> Iterator[ArpCacheEntry]:
         return iter(self._entries.values())
-
-    def rebinding_events(self) -> List[ArpCacheChange]:
-        """All historical changes where an IP moved between MACs."""
-        return [c for c in self.history if c.is_rebinding]

@@ -718,7 +718,7 @@ class Host(Device):
         recorder = self.recorder
         if recorder is not None:
             recorder.record(self.sim.now, self.name, Direction.TX, data)
-        self.nic.transmit(data)
+        self.nic.transmit_batch((data,))
 
     def _ip_rx(self, frame: EthernetFrame) -> None:
         try:

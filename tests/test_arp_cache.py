@@ -104,7 +104,7 @@ class TestChangeNotifications:
         cache = ArpCache()
         cache.put(IP, M1, now=0.0, source=BindingSource.REQUEST)
         cache.put(IP, M1, now=1.0, source=BindingSource.REQUEST)
-        assert cache.rebinding_events() == []
+        assert not any(change.is_rebinding for change in cache.history)
 
     def test_unsubscribe(self):
         cache = ArpCache()

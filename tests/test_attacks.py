@@ -240,7 +240,7 @@ class TestMacFlood:
         # a's entry was never learned (table full), so a->b unicast floods
         # and eve's NIC sees it.
         seen = []
-        eve.frame_taps.append(lambda frame, raw: seen.append(frame))
+        eve.frame_taps.add(lambda frame, raw: seen.append(frame))
         a.ping(b.ip)
         sim.run(until=3.0)
         from repro.packets.ethernet import EtherType

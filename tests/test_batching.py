@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ClockError
-from repro.hooks import HookPoint
 from repro.l2.cam import CamTable
 from repro.l2.topology import Lan
 from repro.net.addresses import MacAddress
@@ -233,13 +232,12 @@ class TestCamWatermark:
         assert cam.expire(150.0) == 0  # crosses old watermark, drops nothing
         assert cam.lookup(mac, now=150.0) == 1
 
-    def test_learn_wire_and_lookup_wire_round_trip(self):
+    def test_learn_wire_and_lookup_round_trip(self):
         cam = CamTable(capacity=16, aging=100.0)
         packed = bytes.fromhex("020000000001")
         assert cam.learn_wire(packed, 3, now=0.0)
-        assert cam.lookup_wire(packed, now=1.0) == 3
         assert cam.lookup(MacAddress.from_wire(packed), now=1.0) == 3
-        # And the classic API sees the same entry object.
+        assert cam.lookup_batch([packed], now=1.0) == [3]
         assert len(cam) == 1
 
     def test_learn_wire_rejects_multicast_and_full_table(self):
@@ -256,7 +254,7 @@ class TestCamWatermark:
         cam.learn_wire(packed, 1, now=0.0)
         cam.learn_wire(packed, 2, now=1.0)
         assert cam.moves == 1
-        assert cam.lookup_wire(packed, now=2.0) == 2
+        assert cam.lookup(MacAddress.from_wire(packed), now=2.0) == 2
 
     def test_lookup_batch_resolves_after_single_sweep(self):
         cam = CamTable(capacity=16, aging=100.0)
@@ -265,71 +263,15 @@ class TestCamWatermark:
         cam.learn_wire(known, 5, now=0.0)
         assert cam.lookup_batch([known, unknown, known], now=1.0) == [5, None, 5]
 
-    def test_flush_and_flush_port_keep_wire_index_in_lockstep(self):
+    def test_flush_and_flush_port_forget_wire_learned_entries(self):
         cam = CamTable(capacity=16, aging=100.0)
         a, b = bytes.fromhex("020000000001"), bytes.fromhex("020000000002")
         cam.learn_wire(a, 1, now=0.0)
         cam.learn_wire(b, 2, now=0.0)
         assert cam.flush_port(1) == 1
-        assert cam.lookup_wire(a, now=0.0) is None
-        assert cam.lookup_wire(b, now=0.0) == 2
+        assert cam.lookup_batch([a, b], now=0.0) == [None, 2]
         cam.flush()
-        assert cam.lookup_wire(b, now=0.0) is None
-
-
-class TestHookBatchModes:
-    def test_emit_batch_unrolls_for_per_item_hooks(self):
-        point = HookPoint("t.emit")
-        seen = []
-        point.add(lambda x, extra: seen.append((x, extra)))
-        point.emit_batch([(1,), (2,)], "ctx")
-        assert seen == [(1, "ctx"), (2, "ctx")]
-
-    def test_emit_batch_calls_batch_hooks_once(self):
-        point = HookPoint("t.emit")
-        calls = []
-        point.add(lambda items, extra: calls.append((list(items), extra)), batch=True)
-        assert point.has_batch_hooks
-        point.emit_batch([(1,), (2,)], "ctx")
-        assert calls == [([(1,), (2,)], "ctx")]
-
-    def test_transform_batch_matches_per_item_transform(self):
-        point = HookPoint("t.transform")
-        point.add(lambda v: v * 2)
-        point.add(lambda v: v + 1)
-        values = [1, 2, 3]
-        assert point.transform_batch(values) == [point.transform(v) for v in values]
-
-    def test_transform_batch_with_batch_hook_replaces_wholesale(self):
-        point = HookPoint("t.transform")
-        point.add(lambda values: [v * 10 for v in values], batch=True)
-        point.add(lambda v: v + 1)  # per-item hook after the batch one
-        assert point.transform_batch([1, 2]) == [11, 21]
-
-    def test_transform_batch_isolates_crashing_hook(self):
-        point = HookPoint("t.transform", fallback_label="boom")
-
-        def crash(values):
-            raise RuntimeError("boom")
-
-        point.add(crash, batch=True)
-        errors = PERF.hook_errors
-        assert point.transform_batch([1, 2]) == [1, 2]
-        assert PERF.hook_errors == errors + 1
-
-    def test_empty_point_costs_one_truthiness_check(self):
-        point = HookPoint("t.idle")
-        values = [1, 2]
-        assert point.transform_batch(values) == values
-        point.emit_batch([(1,)], "ctx")  # no hooks: returns immediately
-        assert not point.has_batch_hooks
-
-    def test_removing_last_batch_hook_clears_flag(self):
-        point = HookPoint("t.flag")
-        remove = point.add(lambda items: None, batch=True)
-        assert point.has_batch_hooks
-        remove()
-        assert not point.has_batch_hooks
+        assert cam.lookup_batch([b], now=0.0) == [None]
 
 
 def _foreign_unicast_wire() -> bytes:
@@ -441,7 +383,7 @@ class TestSwitchBatchPath:
         h0, h1 = lan.add_host("h0"), lan.add_host("h1")
         llc = b"\xff" * 6 + h0.mac.packed + b"\x00\x2e" + b"\x42\x42\x03" + bytes(43)
         assert len(llc) == 60
-        h0.nic.transmit(llc)
+        h0.nic.transmit_batch((llc,))
         sim.run(until=1.0)
         switch = lan.switch
         return (

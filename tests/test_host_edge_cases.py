@@ -68,7 +68,7 @@ class TestHostConfiguration:
         c.ping(lan.gateway.ip)
         sim.run(until=1.0)
         seen = []
-        c.frame_taps.append(lambda frame, raw: seen.append(frame))
+        c.frame_taps.add(lambda frame, raw: seen.append(frame))
         a.ping(b.ip)
         sim.run(until=2.0)
         assert all(f.src != a.mac for f in seen)
@@ -164,7 +164,7 @@ class TestLinkTiming:
         Link(sim, a.nic, hub.ports[0], latency=0.0, rate_bps=1e6)  # 1 Mb/s
         Link(sim, b.nic, hub.ports[1], latency=0.0, rate_bps=1e6)
         arrivals = []
-        b.frame_taps.append(lambda frame, raw: arrivals.append((sim.now, len(raw))))
+        b.frame_taps.add(lambda frame, raw: arrivals.append((sim.now, len(raw))))
         from repro.packets.ethernet import EtherType, EthernetFrame
 
         small = EthernetFrame(b.mac, a.mac, EtherType.EXPERIMENTAL, b"x" * 46)

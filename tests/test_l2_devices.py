@@ -33,7 +33,7 @@ class Sink(Device):
         self.received.extend(datas)
 
     def send(self, frame: EthernetFrame) -> None:
-        self.port.transmit(frame.encode())
+        self.port.transmit_batch((frame.encode(),))
 
 
 def frame(src, dst, payload=b"x", ethertype=EtherType.IPV4):
@@ -280,7 +280,7 @@ class TestSwitch:
 
     def test_undecodable_frames_counted(self, sim):
         switch, (a, b, c) = build_switched(sim)
-        a.port.transmit(b"\x01\x02\x03")
+        a.port.transmit_batch((b"\x01\x02\x03",))
         sim.run()
         assert switch.undecodable_frames == 1
 
@@ -327,10 +327,8 @@ class TestFloodEgress:
 
             monkeypatch.setattr(cls, name, wrapper)
 
-        for name in ("transmit", "transmit_batch"):
-            counting(Port, name, lambda port, args: port)
-        for name in ("carry", "carry_batch"):
-            counting(Link, name, lambda link, args: args[0])
+        counting(Port, "transmit_batch", lambda port, args: port)
+        counting(Link, "carry_batch", lambda link, args: args[0])
         return counts
 
     @staticmethod
@@ -356,7 +354,7 @@ class TestFloodEgress:
         reuses = PERF.flood_buffer_reuses
         a.send(frame(M1, BROADCAST_MAC))
         sim.run()
-        assert calls == {"Port.transmit": 2, "Link.carry": 2}
+        assert calls == {"Port.transmit_batch": 2, "Link.carry_batch": 2}
         assert len(b.received) == len(c.received) == 1
         assert PERF.flood_buffer_reuses - reuses == 2
 
@@ -368,7 +366,7 @@ class TestFloodEgress:
         reuses = PERF.flood_buffer_reuses
         a.send(frame(M1, BROADCAST_MAC))
         sim.run()
-        assert calls == {"Port.transmit": 2, "Link.carry": 2}
+        assert calls == {"Port.transmit_batch": 2, "Link.carry_batch": 2}
         assert len(b.received) == len(c.received) == 1
         # One encode, sent twice: one re-send, whatever the 61
         # uncabled ports would carry.

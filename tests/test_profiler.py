@@ -22,8 +22,8 @@ class TestClassifyFrame:
         [
             (SIM, "run", "sim-loop"),
             (L2, "on_frame", "switch-plane"),
-            (L2, "on_frame_batch", "switch-plane-batched"),
-            ("/x/repro/l2/device.py", "deliver_batch", "switch-plane-batched"),
+            (L2, "on_frame_batch", "switch-plane"),
+            ("/x/repro/l2/device.py", "deliver_batch", "switch-plane"),
             ("/x/repro/schemes/dai.py", "inspect", "scheme-hooks"),
             ("/x/repro/hooks/__init__.py", "dispatch", "scheme-hooks"),
             ("/x/repro/faults/injector.py", "carry", "fault-transforms"),

@@ -131,7 +131,7 @@ class TestSecureArp:
         peer.announce()
         sim.run(until=6.0)
         captured = []
-        mallory.frame_taps.append(
+        mallory.frame_taps.add(
             lambda frame, raw: frame.ethertype == EtherType.ARP
             and captured.append(raw)
         )
@@ -140,7 +140,7 @@ class TestSecureArp:
         assert captured
         # ...and replay it much later: the freshness window rejects it.
         sim.run(until=30.0)
-        mallory.nic.transmit(captured[0])
+        mallory.nic.transmit_batch((captured[0],))
         sim.run(until=32.0)
         assert scheme.signatures_rejected >= 1
 

@@ -49,7 +49,7 @@ class TestLanBuilder:
         a = lan.add_host("a")
         b = lan.add_host("b")
         seen = []
-        monitor.frame_taps.append(lambda frame, raw: seen.append(frame))
+        monitor.frame_taps.add(lambda frame, raw: seen.append(frame))
         a.ping(b.ip)
         lan.sim.run(until=2.0)
         assert any(f.src == a.mac for f in seen)

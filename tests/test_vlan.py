@@ -90,7 +90,7 @@ class TestVlanSwitching:
     def test_broadcast_confined_to_vlan(self, sim, segmented_lan):
         lan, eng_a, eng_b, guest = segmented_lan
         seen = []
-        guest.frame_taps.append(lambda frame, raw: seen.append(frame))
+        guest.frame_taps.add(lambda frame, raw: seen.append(frame))
         eng_a.announce()  # broadcast gratuitous ARP in VLAN 10
         sim.run(until=1.0)
         assert all(f.src != eng_a.mac for f in seen)
