@@ -203,15 +203,14 @@ class Link:
             # batch (== wire) order: each entry is (extra_delay, payload);
             # an empty plan means the frame is lost.
             transform = self.faults.transform
-            plans = [transform(((0.0, data),), self, sender) for data in datas]
-            for plan in plans:
-                for extra, payload in plan:
+            for data in datas:
+                for extra, payload in transform(((0.0, data),), self, sender):
                     sim.coalesce(
                         wire_delay(latency, len(payload), spb, extra), receiver, payload
                     )
             return
         if n == 1:
-            # The common flood hop carries one frame: no grouping.
+            # A one-frame send, the common hop: no grouping.
             data = datas[0]
             sim.coalesce(wire_delay(latency, len(data), spb), receiver, data)
             return
