@@ -200,6 +200,15 @@ class CampaignSpec:
                     raise CampaignError(
                         f"invalid variant fault spec: {exc}"
                     ) from None
+        if not kind.takes_faults and (
+            sweeping_faults
+            or has_variant_faults
+            or self.scenario.get("fault_spec") is not None
+        ):
+            raise CampaignError(
+                f"experiment {self.experiment!r} applies no faults; "
+                "drop the faults sweep, variant or fault_spec"
+            )
         if "fault_spec" in self.scenario and (sweeping_faults or has_variant_faults):
             raise CampaignError(
                 "scenario already pins fault_spec; a faults sweep would "

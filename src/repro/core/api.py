@@ -63,6 +63,9 @@ class Kind:
     requires_scheme: bool = False
     #: Campaign scenario defaults; a task's own scenario overrides them.
     scenario_defaults: Mapping[str, object] = field(default_factory=dict)
+    #: Does the runner apply ``config.fault_spec``?  A kind that does not
+    #: refuses a fault spec rather than ignoring it.
+    takes_faults: bool = True
 
 
 #: Scenario defaults of the historical no-attack measurements (overhead,
@@ -230,6 +233,7 @@ KINDS: Dict[str, Kind] = {
                 "shards": (int, 0),
             },
             default_variants=({"shards": 0}, {"shards": 2}),
+            takes_faults=False,
         ),
         Kind(
             name="replay",
@@ -250,6 +254,7 @@ KINDS: Dict[str, Kind] = {
             },
             default_variants=({"trace": "synthetic:"},),
             required=("source",),
+            takes_faults=False,
         ),
     )
 }
@@ -312,7 +317,8 @@ def run(
         the undefended baseline (rejected for kinds that need a scheme).
     faults:
         Compact impairment spec string or :class:`~repro.faults.FaultSpec`,
-        folded into ``config.fault_spec`` (serialized verbatim).
+        folded into ``config.fault_spec`` (serialized verbatim).  Kinds
+        that apply no faults (``campus-churn``, ``replay``) refuse one.
     scheme_kwargs:
         Keyword arguments forwarded to the scheme factory.
     telemetry:
@@ -352,6 +358,11 @@ def run(
             f"{spec.name}: scheme_kwargs collide with parameters: {sorted(overlap)}"
         )
     config = _fold_faults(config, faults)
+    if not spec.takes_faults and config is not None and config.fault_spec is not None:
+        raise ExperimentError(
+            f"{spec.name}: applies no faults, refusing fault spec "
+            f"{config.fault_spec!r}"
+        )
     if telemetry is None:
         return spec.runner(scheme, config=config, **params, **extra)
     with _live.session(telemetry):

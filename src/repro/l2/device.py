@@ -9,11 +9,15 @@ evaluation's overhead accounting observe traffic.
 Sending, like receiving, has one entry per layer: :meth:`Port.transmit_batch`
 hands frames to :meth:`Link.carry_batch`, and a frame sent on its own is
 a batch of one.  The wire is also where the batched data plane engages:
-:meth:`Link.carry_batch` hands every arrival to
-:meth:`~repro.sim.simulator.Simulator.coalesce`, which — when the owning
-simulator has ``batching`` on and tracing is off — merges same-instant
-deliveries to one receiver into a single ``deliver_batch`` flush instead
-of one event per frame (otherwise each frame arrives as a batch of one).
+:meth:`Link.carry_batch` computes each arrival time as ``now +``
+:func:`wire_delay` and hands the frames, as a list, to
+:meth:`~repro.sim.simulator.Simulator.coalesce`, the one delivery entry,
+which — when the owning simulator has ``batching`` on and tracing is off
+— merges same-instant deliveries to one receiver into a single
+``deliver_batch`` flush instead of one event per frame (otherwise each
+frame arrives as a batch of one).  A cross-partition
+:class:`~repro.sim.partition.Boundary` computes the same float and its
+envelope is delivered through the same entry.
 Fault-injection hooks on :attr:`Link.faults` transform every frame
 individually (same hook order, same RNG draw order), however many frames
 a call carries.
@@ -190,14 +194,17 @@ class Link:
         n = len(datas)
         self.frames_carried += n
         self.bytes_carried += len(datas[0]) if n == 1 else sum(map(len, datas))
+        # Arrival is ``now + wire_delay(...)``, the float a cross-partition
+        # envelope carries too (:class:`~repro.sim.partition.Boundary`).
+        now = sim._now
         if self.recorder is not None:
             record = self.recorder.record
-            now = sim.now
             name = sender.name
             for data in datas:
                 record(now, name, Direction.TX, data)
         latency = self.latency
         spb = self._seconds_per_byte
+        coalesce = sim.coalesce
         if self.faults.hooks:
             # Impairment hooks rewrite each frame's delivery plan, drawn in
             # batch (== wire) order: each entry is (extra_delay, payload);
@@ -205,14 +212,16 @@ class Link:
             transform = self.faults.transform
             for data in datas:
                 for extra, payload in transform(((0.0, data),), self, sender):
-                    sim.coalesce(
-                        wire_delay(latency, len(payload), spb, extra), receiver, payload
+                    coalesce(
+                        now + wire_delay(latency, len(payload), spb, extra),
+                        receiver,
+                        [payload],
                     )
             return
         if n == 1:
             # A one-frame send, the common hop: no grouping.
             data = datas[0]
-            sim.coalesce(wire_delay(latency, len(data), spb), receiver, data)
+            coalesce(now + wire_delay(latency, len(data), spb), receiver, [data])
             return
         # Group by frame length (== by arrival time): a flood batch is
         # uniform, so this is one accumulator probe for the lot.
@@ -223,9 +232,8 @@ class Link:
                 by_len[len(data)] = [data]
             else:
                 group.append(data)
-        coalesce_many = sim.coalesce_many
         for length, group in by_len.items():
-            coalesce_many(wire_delay(latency, length, spb), receiver, group)
+            coalesce(now + wire_delay(latency, length, spb), receiver, group)
 
     def disconnect(self) -> None:
         """Tear the link down (cable pull)."""

@@ -32,10 +32,11 @@ class Hub(Device):
 
     def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
         recorder = self.recorder
+        # Only cabled, up ports: an idle one would transmit nothing.
+        egress = [self.ports[i] for i in self.live_ports() if i != port.index]
         for data in datas:
             if recorder is not None:
                 recorder.record(self.sim.now, port.name, Direction.RX, data)
             self.repeated_frames += 1
-            for other in self.ports:
-                if other.index != port.index:
-                    other.transmit_batch((data,))
+            for other in egress:
+                other.transmit_batch((data,))

@@ -53,8 +53,9 @@ __all__ = [
 DEFAULT_INTERVAL = 0.002
 _MAX_DEPTH = 64
 
-def classify_frame(filename: str, funcname: str) -> Optional[str]:
-    """Subsystem for one frame, or ``None`` for non-repro code."""
+def classify_frame(filename: str) -> Optional[str]:
+    """Subsystem for the code in ``filename``, or ``None`` for non-repro
+    code.  The package path alone decides it."""
     path = filename.replace("\\", "/")
     idx = path.rfind("/repro/")
     if idx < 0:
@@ -93,8 +94,8 @@ def classify_stack(frames: Sequence[Tuple[str, str]]) -> str:
     The innermost repro frame wins, so a codec call made from the switch
     counts as codec time — fine-grained attribution, every bucket named.
     """
-    for filename, funcname in frames:
-        label = classify_frame(filename, funcname)
+    for filename, _funcname in frames:
+        label = classify_frame(filename)
         if label is not None:
             return label
     return "external"

@@ -6,39 +6,48 @@ core and one giant queue.  This module splits the simulation by switch
 domain:
 
 * a :class:`Partition` is a full event engine (it *is* a ``Simulator`` —
-  the tuple-keyed heap and the fused run loop now serve per-domain) that
+  the tuple-keyed heap and the fused run loop serve per domain) that
   additionally owns the switches/hosts/links of its domain;
 * a :class:`Boundary` is the cross-partition cable: it mimics
-  :class:`~repro.l2.device.Link`'s transmit surface and computes arrival
-  times with the same :func:`~repro.l2.device.wire_delay` (so they are
-  float-identical to a single-simulator run) but, instead of scheduling
-  directly, it posts a timestamped :class:`Envelope` to the coordinator;
-* a :class:`ShardedSimulator` advances all partitions in **conservative
-  lookahead windows**: every boundary latency is at least ``lookahead``
-  seconds, so no frame sent during a window ``[t, t + lookahead]`` can
-  arrive inside it — partitions run the window independently, then
-  envelopes are flushed into their destination heaps before the next
+  :class:`~repro.l2.device.Link`'s transmit surface and computes each
+  arrival time exactly as a link does, ``now +``
+  :func:`~repro.l2.device.wire_delay`, but instead of delivering it posts
+  a timestamped :class:`Envelope` to its process's outbox;
+* a shard is the set of partitions one process advances.  Its one step,
+  ``advance(until, incoming)``, delivers the envelopes routed to it
+  through :meth:`~repro.sim.simulator.Simulator.coalesce` (the entry a
+  local link uses), runs every partition to ``until`` and hands back the
+  next event time and the envelopes posted meanwhile;
+* a :class:`ShardedSimulator` advances the shards in **conservative
+  lookahead windows**: every boundary latency is at least the lookahead,
+  so no frame sent during a window ``[t, t + lookahead]`` can arrive
+  inside it — shards run the window independently, then the envelopes
+  are routed to the shards owning their destinations before the next
   window opens.  No null messages, no rollback.
+
+One window loop picks the horizon, routes envelopes and counts them for
+both runs.  In process (:meth:`ShardedSimulator.run`) the coordinator is
+itself the one shard, owning the whole fabric.  The forked run
+(:meth:`ShardedSimulator.run_sharded`) groups partitions into fork
+workers, each advancing its own shard over a pipe, its windows and its
+finish alike.  On finish each worker ships home its partitions' event
+counts and its ``REGISTRY.delta`` (whose ``perf`` section carries the
+wire fast-path counts), exactly like a campaign task's ``_obs`` payload.
+A shard is also the telemetry view: a worker ticks the attached recorder
+against its own shard only, and writes its own heartbeat file.
 
 Determinism contract: each partition derives its RNG streams from the
 same ``(seed, name)`` scheme as an unsharded simulator, device names are
-unique across the fabric, and envelope flushes reuse the exact batched /
-per-event delivery mechanics of :class:`~repro.l2.device.Link` — so a
+unique across the fabric, and envelopes arrive through the same delivery
+entry as a local link's frames, keyed on the same float — so a
 fixed-seed run produces identical frame timestamps, CAM state, and scheme
 alerts whether it is sharded or not (``tests/test_shard_equivalence.py``
 pins this property).
-
-Process sharding reuses the ``repro.campaign`` machinery: partitions are
-grouped into fork workers, window barriers run over pipes, and each
-worker ships home its ``REGISTRY.delta`` (whose ``perf`` section carries
-the wire fast-path counts) exactly like a campaign task's ``_obs``
-payload.  Telemetry and heartbeats are per
-shard: a worker ticks the attached recorder against a view of its own
-partitions only, and writes its own heartbeat file.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError, TopologyError
@@ -84,10 +93,8 @@ class Partition(Simulator):
     addresses arriving from other partitions.
     """
 
-    def __init__(
-        self, name: str, seed: int = 0, batching: Optional[bool] = None
-    ) -> None:
-        super().__init__(seed=seed, batching=batching)
+    def __init__(self, name: str, seed: int = 0) -> None:
+        super().__init__(seed=seed)
         self.name = name
         #: Devices of this domain by name (switches, hosts, routers).
         self.devices: Dict[str, object] = {}
@@ -137,22 +144,21 @@ class Boundary:
     """A cross-partition link.
 
     Duck-types the transmit half of :class:`~repro.l2.device.Link` (ports
-    call ``link.carry_batch``, their one carry entry), computes arrival times
-    with Link's own :func:`~repro.l2.device.wire_delay`, and posts
-    envelopes to the coordinator instead of scheduling — the destination
-    partition schedules the delivery itself at flush time, through the
-    same ``coalesce`` entry a local link uses.
+    call ``link.carry_batch``, their one carry entry), computes arrival
+    times as a link does, ``now +`` :func:`~repro.l2.device.wire_delay`,
+    and posts envelopes to ``outbox`` instead of delivering — the
+    destination partition delivers each one itself, through the same
+    ``coalesce`` entry a local link uses.
 
     Boundaries carry no fault hooks and no trace recorder: impairments
     and sniffers belong on intra-domain links (campus spine links are
-    clean trunks).  ``latency`` must be >= the coordinator's lookahead,
-    which holds by construction since the lookahead is derived as the
-    minimum boundary latency.
+    clean trunks).  The coordinator's lookahead is the minimum boundary
+    latency, so every boundary's latency is at least the lookahead.
     """
 
     def __init__(
         self,
-        coordinator: "ShardedSimulator",
+        outbox: List[Envelope],
         a: _Endpoint,
         b: _Endpoint,
         latency: float,
@@ -168,7 +174,7 @@ class Boundary:
         for end in (a, b):
             if end.port.attached:
                 raise TopologyError(f"{end.port.name} is already attached")
-        self._coordinator = coordinator
+        self._outbox = outbox
         self.a = a
         self.b = b
         self.latency = latency
@@ -191,12 +197,11 @@ class Boundary:
         src, dst = self._ends(sender)
         self.frames_carried += len(datas)
         self.bytes_carried += sum(map(len, datas))
-        # Evaluated against the *sending* partition's clock, as
-        # Link.carry_batch does through Simulator.coalesce: now + delay.
-        now = src.partition.now
+        # Against the *sending* partition's clock, as Link.carry_batch.
+        now = src.partition._now
         latency = self.latency
         spb = self._seconds_per_byte
-        post = self._coordinator._post
+        post = self._outbox.append
         name = dst.partition.name
         device = dst.device
         index = dst.index
@@ -212,38 +217,73 @@ class Boundary:
         )
 
 
-class _ShardView:
-    """A shard worker's view of the fabric: its own partitions only.
+class _Shard:
+    """The partitions one process advances, and their telemetry view.
 
-    Handed to the telemetry recorder inside fork workers so per-shard
-    snapshots aggregate the partitions that shard actually advances,
-    instead of summing in stale copies of everyone else's heaps.
+    The telemetry recorder samples a shard as it samples a simulator
+    (``now``, ``events_processed``, ``pending()``, ``heap_depth``), plus
+    the per-partition ``heap_depths()`` breakdown.
     """
 
-    def __init__(self, owned: List[Partition]) -> None:
-        self._owned = owned
+    def __init__(self, partitions: Dict[str, Partition], outbox: List[Envelope]) -> None:
+        #: The partitions this shard advances, by name.
+        self.partitions = partitions
+        #: Where this process's boundaries post their envelopes.
+        self._outbox = outbox
 
     @property
     def now(self) -> float:
-        return min((p.now for p in self._owned), default=0.0)
+        """Conservative frontier: the clock of the furthest-behind partition."""
+        return min((p.now for p in self.partitions.values()), default=0.0)
 
     @property
     def events_processed(self) -> int:
-        return sum(p.events_processed for p in self._owned)
+        return sum(p.events_processed for p in self.partitions.values())
 
     def pending(self) -> int:
-        return sum(p.pending() for p in self._owned)
+        return sum(p.pending() for p in self.partitions.values())
 
     @property
     def heap_depth(self) -> int:
-        return sum(p.heap_depth for p in self._owned)
+        return sum(p.heap_depth for p in self.partitions.values())
 
     def heap_depths(self) -> Dict[str, int]:
-        return {p.name: p.heap_depth for p in self._owned}
+        """Per-partition raw heap length — the telemetry breakdown."""
+        return {name: p.heap_depth for name, p in self.partitions.items()}
+
+    def next_time(self) -> Optional[float]:
+        """The earliest pending event time over the shard, or ``None``."""
+        times = [p.next_event_time() for p in self.partitions.values()]
+        return min((t for t in times if t is not None), default=None)
+
+    def advance(
+        self, until: float, incoming: List[Envelope]
+    ) -> Tuple[Optional[float], List[Envelope]]:
+        """Deliver ``incoming``, run every partition to ``until``, and
+        return the next event time with the envelopes posted meanwhile.
+
+        Each envelope arrives through ``coalesce`` keyed on its
+        precomputed ``(when, port)``, on whichever plane the destination
+        runs, so a cross-partition frame is indistinguishable, timestamp
+        and batch shape included, from one that crossed a local link.
+        """
+        partitions = self.partitions
+        for when, name, device, index, payload in incoming:
+            partition = partitions[name]
+            port = partition.device(device).ports[index]
+            partition.coalesce(when, port, [payload], "boundary.carry")
+        for partition in partitions.values():
+            partition.run(until=until)
+        outgoing = self._outbox[:]
+        self._outbox.clear()
+        return self.next_time(), outgoing
 
 
-class ShardedSimulator:
+class ShardedSimulator(_Shard):
     """Coordinator: conservative-lookahead advance over named partitions.
+
+    In process it is the one shard that owns the whole fabric, so its
+    clock and telemetry surface are a shard's.
 
     Parameters
     ----------
@@ -251,31 +291,14 @@ class ShardedSimulator:
         Shared by every partition; RNG streams stay keyed by ``(seed,
         name)``, so a component draws the same sequence regardless of
         which partition (or how many) it lives in.
-    batching:
-        Per-partition batched data plane flag (``None`` = process default).
-    lookahead:
-        Explicit safe-window override.  Must not exceed the minimum
-        boundary latency; ``None`` (default) derives exactly that
-        minimum.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        batching: Optional[bool] = None,
-        lookahead: Optional[float] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__({}, [])
         self.seed = seed
-        self.batching = batching
-        self.partitions: Dict[str, Partition] = {}
         self.boundaries: List[Boundary] = []
-        self._explicit_lookahead = lookahead
-        self._outbox: List[Envelope] = []
         self.windows = 0
         self.envelopes_routed = 0
-        #: Set by a process-sharded run: (events, now) as reported by the
-        #: workers — the parent's partition objects are pre-fork copies.
-        self._remote_totals: Optional[Tuple[int, float]] = None
         self.telemetry = None
         recorder = _default_recorder()
         if recorder is not None:
@@ -287,7 +310,7 @@ class ShardedSimulator:
     def add_partition(self, name: str) -> Partition:
         if name in self.partitions:
             raise TopologyError(f"duplicate partition name {name!r}")
-        partition = Partition(name, seed=self.seed, batching=self.batching)
+        partition = Partition(name, seed=self.seed)
         # Partitions are sampled through the coordinator's aggregate view
         # (sum + per-partition breakdown); detach the per-sim recorder the
         # Simulator constructor may have auto-attached.
@@ -322,7 +345,9 @@ class ShardedSimulator:
                 f"{port_a.name} and {port_b.name} are both in partition "
                 f"{end_a.partition.name!r}; use a plain Link inside a domain"
             )
-        boundary = Boundary(self, end_a, end_b, latency=latency, rate_bps=rate_bps)
+        boundary = Boundary(
+            self._outbox, end_a, end_b, latency=latency, rate_bps=rate_bps
+        )
         self.boundaries.append(boundary)
         return boundary
 
@@ -332,143 +357,84 @@ class ShardedSimulator:
         return _Endpoint(partition, port, device.name, port.index)
 
     def release(self) -> None:
-        """Release every partition and detach the boundaries from this
-        coordinator, breaking the cycles between them."""
+        """Release every partition, breaking the cycles between each
+        partition and its devices."""
         for partition in self.partitions.values():
             partition.release()
-        for boundary in self.boundaries:
-            boundary._coordinator = None
-
-    # ------------------------------------------------------------------
-    # Aggregate clock/telemetry surface (sim-alike for the recorder)
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Conservative frontier: the clock of the furthest-behind partition."""
-        if self._remote_totals is not None:
-            return self._remote_totals[1]
-        return min((p.now for p in self.partitions.values()), default=0.0)
-
-    @property
-    def events_processed(self) -> int:
-        if self._remote_totals is not None:
-            return self._remote_totals[0]
-        return sum(p.events_processed for p in self.partitions.values())
-
-    def pending(self) -> int:
-        return sum(p.pending() for p in self.partitions.values())
-
-    @property
-    def heap_depth(self) -> int:
-        return sum(p.heap_depth for p in self.partitions.values())
-
-    def heap_depths(self) -> Dict[str, int]:
-        """Per-partition raw heap length — the telemetry breakdown."""
-        return {name: p.heap_depth for name, p in self.partitions.items()}
 
     @property
     def lookahead(self) -> float:
-        """The safe window: min boundary latency (or the explicit override)."""
+        """The safe window: the minimum boundary latency."""
         if not self.boundaries:
-            if self._explicit_lookahead is not None:
-                return self._explicit_lookahead
-            raise SimulationError(
-                "no boundaries to derive a lookahead from; pass lookahead="
-            )
-        floor = min(b.latency for b in self.boundaries)
-        if self._explicit_lookahead is None:
-            return floor
-        if self._explicit_lookahead > floor:
-            raise SimulationError(
-                f"lookahead {self._explicit_lookahead} exceeds the minimum "
-                f"boundary latency {floor}; frames could arrive inside a window"
-            )
-        return self._explicit_lookahead
+            raise SimulationError("no boundaries to derive a lookahead from")
+        return min(b.latency for b in self.boundaries)
 
     # ------------------------------------------------------------------
-    # Envelope routing
+    # The window loop, in process or over fork workers
     # ------------------------------------------------------------------
-    def _post(self, envelope: Envelope) -> None:
-        """Called by boundaries mid-window; flushed at the barrier."""
-        self._outbox.append(envelope)
+    def _windows(self, until: float, shards: List[_Shard], step) -> List[List[Envelope]]:
+        """Advance ``shards`` window by window until nothing is due by
+        ``until``; return the envelopes still queued for each shard.
 
-    def _deliver(self, envelope: Envelope) -> None:
-        """Schedule one envelope into its destination partition.
-
-        Reuses the exact Link delivery mechanics — ``coalesce_at`` keyed on
-        the precomputed absolute ``(when, port)``, on whichever plane the
-        destination runs — so a cross-partition frame is indistinguishable,
-        timestamp and batch shape included, from one that crossed a local
-        link.
+        Each window runs from the earliest pending event or queued
+        envelope, ``t_min``, to ``min(until, t_min + lookahead)``:
+        ``step(window_end, queued)`` advances every shard, handing each
+        its queued envelopes, and returns each shard's ``(next_time,
+        outgoing)``.  Every envelope is routed and counted here, once,
+        including those posted before the run (frames sent at
+        construction time).  Without boundaries nothing can cross, and
+        the caller's finishing step runs everything.
         """
-        partition = self.partitions[envelope.partition]
-        port = partition.device(envelope.device).ports[envelope.port]
-        self.envelopes_routed += 1
-        partition.coalesce_at(
-            envelope.when, port, envelope.payload, name="boundary.carry"
-        )
+        route = {name: i for i, shard in enumerate(shards) for name in shard.partitions}
+        queued: List[List[Envelope]] = [[] for _ in shards]
 
-    def _flush_outbox(self) -> None:
-        outbox = self._outbox
-        if not outbox:
-            return
-        self._outbox = []
-        for envelope in outbox:
-            self._deliver(envelope)
+        def post(envelopes: List[Envelope]) -> None:
+            self.envelopes_routed += len(envelopes)
+            for envelope in envelopes:
+                queued[route[envelope.partition]].append(envelope)
 
-    # ------------------------------------------------------------------
-    # In-process conservative-lookahead run
-    # ------------------------------------------------------------------
-    def run(self, until: float, max_events: int = 50_000_000) -> None:
-        """Advance every partition to exactly ``until``.
-
-        Window loop: find the earliest pending event across partitions,
-        run everyone to ``min(until, t_min + lookahead)``, flush the
-        envelopes generated during the window (all of which arrive at or
-        after the window end — that is what the lookahead guarantees),
-        repeat.  Partitions with nothing to do skip ahead for free.
-        """
-        parts = list(self.partitions.values())
-        if not parts:
-            raise SimulationError("no partitions to run")
-        if len(parts) == 1 and not self.boundaries:
-            parts[0].run(until=until, max_events=max_events)
-            if self.telemetry is not None:
-                self.telemetry.run_end(self)
-            return
+        post(self._outbox[:])
+        self._outbox.clear()
+        if not self.boundaries:
+            return queued
         lookahead = self.lookahead
+        next_times = [shard.next_time() for shard in shards]
         while True:
-            # Flush first: envelopes may predate the run (frames sent at
-            # construction time, before any window opened), and every
-            # queued envelope's arrival is >= the last window end, i.e.
-            # schedulable on its destination's clock.  Flushing here also
-            # lets the queued arrivals participate in picking t_min.
-            self._flush_outbox()
-            t_min = None
-            for p in parts:
-                t = p.next_event_time()
-                if t is not None and (t_min is None or t < t_min):
-                    t_min = t
-            if t_min is None or t_min > until:
-                break
-            window_end = min(until, t_min + lookahead)
-            for p in parts:
-                p.run(until=window_end, max_events=max_events)
+            times = [t for t in next_times if t is not None]
+            times += [envelope.when for box in queued for envelope in box]
+            if not times or min(times) > until:
+                return queued
+            replies = step(min(until, min(times) + lookahead), queued)
+            for box in queued:
+                box.clear()
+            next_times = []
+            for next_time, outgoing in replies:
+                next_times.append(next_time)
+                post(outgoing)
             self.windows += 1
-            if self.telemetry is not None:
-                self.telemetry.tick(self)
-        # No event <= `until` remains and the outbox is empty (flushed
-        # before the break; the drain below fires nothing, it only pins
-        # every clock to exactly `until` so post-run measurements line up
-        # across partitions and with an unsharded run).
-        for p in parts:
-            p.run(until=until, max_events=max_events)
+
+    def run(self, until: float) -> None:
+        """Advance every partition to exactly ``until``, in this process.
+
+        The coordinator is the one shard: each window is one
+        :meth:`advance` step, and a last one delivers what is still
+        queued (all of it arrives after ``until``) and pins every clock
+        to exactly ``until``, so post-run measurements line up across
+        partitions and with an unsharded run.
+        """
+        if not self.partitions:
+            raise SimulationError("no partitions to run")
+        queued = self._windows(until, [self], self._window)
+        self.advance(until, queued[0])
         if self.telemetry is not None:
             self.telemetry.run_end(self)
 
-    # ------------------------------------------------------------------
-    # Process-sharded run (fork worker pool, campaign-style delta merge)
-    # ------------------------------------------------------------------
+    def _window(self, window_end: float, queued: List[List[Envelope]]):
+        reply = self.advance(window_end, queued[0])
+        if self.telemetry is not None:
+            self.telemetry.tick(self)
+        return [reply]
+
     def run_sharded(
         self,
         until: float,
@@ -477,20 +443,18 @@ class ShardedSimulator:
     ) -> Dict[str, object]:
         """Advance to ``until`` with partitions sharded over ``jobs`` forks.
 
-        The window barrier runs over pipes: the parent picks the global
-        horizon from the shards' reported next-event times (plus any
-        envelopes still in flight), broadcasts the window, routes the
-        envelopes each shard emitted to the shards owning their
-        destination partitions, and repeats.  On finish every worker
-        ships its ``REGISTRY.delta`` home — the wire fast-path counts
-        ride along in its ``perf`` section — exactly like a
-        campaign ``_obs`` payload, so parent-side metrics reflect the
-        whole fabric with no double counting.
+        The window loop is :meth:`run`'s, with each window's step a
+        barrier over pipes: every worker advances its own shard and
+        reports its next event time and the envelopes it emitted.  On
+        finish every worker ships home its partitions' event counts and
+        its ``REGISTRY.delta`` — the wire fast-path counts ride along in
+        its ``perf`` section — exactly like a campaign ``_obs`` payload,
+        so parent-side metrics reflect the whole fabric with no double
+        counting.
 
         Falls back to the in-process loop when ``jobs <= 1``, when there
-        are fewer partitions than shards would help with, or on platforms
-        without ``fork``.  Returns a summary dict (events, windows,
-        shards, envelopes).
+        are fewer than two partitions, or on platforms without ``fork``.
+        Returns a summary dict (events, windows, shards, envelopes).
         """
         from repro.campaign.runner import _fork_context
 
@@ -509,98 +473,51 @@ class ShardedSimulator:
             or ctx is None
             or multiprocessing.current_process().daemon
         ):
+            jobs = 1
             self.run(until)
-            return {
-                "events": self.events_processed,
-                "windows": self.windows,
-                "shards": 1,
-                "envelopes": self.envelopes_routed,
-            }
-        jobs = min(jobs, len(parts))
-        lookahead = self.lookahead
-        groups: List[List[Partition]] = [[] for _ in range(jobs)]
-        for i, p in enumerate(parts):
-            groups[i % jobs].append(p)
-        shard_of = {
-            p.name: i for i, group in enumerate(groups) for p in group
+        else:
+            jobs = min(jobs, len(parts))
+            self._run_forked(until, jobs, heartbeat_dir, ctx)
+        return {
+            "events": self.events_processed,
+            "windows": self.windows,
+            "shards": jobs,
+            "envelopes": self.envelopes_routed,
         }
-        # Envelopes posted before the run (frames sent at construction
-        # time) must be routed by the parent — drained *before* the fork
-        # so workers inherit an empty outbox.
-        queued: List[List[Envelope]] = [[] for _ in range(jobs)]
-        for envelope in self._outbox:
-            queued[shard_of[envelope.partition]].append(envelope)
-        self._outbox = []
 
+    def _run_forked(self, until: float, jobs: int, heartbeat_dir, ctx) -> None:
+        parts = list(self.partitions.values())
+        shards = [
+            _Shard({p.name: p for p in parts[i::jobs]}, self._outbox)
+            for i in range(jobs)
+        ]
         workers = []
         try:
-            for i, group in enumerate(groups):
+            for i, shard in enumerate(shards):
                 parent_conn, child_conn = ctx.Pipe()
                 hb_path = None
                 if heartbeat_dir is not None:
-                    from pathlib import Path
-
                     hb_path = Path(heartbeat_dir) / f"shard-{i}.heartbeat.json"
                 proc = ctx.Process(
-                    target=self._shard_worker,
-                    args=([p.name for p in group], child_conn, hb_path),
+                    target=self._shard_worker, args=(shard, child_conn, hb_path)
                 )
                 proc.start()
                 child_conn.close()
                 workers.append((proc, parent_conn))
 
-            next_times: List[Optional[float]] = [
-                min(
-                    (t for t in (p.next_event_time() for p in group) if t is not None),
-                    default=None,
-                )
-                for group in groups
-            ]
-            windows = 0
-            while True:
-                t_min: Optional[float] = None
-                for i in range(jobs):
-                    candidates = [next_times[i]] + [e.when for e in queued[i]]
-                    for t in candidates:
-                        if t is not None and (t_min is None or t < t_min):
-                            t_min = t
-                if t_min is None or t_min > until:
-                    break
-                window_end = min(until, t_min + lookahead)
-                for i, (_proc, conn) in enumerate(workers):
-                    conn.send(("window", window_end, queued[i]))
-                    queued[i] = []
-                for i, (proc, conn) in enumerate(workers):
-                    kind, *rest = self._recv(proc, conn)
-                    if kind == "error":
-                        raise SimulationError(f"shard {i} failed: {rest[0]}")
-                    next_t, outgoing = rest
-                    next_times[i] = next_t
-                    self.envelopes_routed += len(outgoing)
-                    for envelope in outgoing:
-                        queued[shard_of[envelope.partition]].append(envelope)
-                windows += 1
+            def window(window_end, queued):
+                return self._exchange(workers, "window", window_end, queued)
 
-            events = 0
-            for i, (proc, conn) in enumerate(workers):
-                conn.send(("finish", until, queued[i]))
-                queued[i] = []
-            for i, (proc, conn) in enumerate(workers):
-                kind, payload = self._recv(proc, conn)
-                if kind == "error":
-                    raise SimulationError(f"shard {i} failed: {payload}")
-                events += payload["events"]
-                REGISTRY.merge(payload["obs"])
-            self._remote_totals = (events, until)
-            self.windows += windows
+            queued = self._windows(until, shards, window)
+            for events, obs in self._exchange(workers, "finish", until, queued):
+                REGISTRY.merge(obs)
+                # The parent's partitions are pre-fork copies: carry the
+                # workers' counts and clocks over for the aggregate view.
+                for name, count in events.items():
+                    self.partitions[name].events_processed = count
+                    self.partitions[name]._now = until
             if self.telemetry is not None:
                 self.telemetry.run_end(self)
-            return {
-                "events": events,
-                "windows": windows,
-                "shards": jobs,
-                "envelopes": self.envelopes_routed,
-            }
         finally:
             for proc, conn in workers:
                 conn.close()
@@ -610,18 +527,29 @@ class ShardedSimulator:
                     proc.join(timeout=5.0)
 
     @staticmethod
-    def _recv(proc, conn):
-        if not conn.poll(_SHARD_TIMEOUT):
-            raise SimulationError(
-                f"shard (pid {proc.pid}) silent for {_SHARD_TIMEOUT}s at a "
-                "window barrier"
-            )
-        return conn.recv()
+    def _exchange(workers, kind: str, until: float, queued) -> List[tuple]:
+        """Send every worker one step, then collect every reply."""
+        for (_proc, conn), incoming in zip(workers, queued):
+            conn.send((kind, until, incoming))
+        replies = []
+        for i, (proc, conn) in enumerate(workers):
+            if not conn.poll(_SHARD_TIMEOUT):
+                raise SimulationError(
+                    f"shard {i} (pid {proc.pid}) silent for {_SHARD_TIMEOUT}s "
+                    "at a window barrier"
+                )
+            status, *reply = conn.recv()
+            if status == "error":
+                raise SimulationError(f"shard {i} failed: {reply[0]}")
+            replies.append(reply)
+        return replies
 
-    def _shard_worker(self, names: List[str], conn, heartbeat_path) -> None:
-        """Fork-worker body: advance the owned partitions window by window."""
-        owned = [self.partitions[name] for name in names]
-        view = _ShardView(owned)
+    def _shard_worker(self, shard: _Shard, conn, heartbeat_path) -> None:
+        """Fork-worker body: one :meth:`~_Shard.advance` step per window
+        command, and one for the finish."""
+        # The parent routes the envelopes posted before the run.
+        self._outbox.clear()
+        telemetry = self.telemetry
         before = REGISTRY.snapshot()
         heartbeat = None
         if heartbeat_path is not None:
@@ -630,54 +558,26 @@ class ShardedSimulator:
             try:
                 heartbeat = Heartbeat(
                     heartbeat_path,
-                    name=f"shard:{','.join(names)}",
+                    name=f"shard:{','.join(shard.partitions)}",
                 ).start()
             except OSError:  # pragma: no cover - heartbeat dir vanished
                 heartbeat = None
         try:
             while True:
-                command = conn.recv()
-                kind = command[0]
-                if kind == "window":
-                    _, window_end, incoming = command
-                    for envelope in incoming:
-                        self._deliver(envelope)
-                    for p in owned:
-                        p.run(until=window_end)
-                    outgoing = self._outbox
-                    self._outbox = []
-                    next_t = min(
-                        (
-                            t
-                            for t in (p.next_event_time() for p in owned)
-                            if t is not None
-                        ),
-                        default=None,
-                    )
-                    conn.send(("done", next_t, outgoing))
-                    if self.telemetry is not None:
-                        self.telemetry.tick(view)
-                elif kind == "finish":
-                    _, final_until, incoming = command
-                    for envelope in incoming:
-                        self._deliver(envelope)
-                    for p in owned:
-                        p.run(until=final_until)
-                    if self.telemetry is not None:
-                        self.telemetry.run_end(view)
-                    conn.send(
-                        (
-                            "result",
-                            {
-                                "events": view.events_processed,
-                                "now": final_until,
-                                "obs": REGISTRY.delta(before),
-                            },
-                        )
-                    )
+                kind, until, incoming = conn.recv()
+                next_time, outgoing = shard.advance(until, incoming)
+                if kind == "finish":
+                    if telemetry is not None:
+                        telemetry.run_end(shard)
+                    events = {
+                        name: p.events_processed
+                        for name, p in shard.partitions.items()
+                    }
+                    conn.send(("ok", events, REGISTRY.delta(before)))
                     return
-                else:  # pragma: no cover - protocol guard
-                    raise SimulationError(f"unknown shard command {kind!r}")
+                conn.send(("ok", next_time, outgoing))
+                if telemetry is not None:
+                    telemetry.tick(shard)
         except (EOFError, KeyboardInterrupt):  # pragma: no cover
             return
         except Exception as exc:  # noqa: BLE001 - ship the failure home
@@ -695,12 +595,6 @@ class ShardedSimulator:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-
-    def rng_stream(self, name: str):
-        """Coordinator-level stream (same keying as any partition's)."""
-        import random
-
-        return random.Random(f"{self.seed}/{name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

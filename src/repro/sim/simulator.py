@@ -16,10 +16,12 @@ long-running simulations that arm and cancel many timers (ARP retries,
 cache aging) do not leak.
 
 Same-timestamp deliveries to one sink can additionally be *coalesced*
-(:meth:`Simulator.coalesce`): all items landing on the same ``(time,
-sink)`` pair share one flush event that hands ``sink.deliver_batch`` the
-whole batch at once, instead of one event per frame.  This is the batched
-data plane's entry point and the one place that picks the plane: with
+(:meth:`Simulator.coalesce`, the wire's one delivery entry): the caller
+gives an absolute arrival time and a list of items, and all items landing
+on the same ``(time, sink)`` pair share one flush event that hands
+``sink.deliver_batch`` the whole batch at once, instead of one event per
+frame.  A local link and a cross-partition envelope both arrive through
+it.  It is also the one place that picks the plane: with
 ``batching=False`` or tracing on, the same call schedules one event per
 item at the same timestamp, each handing ``sink.deliver_batch`` a batch
 of one, so fixed-seed runs stay reproducible either way.
@@ -43,7 +45,7 @@ import heapq
 import itertools
 import random
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from repro.errors import ClockError, SimulationError
 from repro.obs.live import default_recorder as _default_recorder
@@ -294,87 +296,41 @@ class Simulator:
     # ------------------------------------------------------------------
     def coalesce(
         self,
-        delay: float,
+        when: float,
         sink,
-        item,
+        items: list,
         name: str = "link.carry",
     ) -> None:
-        """Deliver ``item`` to ``sink`` at ``now+delay``, batched when possible.
+        """Deliver ``items`` to ``sink`` at absolute time ``when``, batched
+        when possible: the wire's one delivery entry.
+
+        The caller computes ``when`` (a link as ``now + wire_delay(...)``,
+        a cross-partition envelope carries it precomputed), so one float
+        keys the batch however the frame got here.  ``items`` must not be
+        empty; the list is adopted, not copied: it becomes the open batch
+        when none is open for ``(when, sink)``.
 
         On the batched plane (:attr:`batching` on, tracing off) all items
-        coalesced onto the same ``(time, sink)`` pair are handed to
+        coalesced onto the same ``(when, sink)`` pair are handed to
         ``sink.deliver_batch(items)`` by a single flush event, scheduled
         with the sequence number of the batch's *first* item — so a batch
         fires exactly where its first frame would have, and items keep
         their arrival order inside the batch.  On the per-event plane
-        (the reference) each item gets its own event at the same
-        timestamp, which hands ``sink.deliver_batch`` a batch of one.
+        (the reference), and whenever tracing is on so span semantics
+        never fork, each item gets its own event at the same timestamp,
+        which hands ``sink.deliver_batch`` a batch of one.  The flush is
+        one slotted :class:`_Flush` event whose ``action`` is a method,
+        fired straight from :meth:`_fire`, so a profiler sees every
+        coalesced delivery called from the event loop itself.
         """
-        if delay < 0:
-            raise ClockError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
-        items = self._open_batches.get((when, sink))
-        if items is not None:
-            items.append(item)
+        batch = self._open_batches.get((when, sink))
+        if batch is not None:  # an open batch is never in the past
+            batch += items
             return
-        self._open_batch(when, sink, [item], name)
-
-    def coalesce_many(
-        self,
-        delay: float,
-        sink,
-        new_items: Sequence,
-        name: str = "link.carry",
-    ) -> None:
-        """Bulk :meth:`coalesce` — one accumulator probe for many items."""
-        if not new_items:
-            return
-        if delay < 0:
-            raise ClockError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
-        items = self._open_batches.get((when, sink))
-        if items is not None:
-            items.extend(new_items)
-            return
-        self._open_batch(when, sink, list(new_items), name)
-
-    def coalesce_at(
-        self,
-        when: float,
-        sink,
-        item,
-        name: str = "link.carry",
-    ) -> None:
-        """Absolute-time :meth:`coalesce` — the envelope flush path.
-
-        Cross-partition frames (:mod:`repro.sim.partition`) arrive with a
-        precomputed absolute timestamp; recomputing it as ``now + (when -
-        now)`` would reassociate the float arithmetic and could drift a
-        ULP from the timestamp the unsharded run produces.  Same batch
-        mechanics as :meth:`coalesce`, keyed on the exact ``when``.
-        """
         if when < self._now:
             raise ClockError(
                 f"cannot schedule at t={when} before current time t={self._now}"
             )
-        items = self._open_batches.get((when, sink))
-        if items is not None:
-            items.append(item)
-            return
-        self._open_batch(when, sink, [item], name)
-
-    def _open_batch(self, when: float, sink, items: list, name: str) -> None:
-        """The miss path of the ``coalesce*`` entry points.
-
-        This is the one place that picks the delivery plane.  Tracing
-        forces the per-event plane so span and provenance semantics never
-        fork.  On the batched plane, ``items`` becomes the open batch for
-        ``(when, sink)``: later same-instant items append to it until the
-        flush event hands the lot to ``sink.deliver_batch``.  The flush
-        is one slotted :class:`_Flush` event whose ``action`` is a method,
-        fired straight from :meth:`_fire`, so a profiler sees every
-        coalesced delivery called from the event loop itself.
-        """
         heap = self._heap
         counter = self._counter
         if not self.batching or TRACER.enabled:

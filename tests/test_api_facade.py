@@ -104,6 +104,18 @@ class TestValidation:
             run("effectiveness", config, scheme="dai", technique="reply",
                 faults="loss=0.2")
 
+    @pytest.mark.parametrize("kind", ["campus-churn", "replay"])
+    def test_kinds_without_faults_refuse_a_fault_spec(self, kind):
+        params = {"source": "synthetic:frames=10"} if kind == "replay" else {}
+        with pytest.raises(ExperimentError, match="applies no faults"):
+            run(kind, FAST, faults="loss=0.5", **params)
+        config = dataclasses.replace(FAST, fault_spec="loss=0.5")
+        with pytest.raises(ExperimentError, match="applies no faults"):
+            run(kind, config, **params)
+        assert [k for k in KINDS if not KINDS[k].takes_faults] == [
+            "campus-churn", "replay"
+        ]
+
     def test_faults_none_string_is_clean(self):
         result = run("effectiveness", FAST, scheme="dai", technique="reply",
                      faults="none")

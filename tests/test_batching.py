@@ -32,9 +32,9 @@ class TestCoalesce:
     def test_same_instant_items_share_one_flush(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce(1.0, sink, "b")
-        sim.coalesce(1.0, sink, "c")
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b"])
+        sim.coalesce(1.0, sink, ["c"])
         assert sim.pending() == 1  # one flush event, not three
         sim.run()
         assert sink.batches == [(1.0, ["a", "b", "c"])]
@@ -42,8 +42,8 @@ class TestCoalesce:
     def test_flush_is_one_slotted_event(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce(1.0, sink, "b")
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b"])
         (event,) = sim.iter_pending()
         # No closure and no instance dict: the event carries the batch.
         assert not hasattr(event, "__dict__")
@@ -57,16 +57,16 @@ class TestCoalesce:
     def test_different_instants_do_not_coalesce(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce(2.0, sink, "b")
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(2.0, sink, ["b"])
         sim.run()
         assert sink.batches == [(1.0, ["a"]), (2.0, ["b"])]
 
     def test_different_sinks_do_not_coalesce(self):
         sim = Simulator(seed=1)
         one, two = _Sink(sim), _Sink(sim)
-        sim.coalesce(1.0, one, "a")
-        sim.coalesce(1.0, two, "b")
+        sim.coalesce(1.0, one, ["a"])
+        sim.coalesce(1.0, two, ["b"])
         sim.run()
         assert one.batches == [(1.0, ["a"])]
         assert two.batches == [(1.0, ["b"])]
@@ -79,9 +79,9 @@ class TestCoalesce:
         order = []
         sink_orig = sink.deliver_batch
         sink.deliver_batch = lambda items: (order.append("batch"), sink_orig(items))
-        sim.coalesce(1.0, sink, "a")
+        sim.coalesce(1.0, sink, ["a"])
         sim.schedule(1.0, lambda: order.append("plain"))
-        sim.coalesce(1.0, sink, "b")  # rides the existing flush
+        sim.coalesce(1.0, sink, ["b"])  # rides the existing flush
         sim.run()
         assert order == ["batch", "plain"]
         assert sink.batches == [(1.0, ["a", "b"])]
@@ -89,39 +89,22 @@ class TestCoalesce:
     def test_coalesce_many_extends_open_batch(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce_many(1.0, sink, ["b", "c"])
-        sim.coalesce_many(1.0, sink, [])  # no-op, schedules nothing
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b", "c"])
         assert sim.pending() == 1
         sim.run()
         assert sink.batches == [(1.0, ["a", "b", "c"])]
 
-    def test_all_entry_points_share_one_batch(self):
-        """Whichever entry point opens the batch, the other two ride it:
-        one flush, one PERF flush, items in call order."""
-        calls = {
-            "coalesce": lambda sim, sink, tag: sim.coalesce(1.0, sink, tag),
-            "coalesce_many": lambda sim, sink, tag: sim.coalesce_many(
-                1.0, sink, [tag, tag + "'"]
-            ),
-            "coalesce_at": lambda sim, sink, tag: sim.coalesce_at(1.0, sink, tag),
-        }
-        names = list(calls)
-        for first in range(len(names)):
-            order = names[first:] + names[:first]
-            sim = Simulator(seed=1)
-            sink = _Sink(sim)
-            flushes, items = PERF.batch_flushes, PERF.batched_items
-            for name in order:
-                calls[name](sim, sink, name)
-            assert sim.pending() == 1
-            sim.run()
-            expected = []
-            for name in order:
-                expected += [name, name + "'"] if name == "coalesce_many" else [name]
-            assert sink.batches == [(1.0, expected)]
-            assert PERF.batch_flushes - flushes == 1
-            assert PERF.batched_items - items == 4
+    def test_first_list_becomes_the_open_batch(self):
+        """The list that opens a batch is adopted, not copied: later
+        same-instant items extend it in place."""
+        sim = Simulator(seed=1)
+        sink = _Sink(sim)
+        first = ["a"]
+        sim.coalesce(1.0, sink, first)
+        sim.coalesce(1.0, sink, ["b"])
+        (event,) = sim.iter_pending()
+        assert event.items is first and first == ["a", "b"]
 
     def test_per_event_plane_delivers_each_item_on_its_own_event(self):
         """Batching off, or tracing on, picks the per-event plane: every
@@ -135,9 +118,9 @@ class TestCoalesce:
                 sim = Simulator(seed=1, batching=batching)
                 sink = _Sink(sim)
                 flushes = PERF.batch_flushes
-                sim.coalesce(1.0, sink, "a")
-                sim.coalesce_many(1.0, sink, ["b", "c"])
-                sim.coalesce_at(1.0, sink, "d")
+                sim.coalesce(1.0, sink, ["a"])
+                sim.coalesce(1.0, sink, ["b", "c"])
+                sim.coalesce(1.0, sink, ["d"])
                 assert sim.pending() == 4
                 sim.run()
             finally:
@@ -153,17 +136,15 @@ class TestCoalesce:
         sim = Simulator(seed=1)
         sink = _Sink(sim)
         with pytest.raises(ClockError):
-            sim.coalesce(-0.1, sink, "a")
-        with pytest.raises(ClockError):
-            sim.coalesce_many(-0.1, sink, ["a"])
+            sim.coalesce(-0.1, sink, ["a"])
 
     def test_perf_counters_track_flushes_and_items(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
         flushes, items = PERF.batch_flushes, PERF.batched_items
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce(1.0, sink, "b")
-        sim.coalesce(2.0, sink, "c")
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b"])
+        sim.coalesce(2.0, sink, ["c"])
         sim.run()
         assert PERF.batch_flushes - flushes == 2
         assert PERF.batched_items - items == 3

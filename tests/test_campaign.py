@@ -110,6 +110,16 @@ class TestCampaignSpec:
                 experiment="campus-churn", variants=({"talkers": "many"},)
             )
 
+    @pytest.mark.parametrize("experiment", ["campus-churn", "replay"])
+    def test_kinds_without_faults_refuse_a_faults_axis(self, experiment):
+        with pytest.raises(CampaignError, match="applies no faults"):
+            CampaignSpec(experiment=experiment, faults=("loss=0.5",))
+        with pytest.raises(CampaignError, match="applies no faults"):
+            CampaignSpec(experiment=experiment, variants=({"faults": "loss=0.5"},))
+        with pytest.raises(CampaignError, match="applies no faults"):
+            CampaignSpec(experiment=experiment, scenario={"fault_spec": "loss=0.5"})
+        CampaignSpec(experiment=experiment)  # a clean grid is fine
+
     def test_rejects_zero_seeds(self):
         with pytest.raises(CampaignError, match="seeds"):
             CampaignSpec(seeds=0)

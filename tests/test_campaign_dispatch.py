@@ -17,6 +17,7 @@ import pytest
 from repro.campaign.spec import CampaignSpec, execute_task
 from repro.core import api
 from repro.core.experiment import ScenarioConfig
+from repro.errors import CampaignError
 
 #: kind -> (scheme, runner params for the ``{}`` variant, the runner
 #: config's fields that differ from ``ScenarioConfig()``, seed aside).
@@ -248,6 +249,11 @@ def test_empty_variant(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", KIND_NAMES)
 def test_faults_variant(monkeypatch, kind):
+    if not api.KINDS[kind].takes_faults:
+        # A kind that applies no faults refuses them at spec time.
+        with pytest.raises(CampaignError, match="applies no faults"):
+            _resolve(monkeypatch, kind, ({"faults": "loss=0.05"},))
+        return
     assert _resolve(monkeypatch, kind, ({"faults": "loss=0.05"},)) == [
         _expected(kind, {}, {"fault_spec": "loss=0.05"})
     ]

@@ -307,6 +307,27 @@ class TestHub:
         with pytest.raises(TopologyError):
             Hub(sim, "tiny", num_ports=1)
 
+    def test_floods_only_live_ports(self, sim, monkeypatch):
+        """A broadcast into an 8-port hub with two cabled ports leaves by
+        the one other cabled port: one transmit call, not seven."""
+        hub = Hub(sim, "hub", num_ports=8)
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        Link(sim, a.port, hub.ports[0])
+        Link(sim, b.port, hub.ports[5])
+        transmits = Counter()
+        transmit = Port.transmit_batch
+
+        def counting(port, datas):
+            if port.device is hub:
+                transmits[port.index] += 1
+            transmit(port, datas)
+
+        monkeypatch.setattr(Port, "transmit_batch", counting)
+        a.send(frame(M1, BROADCAST_MAC))
+        sim.run()
+        assert transmits == {5: 1}
+        assert len(b.received) == 1 and a.received == []
+
 
 class TestFloodEgress:
     """Floods walk the switch's cabled ports only: a 64-port switch with

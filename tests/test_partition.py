@@ -120,7 +120,7 @@ class TestPartition:
         p.schedule_at(0.5, lambda: None)
         p.run(until=0.5)
         with pytest.raises(ClockError):
-            p.coalesce_at(0.25, object(), b"x")
+            p.coalesce(0.25, object(), [b"x"])
 
 
 class TestShardedSimulator:
@@ -164,16 +164,6 @@ class TestShardedSimulator:
         b = right.register(_host(right, "bob", 2))
         with pytest.raises(TopologyError, match="lookahead"):
             fabric.connect(a.nic, b.nic, latency=0.0)
-
-    def test_explicit_lookahead_capped_by_boundary_latency(self):
-        fabric = ShardedSimulator(lookahead=5e-3)
-        left = fabric.add_partition("left")
-        right = fabric.add_partition("right")
-        a = left.register(_host(left, "alice", 1))
-        b = right.register(_host(right, "bob", 2))
-        fabric.connect(a.nic, b.nic, latency=1e-3)
-        with pytest.raises(SimulationError, match="exceeds"):
-            _ = fabric.lookahead
 
     def test_lookahead_is_min_boundary_latency(self):
         fabric = ShardedSimulator()
@@ -249,6 +239,34 @@ class TestRunSharded:
         assert summary["events"] == reference.events_processed
         assert forked.events_processed == reference.events_processed
         assert forked.now == 1.0
+
+    def test_fork_run_counts_like_in_process(self):
+        """Events, windows and routed envelopes agree across the two runs,
+        the envelope posted before the run (the first ARP request)
+        included."""
+
+        def build():
+            fabric = ShardedSimulator(seed=13)
+            left = fabric.add_partition("left")
+            right = fabric.add_partition("right")
+            a = left.register(_host(left, "alice", 1))
+            b = right.register(_host(right, "bob", 2))
+            fabric.connect(a.nic, b.nic, latency=1e-3)
+            a.ping(b.ip)
+            return fabric
+
+        reference = build()
+        reference.run(until=1.0)
+        forked = build()
+        summary = forked.run_sharded(until=1.0, jobs=2)
+        assert summary["shards"] == 2
+        counts = [
+            (f.events_processed, f.windows, f.envelopes_routed)
+            for f in (reference, forked)
+        ]
+        assert counts[0] == counts[1]
+        assert (summary["events"], summary["windows"], summary["envelopes"]) == counts[0]
+        assert reference.envelopes_routed == 6
 
     def test_jobs_one_falls_back(self):
         fabric = ShardedSimulator(seed=2)

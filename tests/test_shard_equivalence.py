@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.l2.device import Link
 from repro.l2.switch import Switch
 from repro.net.addresses import Ipv4Network, MacAddress
-from repro.sim import ShardedSimulator, Simulator
+from repro.sim import ShardedSimulator, Simulator, simulator
 from repro.sim.trace import TraceRecorder
 from repro.stack.host import Host
 
@@ -91,11 +91,15 @@ def _run_chain(
     batching: bool,
     sharded: bool,
 ):
-    if sharded:
-        engine = ShardedSimulator(seed=seed, batching=batching)
-    else:
-        engine = Simulator(seed=seed, batching=batching)
-    hosts, switches = _build_chain(engine, hosts_per_switch, sharded)
+    # Partitions read the process default as they are built, the way
+    # perfbench picks the plane.
+    default = simulator.DEFAULT_BATCHING
+    simulator.DEFAULT_BATCHING = batching
+    try:
+        engine = ShardedSimulator(seed=seed) if sharded else Simulator(seed=seed)
+        hosts, switches = _build_chain(engine, hosts_per_switch, sharded)
+    finally:
+        simulator.DEFAULT_BATCHING = default
     for device in hosts + switches:
         device.recorder = TraceRecorder()
     n = len(hosts)
