@@ -299,6 +299,9 @@ class ShardedSimulator(_Shard):
         self.boundaries: List[Boundary] = []
         self.windows = 0
         self.envelopes_routed = 0
+        #: Set by a forked run: the partitions here keep their pre-fork
+        #: state, so the fabric cannot run again.
+        self._spent = False
         self.telemetry = None
         recorder = _default_recorder()
         if recorder is not None:
@@ -422,12 +425,20 @@ class ShardedSimulator(_Shard):
         to exactly ``until``, so post-run measurements line up across
         partitions and with an unsharded run.
         """
-        if not self.partitions:
-            raise SimulationError("no partitions to run")
+        self._check_runnable()
         queued = self._windows(until, [self], self._window)
         self.advance(until, queued[0])
         if self.telemetry is not None:
             self.telemetry.run_end(self)
+
+    def _check_runnable(self) -> None:
+        if self._spent:
+            raise SimulationError(
+                "this fabric ran forked and its partitions hold their "
+                "pre-fork state; build a new one to run again"
+            )
+        if not self.partitions:
+            raise SimulationError("no partitions to run")
 
     def _window(self, window_end: float, queued: List[List[Envelope]]):
         reply = self.advance(window_end, queued[0])
@@ -452,6 +463,12 @@ class ShardedSimulator(_Shard):
         so parent-side metrics reflect the whole fabric with no double
         counting.
 
+        Of the fabric itself only each partition's event count and clock
+        come back: devices in the parent keep their pre-fork caches,
+        counters and queues.  A forked run therefore spends the fabric,
+        and a later :meth:`run` or :meth:`run_sharded` raises
+        :class:`SimulationError` instead of replaying those queues.
+
         Falls back to the in-process loop when ``jobs <= 1``, when there
         are fewer than two partitions, or on platforms without ``fork``.
         Returns a summary dict (events, windows, shards, envelopes).
@@ -460,9 +477,8 @@ class ShardedSimulator(_Shard):
 
         import multiprocessing
 
+        self._check_runnable()
         parts = list(self.partitions.values())
-        if not parts:
-            raise SimulationError("no partitions to run")
         ctx = _fork_context()
         # Inside a daemonic campaign worker, forking again is forbidden —
         # the task already has a process of its own; the in-process window
@@ -486,6 +502,7 @@ class ShardedSimulator(_Shard):
         }
 
     def _run_forked(self, until: float, jobs: int, heartbeat_dir, ctx) -> None:
+        self._spent = True
         parts = list(self.partitions.values())
         shards = [
             _Shard({p.name: p for p in parts[i::jobs]}, self._outbox)

@@ -57,6 +57,18 @@ def _crossover_sharded(seed: int, latency: float):
     return fabric, alice, bob
 
 
+def _ping_fabric():
+    """Alice pings bob across a boundary, one partition each."""
+    fabric = ShardedSimulator(seed=13)
+    left = fabric.add_partition("left")
+    right = fabric.add_partition("right")
+    a = left.register(_host(left, "alice", 1))
+    b = right.register(_host(right, "bob", 2))
+    fabric.connect(a.nic, b.nic, latency=1e-3)
+    a.ping(b.ip)
+    return fabric
+
+
 class TestBoundaryEquivalence:
     def test_cross_boundary_traffic_is_byte_identical(self):
         sim, a1, b1 = _crossover_single(seed=11, latency=1e-3)
@@ -221,20 +233,10 @@ class TestRunSharded:
         assert results["inproc"] == results["forked"]
 
     def test_fork_run_merges_host_traffic(self):
-        def build():
-            fabric = ShardedSimulator(seed=13)
-            left = fabric.add_partition("left")
-            right = fabric.add_partition("right")
-            a = left.register(_host(left, "alice", 1))
-            b = right.register(_host(right, "bob", 2))
-            fabric.connect(a.nic, b.nic, latency=1e-3)
-            a.ping(b.ip)
-            return fabric
-
-        reference = build()
+        reference = _ping_fabric()
         reference.run(until=1.0)
 
-        forked = build()
+        forked = _ping_fabric()
         summary = forked.run_sharded(until=1.0, jobs=2)
         assert summary["events"] == reference.events_processed
         assert forked.events_processed == reference.events_processed
@@ -244,20 +246,9 @@ class TestRunSharded:
         """Events, windows and routed envelopes agree across the two runs,
         the envelope posted before the run (the first ARP request)
         included."""
-
-        def build():
-            fabric = ShardedSimulator(seed=13)
-            left = fabric.add_partition("left")
-            right = fabric.add_partition("right")
-            a = left.register(_host(left, "alice", 1))
-            b = right.register(_host(right, "bob", 2))
-            fabric.connect(a.nic, b.nic, latency=1e-3)
-            a.ping(b.ip)
-            return fabric
-
-        reference = build()
+        reference = _ping_fabric()
         reference.run(until=1.0)
-        forked = build()
+        forked = _ping_fabric()
         summary = forked.run_sharded(until=1.0, jobs=2)
         assert summary["shards"] == 2
         counts = [
@@ -267,6 +258,25 @@ class TestRunSharded:
         assert counts[0] == counts[1]
         assert (summary["events"], summary["windows"], summary["envelopes"]) == counts[0]
         assert reference.envelopes_routed == 6
+
+    def test_forked_run_spends_the_fabric(self):
+        """The parent's partitions keep their pre-fork queues: running
+        them again would replay traffic the workers already carried."""
+        forked = _ping_fabric()
+        summary = forked.run_sharded(until=1.0, jobs=2)
+        assert summary["shards"] == 2
+        with pytest.raises(SimulationError, match="ran forked"):
+            forked.run(until=2.0)
+        with pytest.raises(SimulationError, match="ran forked"):
+            forked.run_sharded(until=2.0, jobs=2)
+        assert forked.now == 1.0
+
+    def test_in_process_fabric_runs_again(self):
+        fabric = _ping_fabric()
+        fabric.run(until=1.0)
+        fabric.run(until=2.0)
+        bob = fabric.partitions["right"].device("bob")
+        assert (fabric.events_processed, bob.nic.rx_frames) == (6, 3)
 
     def test_jobs_one_falls_back(self):
         fabric = ShardedSimulator(seed=2)
