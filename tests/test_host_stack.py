@@ -223,6 +223,25 @@ class TestCacheUpdatePolicies:
         sim.run(until=1.0)
         assert victim.arp_cache.get(target_ip, sim.now) == attacker.mac
 
+    def test_receive_cost_decides_on_state_after_the_delay(self, sim):
+        """A crypto scheme's receive cost defers the decision, and the
+        decision reads the sender's state when it runs: a reply that was
+        unsolicited on arrival completes a resolution started during the
+        delay."""
+        lan = Lan(sim)
+        victim = lan.add_host("victim", profile=LINUX)
+        attacker = lan.add_host("attacker")
+        victim.arp_rx_cost = lambda arp: 0.5
+        target_ip = Ipv4Address("192.168.88.77")
+        attacker.transmit_frame(forged_reply(attacker, victim, target_ip))
+        sim.run(until=0.1)
+        got = []
+        victim.resolve(target_ip, on_resolved=got.append)
+        sim.run(until=0.9)
+        assert got == [attacker.mac]
+        assert victim.arp_cache.entry(target_ip).source == BindingSource.SOLICITED_REPLY
+        assert victim.counters["arp_unsolicited_ignored"] == 0
+
 
 class TestIcmpAndTransports:
     def test_ping_round_trip(self, sim, pair):
