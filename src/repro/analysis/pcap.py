@@ -206,9 +206,13 @@ def _walk(
     never materialized and multi-GB captures stream in
     O(``buffer_size`` + one window) memory.  A record that straddles a
     block boundary is completed from the next read.  The unpack also
-    peeks at frame bytes 13 and 23; the buffer ends in one unpack's
-    worth of zero padding, so an unpack at a partial header never runs
-    off its end.
+    peeks at the frame's ethertype, IPv4 version/IHL and protocol and
+    the UDP ports of an option-less IPv4 header, so the filter decides
+    ARP and option-less IPv4/UDP inline and calls
+    :func:`capture_filter` only for IPv4 with options.  Peeked fields
+    past a record's ``caplen`` belong to the next record and are never
+    trusted; the buffer ends in one unpack's worth of zero padding, so
+    an unpack at a partial header never runs off its end.
 
     Timestamps are compared as integer ``seconds * 10**6 + micros``
     keys, so a record becomes a float only when it is a window's first
@@ -241,9 +245,17 @@ def _walk(
         linktype = struct.unpack(endian + "IHHiIII", head)[6]
         if linktype != _LINKTYPE_ETHERNET:
             raise PcapError(f"pcap: linktype {linktype} is not Ethernet")
-        # Record header (origlen skipped), then frame bytes 13 and 23.
-        peek = struct.Struct(endian + "III4x13xB9xB")
+        # Record header (origlen skipped), then the frame's ethertype,
+        # version/IHL, protocol and option-less UDP ports.  The frame's
+        # fields are big-endian; the peek reads them in the file's byte
+        # order, so the constants are converted once instead.
+        peek = struct.Struct(endian + "III4x12xHB8xB10xHH")
         unpack_from = peek.unpack_from
+
+        def field(value: int) -> int:
+            return struct.unpack(endian + "H", value.to_bytes(2, "big"))[0]
+
+        arp, ipv4, dhcp = field(0x0806), field(0x0800), (field(67), field(68))
         pad = bytes(peek.size)
         hsize = _RECORD_HEADER.size
         read = reader.read
@@ -263,7 +275,9 @@ def _walk(
         eof = False
         while True:
             while n != window:
-                seconds, micros, caplen, kind, proto = unpack_from(buf, pos)
+                seconds, micros, caplen, ether, vihl, proto, sport, dport = unpack_from(
+                    buf, pos
+                )
                 stop = pos + hsize + caplen
                 if stop > end or caplen > MAX_CAPLEN:
                     break
@@ -275,7 +289,13 @@ def _walk(
                 else:
                     top = key
                 if not filtered or (
-                    (proto == 17 or kind == 0x06) and keep(buf, pos + hsize, stop)
+                    caplen >= 14
+                    if ether == arp
+                    else ether == ipv4 and proto == 17 and caplen >= 38 and (
+                        sport in dhcp or dport in dhcp
+                        if vihl == 0x45
+                        else keep(buf, pos + hsize, stop)
+                    )
                 ):
                     if key == top or raw:
                         ts = seconds + micros / 1_000_000

@@ -32,6 +32,7 @@ timers (probe timeouts, periodic sweeps) fire in step with the stream.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
@@ -294,32 +295,33 @@ class ReplayEngine:
         observe = self._ingest_seconds.observe
         advance_to = sim.advance_to
         start = window_start = time.perf_counter()
-        for win in src.windows(self.window, last_ts, filtered):
-            n = win.frames
-            if n > peak:
-                peak = n
-            if first_ts is None:
-                first_ts = win.first_ts
-            for ts, raw in win.kept:
-                if ts > now:
-                    advance_to(ts)
-                    now = ts
-                if provenance is not None:
-                    provenance.new_frame(raw, origin=origin, time=ts, kind="rx")
-                if observer is not None:
-                    observer(ts, raw)
-                deliver((raw,))
-            frames += n
-            nbytes += win.bytes
-            delivered += len(win.kept)
-            skew += win.skew
-            last_ts = win.max_ts
-            now_wall = time.perf_counter()
-            observe(now_wall - window_start)
-            window_start = now_wall
-            if telemetry is not None:
-                sim.events_processed += n
-                telemetry.tick(sim)
+        with closing(src.windows(self.window, last_ts, filtered)) as windows:
+            for win in windows:
+                n = win.frames
+                if n > peak:
+                    peak = n
+                if first_ts is None:
+                    first_ts = win.first_ts
+                for ts, raw in win.kept:
+                    if ts > now:
+                        advance_to(ts)
+                        now = ts
+                    if provenance is not None:
+                        provenance.new_frame(raw, origin=origin, time=ts, kind="rx")
+                    if observer is not None:
+                        observer(ts, raw)
+                    deliver((raw,))
+                frames += n
+                nbytes += win.bytes
+                delivered += len(win.kept)
+                skew += win.skew
+                last_ts = win.max_ts
+                now_wall = time.perf_counter()
+                observe(now_wall - window_start)
+                window_start = now_wall
+                if telemetry is not None:
+                    sim.events_processed += n
+                    telemetry.tick(sim)
         if last_ts > sim.now:
             sim.advance_to(last_ts)
         if drain > 0.0:

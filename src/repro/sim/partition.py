@@ -241,15 +241,21 @@ class _Shard:
         return sum(p.events_processed for p in self.partitions.values())
 
     def pending(self) -> int:
-        return sum(p.pending() for p in self.partitions.values())
+        return sum(pending for pending, _ in self._queues().values())
 
     @property
     def heap_depth(self) -> int:
-        return sum(p.heap_depth for p in self.partitions.values())
+        return sum(depth for _, depth in self._queues().values())
 
     def heap_depths(self) -> Dict[str, int]:
         """Per-partition raw heap length — the telemetry breakdown."""
-        return {name: p.heap_depth for name, p in self.partitions.items()}
+        return {name: depth for name, (_, depth) in self._queues().items()}
+
+    def _queues(self) -> Dict[str, Tuple[int, int]]:
+        """Each partition's ``(pending(), heap_depth)``."""
+        return {
+            name: (p.pending(), p.heap_depth) for name, p in self.partitions.items()
+        }
 
     def next_time(self) -> Optional[float]:
         """The earliest pending event time over the shard, or ``None``."""
@@ -302,6 +308,9 @@ class ShardedSimulator(_Shard):
         #: Set by a forked run: the partitions here keep their pre-fork
         #: state, so the fabric cannot run again.
         self._spent = False
+        #: Each partition's ``(pending(), heap_depth)`` as the forked run
+        #: left it in its worker; the queues here are pre-fork copies.
+        self._forked_queues: Optional[Dict[str, Tuple[int, int]]] = None
         self.telemetry = None
         recorder = _default_recorder()
         if recorder is not None:
@@ -353,6 +362,11 @@ class ShardedSimulator(_Shard):
         )
         self.boundaries.append(boundary)
         return boundary
+
+    def _queues(self) -> Dict[str, Tuple[int, int]]:
+        if self._forked_queues is not None:
+            return self._forked_queues
+        return super()._queues()
 
     def _endpoint(self, port) -> _Endpoint:
         device = port.device
@@ -463,10 +477,12 @@ class ShardedSimulator(_Shard):
         so parent-side metrics reflect the whole fabric with no double
         counting.
 
-        Of the fabric itself only each partition's event count and clock
-        come back: devices in the parent keep their pre-fork caches,
-        counters and queues.  A forked run therefore spends the fabric,
-        and a later :meth:`run` or :meth:`run_sharded` raises
+        Of the fabric itself each partition's event count, clock and
+        queue state (``pending()`` and ``heap_depth``, read through
+        :meth:`_queues`) come back: devices in the parent keep their
+        pre-fork caches and counters, and the partitions their pre-fork
+        queues.  A forked run therefore spends the fabric, and a later
+        :meth:`run` or :meth:`run_sharded` raises
         :class:`SimulationError` instead of replaying those queues.
 
         Falls back to the in-process loop when ``jobs <= 1``, when there
@@ -526,13 +542,17 @@ class ShardedSimulator(_Shard):
                 return self._exchange(workers, "window", window_end, queued)
 
             queued = self._windows(until, shards, window)
-            for events, obs in self._exchange(workers, "finish", until, queued):
+            queues: Dict[str, Tuple[int, int]] = {}
+            for states, obs in self._exchange(workers, "finish", until, queued):
                 REGISTRY.merge(obs)
                 # The parent's partitions are pre-fork copies: carry the
-                # workers' counts and clocks over for the aggregate view.
-                for name, count in events.items():
+                # workers' counts, clocks and queues over for the
+                # aggregate view.
+                for name, (count, pending, depth) in states.items():
                     self.partitions[name].events_processed = count
                     self.partitions[name]._now = until
+                    queues[name] = (pending, depth)
+            self._forked_queues = {name: queues[name] for name in self.partitions}
             if self.telemetry is not None:
                 self.telemetry.run_end(self)
         finally:
@@ -586,11 +606,12 @@ class ShardedSimulator(_Shard):
                 if kind == "finish":
                     if telemetry is not None:
                         telemetry.run_end(shard)
-                    events = {
-                        name: p.events_processed
+                    queues = shard._queues()
+                    states = {
+                        name: (p.events_processed, *queues[name])
                         for name, p in shard.partitions.items()
                     }
-                    conn.send(("ok", events, REGISTRY.delta(before)))
+                    conn.send(("ok", states, REGISTRY.delta(before)))
                     return
                 conn.send(("ok", next_time, outgoing))
                 if telemetry is not None:

@@ -1,12 +1,16 @@
 """Offline replay end to end on a churned 100k-frame synthetic trace
 under arpwatch: the metrics export, bounded memory, the same counts
 from a pcap of the same stream at any window, window-independent alert
-times, and ``repro analyze`` listing what replay counts.  Run with
+times, ``repro analyze`` listing what replay counts, and no process of
+a pcap replay (its forked reader included) outliving the run.  Run with
 ``python -m pytest -m smoke tests/smoke/test_replay_smoke.py``."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +20,7 @@ from repro.replay import PcapSource, ReplayEngine
 from repro.replay.sources import open_source
 from repro.schemes import make_defense
 from repro.sim import Simulator
-from tests.smoke._cli import run_cli
+from tests.smoke._cli import SRC, run_cli
 
 pytestmark = pytest.mark.smoke
 
@@ -105,3 +109,32 @@ def test_analyze_lists_exactly_the_alerts_replay_counts(workdir):
     alerts = int(re.search(r"alerts=(\d+)", stack).group(1))
     assert findings == alerts > 0, (findings, alerts)
     print(f"analyze: {findings} findings == replay alerts")
+
+
+def test_pcap_replay_leaves_no_process_behind(workdir):
+    """Each run gets a session of its own, so its process group holds
+    the CLI and the reader it forks.  Once the CLI has exited, on a good
+    capture and on a truncated one, the group must be empty: probing it
+    with signal 0 (which sends nothing) finds no process."""
+    good = (workdir / "replay-smoke.pcap").read_bytes()
+    (workdir / "replay-smoke-cut.pcap").write_bytes(good[:-5])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )}
+    for capture, status in (("replay-smoke.pcap", 0), ("replay-smoke-cut.pcap", 1)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "replay", "--pcap", capture,
+             "--scheme", "arpwatch"],
+            cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        out, err = proc.communicate(timeout=600)
+        assert proc.returncode == status, (capture, proc.returncode, err)
+        if status:
+            assert err.startswith("replay: pcap: truncated record body"), err
+            assert err.count("\n") == 1, err
+        else:
+            assert re.search(r"^replay: 100000 frames", out, re.M), out
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    print("pcap replay, good and truncated: the run's process group is empty after exit")

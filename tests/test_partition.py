@@ -14,6 +14,7 @@ import pytest
 from repro.errors import ClockError, SimulationError, TopologyError
 from repro.l2.device import Link
 from repro.net.addresses import Ipv4Address, Ipv4Network, MacAddress
+from repro.obs.live import TelemetryRecorder
 from repro.sim import Partition, ShardedSimulator, Simulator
 from repro.sim.trace import TraceRecorder
 from repro.stack.host import Host
@@ -270,6 +271,29 @@ class TestRunSharded:
         with pytest.raises(SimulationError, match="ran forked"):
             forked.run_sharded(until=2.0, jobs=2)
         assert forked.now == 1.0
+
+    def test_forked_run_carries_the_queues_home(self):
+        """The workers' finish replies carry each partition's queue state
+        home: after a forked run the parent reads the same ``pending``,
+        heap depths and run-end telemetry row as after an in-process
+        run, not its pre-fork queues."""
+        readings = {}
+        for mode in ("inproc", "forked"):
+            fabric = _ping_fabric()
+            recorder = TelemetryRecorder(include_metrics=False)
+            recorder.attach(fabric)
+            if mode == "forked":
+                assert fabric.run_sharded(until=1.0, jobs=2)["shards"] == 2
+            else:
+                fabric.run(until=1.0)
+            end = recorder.snapshots[-1]
+            readings[mode] = (
+                fabric.pending(), fabric.heap_depth, fabric.heap_depths(),
+                end["reason"], end["pending"], end["heap_depth"],
+                end["heap_depth_by_partition"],
+            )
+        assert readings["inproc"][:3] == (0, 0, {"left": 0, "right": 0})
+        assert readings["forked"] == readings["inproc"]
 
     def test_in_process_fabric_runs_again(self):
         fabric = _ping_fabric()

@@ -216,6 +216,46 @@ class TestParserFilterEquivalence:
         for cut in range(len(frame) + 1):
             assert capture_filter(frame[:cut], 0, cut) == reference_filter(frame[:cut]), cut
 
+    @pytest.mark.parametrize("big_endian", (False, True))
+    @pytest.mark.parametrize("ihl", (5, 6))
+    def test_the_walk_keeps_what_the_filter_keeps_at_every_cut(self, big_endian, ihl):
+        """The walk decides ARP and option-less IPv4/UDP from its peek,
+        which reads past a short record into the next one.  Each cut of
+        an ARP and a DHCP frame is followed by a record whose header and
+        body continue the uncut frame (all but the ``caplen`` bytes), so
+        a field read past the cut looks like the real one.  The walk
+        must keep exactly the records ``capture_filter`` keeps."""
+        endian = ">" if big_endian else "<"
+        options = bytes(ihl * 4 - 20)
+        ip = struct.pack(">BBHHHBBH4s4s", 0x40 | ihl, 0, 0, 0, 0, 64, 17, 0, bytes(4), bytes(4))
+        frames = [arp_frame(1)] + [
+            bytes(12) + b"\x08\x00" + ip + options + struct.pack(">HHHH", *ports, 8, 0)
+            for ports in ((68, 67), (40_000, 67), (68, 40_000), (40_000, 40_000))
+        ]
+        parts = [struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)]
+        records = []
+        for frame in frames:
+            for cut in range(len(frame) + 1):
+                rest = frame[cut:] + bytes(16)
+                tail = frame[cut + 16 :]
+                seconds, micros, _, origlen = struct.unpack(endian + "IIII", rest[:16])
+                for header, body in (
+                    ((0, 0, cut, len(frame)), frame[:cut]),
+                    ((seconds, micros, len(tail), origlen), tail),
+                ):
+                    parts.append(struct.pack(endian + "IIII", *header) + body)
+                    records.append(body)
+        data = b"".join(parts)
+        expected = [raw for raw in records if capture_filter(raw, 0, len(raw))]
+        assert len(expected) > len(frames)
+        for window in WINDOWS:
+            for size in BLOCK_SIZES:
+                kept = [
+                    raw for win in iter_pcap_windows(io.BytesIO(data), window, 0.0, size)
+                    for _, raw in win.kept
+                ]
+                assert kept == expected, (window, size)
+
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError, match="window"):
             iter_pcap_windows(io.BytesIO(write_capture([])), 0)
