@@ -1,15 +1,17 @@
 """Per-host ARP cache.
 
 The cache is the thing the whole paper is about poisoning.  It records
-where each binding came from (``source``), keeps an update history, and
-exposes change notifications — host-resident detectors (the middleware
-scheme) and the metrics layer both subscribe to those.
+where each binding came from (``source``) and exposes change
+notifications — host-resident detectors (the middleware scheme) and the
+metrics layer's poisoning trackers both subscribe to those.  It keeps no
+log of past changes: what a cache holds is bounded by its bindings, not
+by how long the run lasts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.net.addresses import Ipv4Address, MacAddress
 
@@ -74,8 +76,9 @@ class ArpCache:
         self.default_timeout = default_timeout
         self.capacity = capacity
         self._entries: Dict[Ipv4Address, ArpCacheEntry] = {}
-        self._listeners: List[Callable[[ArpCacheChange], None]] = []
-        self.history: List[ArpCacheChange] = []
+        #: Replaced, never mutated, by subscribe and unsubscribe, so a
+        #: dispatch iterates the snapshot it started with.
+        self._listeners: Tuple[Callable[[ArpCacheChange], None], ...] = ()
         self.rejected_updates = 0
         self.evictions = 0
 
@@ -85,17 +88,24 @@ class ArpCache:
     def on_change(
         self, listener: Callable[[ArpCacheChange], None]
     ) -> Callable[[], None]:
-        self._listeners.append(listener)
+        """Call ``listener`` with every put and pin from now on.
+
+        Returns the function that unsubscribes it.  A listener that
+        unsubscribes (itself or another) during a dispatch is still
+        called for that change.
+        """
+        self._listeners += (listener,)
 
         def unsubscribe() -> None:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
+            listeners = list(self._listeners)
+            if listener in listeners:
+                listeners.remove(listener)
+                self._listeners = tuple(listeners)
 
         return unsubscribe
 
     def _notify(self, change: ArpCacheChange) -> None:
-        self.history.append(change)
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(change)
 
     # ------------------------------------------------------------------
@@ -130,9 +140,10 @@ class ArpCache:
             source=source,
             updated_at=now,
         )
-        self._notify(
-            ArpCacheChange(time=now, ip=ip, old_mac=old_mac, new_mac=mac, source=source)
-        )
+        if self._listeners:
+            self._notify(
+                ArpCacheChange(time=now, ip=ip, old_mac=old_mac, new_mac=mac, source=source)
+            )
         return True
 
     def _evict_if_full(self, now: float) -> None:
@@ -167,12 +178,13 @@ class ArpCache:
             static=True,
             updated_at=now,
         )
-        self._notify(
-            ArpCacheChange(
-                time=now, ip=ip, old_mac=old_mac, new_mac=mac,
-                source=BindingSource.STATIC,
+        if self._listeners:
+            self._notify(
+                ArpCacheChange(
+                    time=now, ip=ip, old_mac=old_mac, new_mac=mac,
+                    source=BindingSource.STATIC,
+                )
             )
-        )
 
     def unpin(self, ip: Ipv4Address) -> None:
         entry = self._entries.get(ip)

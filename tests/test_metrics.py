@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.metrics import (
     GroundTruth,
+    PoisonTracker,
     detection_latency,
     mean,
     percentile,
@@ -107,37 +111,79 @@ class TestPoisonedSeconds:
 
     def test_integrates_wrong_binding_time(self):
         sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((0.0, 30.0),))
         host.arp_cache.put(IP, TRUE_MAC, now=0.0, source="solicited-reply")
         host.arp_cache.put(IP, ATTACKER, now=10.0, source="unsolicited-reply")
         host.arp_cache.put(IP, TRUE_MAC, now=25.0, source="solicited-reply")
-        assert poisoned_seconds(host, IP, TRUE_MAC, 0.0, 30.0) == pytest.approx(15.0)
+        assert poisoned_seconds(tracker, 30.0) == pytest.approx((15.0,))
 
     def test_poisoned_until_end_of_window(self):
         sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((0.0, 20.0),))
         host.arp_cache.put(IP, ATTACKER, now=5.0, source="unsolicited-reply")
-        assert poisoned_seconds(host, IP, TRUE_MAC, 0.0, 20.0) == pytest.approx(15.0)
+        assert poisoned_seconds(tracker, 30.0) == pytest.approx((15.0,))
 
     def test_zero_when_never_poisoned(self):
         sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((0.0, 30.0),))
         host.arp_cache.put(IP, TRUE_MAC, now=0.0, source="solicited-reply")
-        assert poisoned_seconds(host, IP, TRUE_MAC, 0.0, 30.0) == 0.0
+        assert poisoned_seconds(tracker, 30.0) == (0.0,)
 
     def test_state_carried_into_window(self):
         sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((10.0, 20.0),))
         host.arp_cache.put(IP, ATTACKER, now=1.0, source="unsolicited-reply")
-        assert poisoned_seconds(host, IP, TRUE_MAC, 10.0, 20.0) == pytest.approx(10.0)
+        assert poisoned_seconds(tracker, 30.0) == pytest.approx((10.0,))
 
     def test_empty_window(self):
         sim, host = self.make_host()
-        assert poisoned_seconds(host, IP, TRUE_MAC, 10.0, 10.0) == 0.0
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((10.0, 10.0),))
+        assert poisoned_seconds(tracker, 30.0) == (0.0,)
 
     def test_was_ever_poisoned(self):
         sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC)
         host.arp_cache.put(IP, TRUE_MAC, now=0.0, source="solicited-reply")
-        assert not was_ever_poisoned(host, IP, TRUE_MAC)
+        assert not was_ever_poisoned(tracker)
         host.arp_cache.put(IP, ATTACKER, now=5.0, source="unsolicited-reply")
-        assert was_ever_poisoned(host, IP, TRUE_MAC)
-        assert not was_ever_poisoned(host, IP, TRUE_MAC, since=6.0)
+        assert was_ever_poisoned(tracker)
+        sim.run(until=6.0)
+        assert not was_ever_poisoned(PoisonTracker(host, IP, TRUE_MAC))
+
+    def test_reads_the_binding_held_when_created(self):
+        sim, host = self.make_host()
+        sim.run(until=5.0)
+        host.arp_cache.put(IP, ATTACKER, now=5.0, source="unsolicited-reply")
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((0.0, None),))
+        assert was_ever_poisoned(tracker)
+        host.arp_cache.put(IP, TRUE_MAC, now=8.0, source="solicited-reply")
+        assert poisoned_seconds(tracker, 9.0) == pytest.approx((3.0,))
+
+    def test_open_window_closes_at_each_query(self):
+        sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((0.0, None), (2.0, 4.0)))
+        host.arp_cache.put(IP, ATTACKER, now=1.0, source="unsolicited-reply")
+        assert poisoned_seconds(tracker, 3.0) == pytest.approx((2.0, 1.0))
+        assert poisoned_seconds(tracker, 10.0) == pytest.approx((9.0, 2.0))
+
+    def test_other_ips_and_expiry_do_not_move_the_account(self):
+        sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((0.0, None),))
+        host.arp_cache.put(IP, ATTACKER, now=1.0, source="unsolicited-reply")
+        host.arp_cache.put(OTHER_IP, TRUE_MAC, now=2.0, source="solicited-reply")
+        host.arp_cache.age_out(IP)  # not notified: the last MAC still counts
+        assert poisoned_seconds(tracker, 4.0) == pytest.approx((3.0,))
+
+    def test_holds_no_reference_to_its_host(self):
+        sim, host = self.make_host()
+        tracker = PoisonTracker(host, IP, TRUE_MAC, windows=((0.0, None),))
+        host.arp_cache.put(IP, ATTACKER, now=1.0, source="unsolicited-reply")
+        alive = weakref.ref(host)
+        del host, sim
+        gc.collect()
+        assert alive() is None
+        assert was_ever_poisoned(tracker)
+        assert poisoned_seconds(tracker, 2.0) == pytest.approx((1.0,))
 
 
 class TestStats:
