@@ -195,7 +195,9 @@ class Host(Device):
             "tcp_rx": 0,
             "decode_errors": 0,
         }
-        self.resolution_latencies: List[float] = []
+        #: Seconds each completed resolution took, or ``None`` (nothing is
+        #: recorded).  A reader that wants them assigns a list before the run.
+        self.resolution_latencies: Optional[List[float]] = None
 
     # ==================================================================
     # Configuration helpers
@@ -596,7 +598,8 @@ class Host(Device):
         if pending.timer is not None:
             pending.timer.cancel()
         latency = self.sim.now - pending.started_at
-        self.resolution_latencies.append(latency)
+        if self.resolution_latencies is not None:
+            self.resolution_latencies.append(latency)
         # Registry metric (resolutions are rare — well off the wire fast
         # path, so the labeled observe is affordable unconditionally).
         from repro.obs.registry import REGISTRY

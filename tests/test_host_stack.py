@@ -43,6 +43,8 @@ class TestResolution:
 
     def test_resolution_latency_recorded(self, sim, pair):
         lan, a, b = pair
+        assert a.resolution_latencies is None  # nothing recorded unless asked
+        a.resolution_latencies = []
         a.resolve(b.ip, on_resolved=lambda mac: None)
         sim.run(until=2.0)
         assert len(a.resolution_latencies) == 1

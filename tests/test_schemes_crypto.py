@@ -74,6 +74,7 @@ class TestSecureArp:
         lan, victim, peer, mallory, protected = rig
         scheme = SecureArp()
         scheme.install(lan, protected=protected)
+        victim.resolution_latencies = []
         victim.resolve(peer.ip, on_resolved=lambda m: None)
         sim.run(until=5.0)
         assert victim.resolution_latencies[0] > scheme.cost_model.sign_time
@@ -185,6 +186,7 @@ class TestTicketArp:
         lan, victim, peer, mallory, protected = rig
         scheme = TicketArp()
         scheme.install(lan, protected=protected)
+        victim.resolution_latencies = []
         victim.resolve(peer.ip, on_resolved=lambda m: None)
         sim.run(until=5.0)
         tarp_latency = victim.resolution_latencies[0]
